@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify bench elision explore explore-smoke portfolio-smoke portfolio-race portfolio profile-smoke engine-smoke vet-smoke vet2-smoke obs vm vet-bench ablation serve-smoke serve-bench obs-smoke
+.PHONY: all build vet test race verify bench elision explore explore-smoke portfolio-smoke portfolio-race portfolio profile-smoke vet-smoke vet2-smoke obs vet-bench ablation serve-smoke serve-bench obs-smoke
 
 all: verify
 
@@ -18,9 +18,9 @@ race:
 
 # verify is the gate for every change: build, go vet, the full test suite,
 # the race detector over the concurrency-bearing packages, and the
-# exploration, portfolio, profile, cross-engine, static-analysis, and
-# execution-service smokes.
-verify: build vet test race explore-smoke portfolio-smoke profile-smoke engine-smoke vet-smoke vet2-smoke serve-smoke obs-smoke
+# exploration, portfolio, profile, static-analysis, and execution-service
+# smokes.
+verify: build vet test race explore-smoke portfolio-smoke profile-smoke vet-smoke vet2-smoke serve-smoke obs-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -80,17 +80,6 @@ profile-smoke:
 	@$(GO) run ./cmd/sharc profile -seed 7 -trace-out /tmp/shc-prof.jsonl examples/profile/hotsites.shc > /dev/null || exit 1
 	@echo "profile-smoke ok"
 
-# engine-smoke is the cross-engine differential gate from the shell: the
-# same seeded runs through the tree walker and the register VM must print
-# byte-identical output (reports, stats, everything on stdout).
-engine-smoke:
-	@for prog in internal/interp/testdata/bank.shc examples/profile/hotsites.shc; do \
-		$(GO) run ./cmd/sharc run -seed 11 -engine tree $$prog > /tmp/shc-eng-tree.txt 2>&1; \
-		$(GO) run ./cmd/sharc run -seed 11 -engine vm   $$prog > /tmp/shc-eng-vm.txt   2>&1; \
-		cmp /tmp/shc-eng-tree.txt /tmp/shc-eng-vm.txt || { echo "engine divergence on $$prog"; exit 1; }; \
-	done
-	@echo "engine-smoke ok"
-
 # vet-smoke runs the static analyzer over the whole corpus and asserts
 # the partition is exact: every clean program vets with zero must
 # findings (exit 0), every seeded-racy program with at least one (exit 1).
@@ -110,7 +99,7 @@ vet-smoke:
 # Table-1 benchmark the absint tier must push the statically avoided
 # check fraction past 90%, resolve every would-be finding, and keep the
 # discharged build's reports and exit byte-identical to the elide-only
-# build on both engines.
+# build.
 vet2-smoke:
 	$(GO) test ./internal/bench -run TestVet2Smoke -count 1
 
@@ -161,10 +150,6 @@ obs-smoke:
 # serve-bench regenerates BENCH_serve.json (service load scenarios).
 serve-bench:
 	$(GO) run ./cmd/sharc-bench -serve
-
-# vm regenerates BENCH_vm.json (tree walker vs register VM speedups).
-vm:
-	$(GO) run ./cmd/sharc-bench -vm
 
 # vet-bench regenerates BENCH_vet.json (static discharge vs elision alone).
 vet-bench:

@@ -25,13 +25,9 @@
 //	sharc-bench -obs                    telemetry overhead tiers (off /
 //	                                    metrics / metrics+trace), also
 //	                                    written to BENCH_obs.json
-//	sharc-bench -vm                     engine comparison (tree walker vs
-//	                                    register VM) on the checked Table-1
-//	                                    rows, also written to BENCH_vm.json
 //	sharc-bench -vet                    static check discharge (elide-only
-//	                                    vs elide + vet discharge) on both
-//	                                    engines, also written to
-//	                                    BENCH_vet.json
+//	                                    vs elide + vet discharge), also
+//	                                    written to BENCH_vet.json
 //	sharc-bench -ablate                 absint tier ablation: avoided-check
 //	                                    fraction under lockset only, +MHP
 //	                                    phase rules, +interval certification,
@@ -72,8 +68,6 @@ func main() {
 	pfShare := flag.String("share", "local", "sharing topology for -portfolio: none, local, global")
 	obs := flag.Bool("obs", false, "measure telemetry overhead tiers and write BENCH_obs.json")
 	obsOut := flag.String("obs-out", "BENCH_obs.json", "output path for the telemetry-overhead JSON")
-	vm := flag.Bool("vm", false, "compare the tree walker against the register VM and write BENCH_vm.json")
-	vmOut := flag.String("vm-out", "BENCH_vm.json", "output path for the engine-comparison JSON")
 	vetFlag := flag.Bool("vet", false, "measure static check discharge and write BENCH_vet.json")
 	vetOut := flag.String("vet-out", "BENCH_vet.json", "output path for the discharge JSON")
 	ablate := flag.Bool("ablate", false, "measure the absint tier ladder (lockset / +mhp / +intervals / +summaries) and write BENCH_ablation.json")
@@ -224,32 +218,6 @@ func main() {
 		return
 	}
 
-	if *vm {
-		var rows []bench.VMRow
-		for i := range bench.Benchmarks {
-			b := &bench.Benchmarks[i]
-			if *runOne != "" && b.Name != *runOne {
-				continue
-			}
-			r, err := bench.RunVM(b, scale, *reps)
-			if err != nil {
-				fatal(err)
-			}
-			rows = append(rows, r)
-		}
-		fmt.Println("Engine comparison (tree walker vs register VM, checked builds):")
-		fmt.Print(bench.FormatVM(rows))
-		data, err := bench.VMJSON(rows)
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*vmOut, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *vmOut)
-		return
-	}
-
 	if *vetFlag {
 		var rows []bench.VetRow
 		for i := range bench.Benchmarks {
@@ -263,7 +231,7 @@ func main() {
 			}
 			rows = append(rows, r)
 		}
-		fmt.Println("Static check discharge (elide-only vs elide + vet discharge, both engines):")
+		fmt.Println("Static check discharge (elide-only vs elide + vet discharge):")
 		fmt.Print(bench.FormatVet(rows))
 		data, err := bench.VetJSON(rows)
 		if err != nil {

@@ -41,7 +41,7 @@ func TestValidateTable(t *testing.T) {
 	ok := func() cliFlags {
 		return cliFlags{
 			schedules: 100, strategy: "mix", workers: 1, share: "local",
-			top: 10, seed: 1, traceCap: 1024, engine: "auto",
+			top: 10, seed: 1, traceCap: 1024,
 			addr: "127.0.0.1:7077", maxSessions: 4, queue: 64,
 			timeoutMS: 10000, cacheCap: 128, drainMS: 10000,
 			obs: true, captureMax: 32, logLevel: "info",
@@ -91,11 +91,10 @@ func TestValidateTable(t *testing.T) {
 		{"zero trace cap run", "run", func(f *cliFlags) { f.seed = -1; f.traceCap = 0 }, exitBadValue},
 		{"zero trace cap explore", "explore", func(f *cliFlags) { f.traceCap = 0 }, exitBadValue},
 		{"zero trace cap profile", "profile", func(f *cliFlags) { f.seed = 0; f.traceCap = 0 }, exitBadValue},
-		{"bad engine", "run", func(f *cliFlags) { f.seed = -1; f.engine = "jit" }, exitBadValue},
 		{"conflict wins over bad value", "run", func(f *cliFlags) {
 			f.seed = -1
 			f.record, f.replay = "a", "b" // conflict…
-			f.engine = "jit"              // …and a bad value: table order says 3
+			f.traceCap = 0                // …and a bad value: table order says 3
 		}, exitConflict},
 		{"serve defaults valid", "serve", func(f *cliFlags) {}, 0},
 		{"serve ephemeral port valid", "serve", func(f *cliFlags) { f.addr = "127.0.0.1:0" }, 0},

@@ -69,13 +69,10 @@
 // -trace-out/-trace-chrome (export the structured event stream as JSONL
 // or a Chrome trace_event file).
 //
-// run, explore, and profile accept -engine {auto|vm|tree} to select the
-// execution engine: the register VM over the flat instruction form (the
-// default) or the recursive tree walker (retained for one release). The
-// two engines produce byte-identical reports, statistics, telemetry, and
-// schedule traces, so -record/-replay work across them. They also accept
-// -discharge, which runs the vet analysis at build time and removes the
-// dynamic checks it proves can never fail.
+// run, explore, and profile execute on the register VM over the flat
+// instruction form. They also accept -discharge, which runs the vet
+// analysis at build time and removes the dynamic checks it proves can
+// never fail.
 //
 // Exit codes are uniform across subcommands (see exitFor):
 //
@@ -167,16 +164,6 @@ type cliFlags struct {
 	traceOut    string
 	traceChrome string
 	traceCap    int
-	engine      string
-}
-
-// validEngine reports whether s names an execution engine.
-func validEngine(s string) bool {
-	switch s {
-	case "auto", "vm", "tree":
-		return true
-	}
-	return false
 }
 
 // badSite explains what is wrong with a file:line:col site key, or returns
@@ -314,12 +301,6 @@ var cliRules = []struct {
 	{"run explore profile", exitBadValue, func(f *cliFlags) string {
 		if f.traceCap <= 0 {
 			return fmt.Sprintf("-trace-events must be positive, got %d", f.traceCap)
-		}
-		return ""
-	}},
-	{"run explore profile", exitBadValue, func(f *cliFlags) string {
-		if !validEngine(f.engine) {
-			return fmt.Sprintf("-engine must be one of auto, vm, tree; got %q", f.engine)
 		}
 		return ""
 	}},
@@ -464,9 +445,6 @@ func main() {
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	var f cliFlags
-	engineFlag := func() {
-		fs.StringVar(&f.engine, "engine", "auto", "execution engine: auto, vm (register VM), tree (recursive walker)")
-	}
 	elisionFlags := func() {
 		fs.BoolVar(&f.elide, "elide", false, "enable static redundant-check elision")
 		fs.BoolVar(&f.cache, "cache", false, "enable the runtime check cache")
@@ -490,7 +468,6 @@ func main() {
 		fs.StringVar(&f.traceOut, "trace-out", "", "export the structured event trace as JSONL to this path")
 		fs.StringVar(&f.traceChrome, "trace-chrome", "", "export the event trace in Chrome trace_event format to this path")
 		traceCapFlag()
-		engineFlag()
 	case "explore":
 		fs.IntVar(&f.schedules, "schedules", 100, "number of schedules to run")
 		fs.StringVar(&f.strategy, "strategy", "mix", "schedule generator: mix, random, pct, rr")
@@ -502,7 +479,6 @@ func main() {
 		fs.BoolVar(&f.metrics, "metrics", false, "aggregate per-site telemetry across schedules and print a summary")
 		fs.StringVar(&f.traceOut, "trace-out", "", "export the cross-schedule event trace as JSONL to this path")
 		traceCapFlag()
-		engineFlag()
 	case "profile":
 		fs.Int64Var(&f.seed, "seed", 0, "deterministic scheduler seed for the profiled run")
 		fs.IntVar(&f.top, "top", 10, "number of hot sites to list")
@@ -511,7 +487,6 @@ func main() {
 		fs.StringVar(&f.traceOut, "trace-out", "", "export the structured event trace as JSONL to this path")
 		fs.StringVar(&f.traceChrome, "trace-chrome", "", "export the event trace in Chrome trace_event format to this path")
 		traceCapFlag()
-		engineFlag()
 	case "serve":
 		fs.StringVar(&f.addr, "addr", "127.0.0.1:7077", "TCP listen address (port 0 picks an ephemeral port)")
 		fs.StringVar(&f.addrFile, "addr-file", "", "write the bound address to this file once listening")
@@ -867,7 +842,6 @@ func buildOpts(f *cliFlags, stdout io.Writer) sharc.Options {
 	opts.ElideChecks = f.elide
 	opts.CheckCache = f.cache
 	opts.StaticDischarge = f.discharge
-	opts.Engine = f.engine
 	opts.Stdout = stdout
 	return opts
 }

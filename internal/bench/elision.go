@@ -17,8 +17,6 @@ import (
 // checks + static elision + the runtime cache.
 type ElisionRow struct {
 	Name string `json:"name"`
-	// Engine names the execution engine the measured runs resolved to.
-	Engine string `json:"engine"`
 
 	TimeOrig   time.Duration `json:"time_orig_ns"`
 	TimeOff    time.Duration `json:"time_elision_off_ns"`
@@ -123,7 +121,6 @@ func RunElision(b *Benchmark, s Scale, reps int) (ElisionRow, error) {
 		return row, fmt.Errorf("%s (static+cache): %w", b.Name, err)
 	}
 	row.Exit = retBoth
-	row.Engine = rtBoth.EngineUsed().String()
 	row.ReportsMatch = retOff == retBoth && reportsEqual(rtOff.Reports(), rtBoth.Reports())
 	st := rtBoth.Stats()
 	row.CacheLookups = st.CheckCacheLookups

@@ -107,8 +107,6 @@ var RacyBenchmarks = []RacyBenchmark{
 // executions versus races found by systematic schedule exploration.
 type ExploreRow struct {
 	Name string `json:"name"`
-	// Engine names the execution engine the measured runs resolved to.
-	Engine string `json:"engine"`
 
 	// Free-running detection: races found across FreeRuns executions on
 	// the Go scheduler.
@@ -138,7 +136,6 @@ func RunExplore(b *RacyBenchmark, freeRuns, schedules int, seed int64) (ExploreR
 	if err != nil {
 		return row, fmt.Errorf("%s (build): %w", b.Name, err)
 	}
-	row.Engine = interp.New(prog, interp.DefaultConfig()).EngineUsed().String()
 
 	for i := 0; i < freeRuns; i++ {
 		rt, ret, _, err := runOnce(prog, nil)

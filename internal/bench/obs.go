@@ -22,8 +22,6 @@ import (
 // and the off tier staying inside it is the "disabled path is free" claim.
 type ObsRow struct {
 	Name string `json:"name"`
-	// Engine names the execution engine the measured runs resolved to.
-	Engine string `json:"engine"`
 
 	TimeBaseline time.Duration `json:"time_baseline_ns"`
 	TimeOff      time.Duration `json:"time_telemetry_off_ns"`
@@ -107,7 +105,6 @@ func RunObs(b *Benchmark, s Scale, reps int) (ObsRow, error) {
 	if err != nil {
 		return row, fmt.Errorf("%s (metrics run): %w", b.Name, err)
 	}
-	row.Engine = rt.EngineUsed().String()
 	snap := rt.TelemetrySnapshot()
 	if snap != nil {
 		row.Checks = snap.Global.DynamicChecks + snap.Global.LockChecks

@@ -124,11 +124,10 @@ type ServeReport struct {
 	Rows []ServeRow `json:"rows"`
 	// External records whether the target was an already-running server
 	// (true) or an in-process one started for the measurement.
-	External        bool   `json:"external"`
-	Engine          string `json:"engine"`
-	StaticDischarge bool   `json:"static_discharge"`
-	NumCPU          int    `json:"num_cpu"`
-	GOMAXPROCS      int    `json:"gomaxprocs"`
+	External        bool `json:"external"`
+	StaticDischarge bool `json:"static_discharge"`
+	NumCPU          int  `json:"num_cpu"`
+	GOMAXPROCS      int  `json:"gomaxprocs"`
 	// ObsOverheadPct is the throughput cost of the fully-armed
 	// observability layer on the hot sequential path: 100*(off-on)/off
 	// from the obs-off-hot and obs-on-hot rows. Only measured against
@@ -380,7 +379,6 @@ func RunServeBench(opts ServeOptions) (*ServeReport, error) {
 
 	rep := &ServeReport{
 		External:        opts.Addr != "",
-		Engine:          "auto",
 		StaticDischarge: false,
 		NumCPU:          runtime.NumCPU(),
 		GOMAXPROCS:      runtime.GOMAXPROCS(0),

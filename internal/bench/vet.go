@@ -9,16 +9,15 @@ import (
 
 	"repro/internal/absint"
 	"repro/internal/core"
-	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/parser"
 	"repro/internal/vet"
 )
 
 // VetRow measures static check discharge on one Table-1 benchmark: the
-// elide-only build against elide + vet discharge, on both engines. Match
-// is the soundness cross-check — the discharged build reproduced the
-// plain build's exit value and reports on each engine.
+// elide-only build against elide + vet discharge. Match is the soundness
+// cross-check — the discharged build reproduced the elide-only build's
+// exit value and reports.
 type VetRow struct {
 	Name string `json:"name"`
 
@@ -43,18 +42,15 @@ type VetRow struct {
 	AvoidedFracElide     float64 `json:"avoided_frac_elide"`
 	AvoidedFracDischarge float64 `json:"avoided_frac_elide_discharge"`
 
-	TimeElideTree     time.Duration `json:"time_elide_tree_ns"`
-	TimeDischargeTree time.Duration `json:"time_discharge_tree_ns"`
-	TimeElideVM       time.Duration `json:"time_elide_vm_ns"`
-	TimeDischargeVM   time.Duration `json:"time_discharge_vm_ns"`
+	TimeElideVM     time.Duration `json:"time_elide_vm_ns"`
+	TimeDischargeVM time.Duration `json:"time_discharge_vm_ns"`
 
-	// Speedups are elide-only time over discharged time (>1 = discharge
-	// made the run faster), per engine.
-	SpeedupTree float64 `json:"speedup_tree"`
-	SpeedupVM   float64 `json:"speedup_vm"`
+	// SpeedupVM is elide-only time over discharged time (>1 = discharge
+	// made the run faster).
+	SpeedupVM float64 `json:"speedup_vm"`
 
-	// Match: on both engines, the discharged run produced exactly the
-	// elide-only run's exit value and reports.
+	// Match: the discharged run produced exactly the elide-only run's exit
+	// value and reports.
 	Match bool  `json:"match"`
 	Exit  int64 `json:"exit"`
 
@@ -104,74 +100,46 @@ func RunVet(b *Benchmark, s Scale, reps int) (VetRow, error) {
 	row.DischargedAbsint = ds.DischargedAbsint
 	row.AvoidedFracDischarge = ds.AvoidedFraction()
 
-	// Soundness cross-check on both engines before timing.
-	row.Match = true
-	for _, eng := range []interp.Engine{interp.EngineTree, interp.EngineVM} {
-		rtE, retE, _, err := runEngineOnce(progElide, eng)
-		if err != nil {
-			return row, fmt.Errorf("%s (elide %v): %w", b.Name, eng, err)
-		}
-		rtD, retD, _, err := runEngineOnce(progDisch, eng)
-		if err != nil {
-			return row, fmt.Errorf("%s (discharge %v): %w", b.Name, eng, err)
-		}
-		row.Exit = retD
-		if retE != retD || !reportsEqual(rtE.Reports(), rtD.Reports()) {
-			row.Match = false
-		}
+	// Soundness cross-check before timing.
+	rtE, retE, _, err := runOnce(progElide, nil)
+	if err != nil {
+		return row, fmt.Errorf("%s (elide): %w", b.Name, err)
 	}
+	rtD, retD, _, err := runOnce(progDisch, nil)
+	if err != nil {
+		return row, fmt.Errorf("%s (discharge): %w", b.Name, err)
+	}
+	row.Exit = retD
+	row.Match = retE == retD && reportsEqual(rtE.Reports(), rtD.Reports())
 
-	// Timing: one untimed warmup per configuration (the match runs above
-	// warmed tree only once each; repeat so caches and the scheduler settle
-	// for both engines), then interleave the configurations so host drift
-	// hits every column equally, and take the median rep. The median is
-	// robust against the occasional descheduling spike that made early
-	// BENCH_vet.json speedups jitter across regenerations.
-	for _, eng := range []interp.Engine{interp.EngineTree, interp.EngineVM} {
-		if _, err := timeEngineOnce(progElide, eng); err != nil {
-			return row, err
-		}
-		if _, err := timeEngineOnce(progDisch, eng); err != nil {
-			return row, err
-		}
-	}
-	var et, dt, ev, dv []time.Duration
+	// Timing: the cross-check runs above are the untimed warmup; interleave
+	// the configurations so host drift hits both columns equally, and take
+	// the median rep. The median is robust against the occasional
+	// descheduling spike that made early BENCH_vet.json speedups jitter
+	// across regenerations.
+	var ev, dv []time.Duration
 	for rep := 0; rep < reps; rep++ {
-		dET, err := timeEngineOnce(progElide, interp.EngineTree)
+		dEV, err := timeOnce(progElide)
 		if err != nil {
 			return row, err
 		}
-		dDT, err := timeEngineOnce(progDisch, interp.EngineTree)
+		dDV, err := timeOnce(progDisch)
 		if err != nil {
 			return row, err
 		}
-		dEV, err := timeEngineOnce(progElide, interp.EngineVM)
-		if err != nil {
-			return row, err
-		}
-		dDV, err := timeEngineOnce(progDisch, interp.EngineVM)
-		if err != nil {
-			return row, err
-		}
-		et, dt = append(et, dET), append(dt, dDT)
 		ev, dv = append(ev, dEV), append(dv, dDV)
 	}
-	row.TimeElideTree = medianDuration(et)
-	row.TimeDischargeTree = medianDuration(dt)
 	row.TimeElideVM = medianDuration(ev)
 	row.TimeDischargeVM = medianDuration(dv)
-	if row.TimeDischargeTree > 0 {
-		row.SpeedupTree = float64(row.TimeElideTree) / float64(row.TimeDischargeTree)
-	}
 	if row.TimeDischargeVM > 0 {
 		row.SpeedupVM = float64(row.TimeElideVM) / float64(row.TimeDischargeVM)
 	}
 	return row, nil
 }
 
-// timeEngineOnce executes prog and returns only the wall time.
-func timeEngineOnce(prog *ir.Program, engine interp.Engine) (time.Duration, error) {
-	_, _, d, err := runEngineOnce(prog, engine)
+// timeOnce executes prog and returns only the wall time.
+func timeOnce(prog *ir.Program) (time.Duration, error) {
+	_, _, d, err := runOnce(prog, nil)
 	return d, err
 }
 
@@ -189,13 +157,13 @@ func medianDuration(ds []time.Duration) time.Duration {
 // FormatVet renders the discharge comparison as an aligned table.
 func FormatVet(rows []VetRow) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-10s %5s %5s %10s %10s %8s %8s %6s %5s\n",
-		"name", "must", "may", "avoid(el)", "avoid(+d)", "spd-tree", "spd-vm", "match", "exit")
+	fmt.Fprintf(&sb, "%-10s %5s %5s %10s %10s %8s %6s %5s\n",
+		"name", "must", "may", "avoid(el)", "avoid(+d)", "speedup", "match", "exit")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-10s %5d %5d %9.1f%% %9.1f%% %7.2fx %7.2fx %6v %5d\n",
+		fmt.Fprintf(&sb, "%-10s %5d %5d %9.1f%% %9.1f%% %7.2fx %6v %5d\n",
 			r.Name, r.MustFindings, r.MayFindings,
 			100*r.AvoidedFracElide, 100*r.AvoidedFracDischarge,
-			r.SpeedupTree, r.SpeedupVM, r.Match, r.Exit)
+			r.SpeedupVM, r.Match, r.Exit)
 	}
 	return sb.String()
 }

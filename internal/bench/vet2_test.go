@@ -5,12 +5,12 @@ import "testing"
 // TestVet2Smoke is the vet v2 acceptance gate over the six Table-1
 // benchmarks: with the absint tier on, the statically avoided check
 // fraction must exceed 90% on every row, the discharged build must
-// reproduce the plain build's exit value and reports byte-identically on
-// both engines (Match), and no finding may survive (absint resolves the
+// reproduce the elide-only build's exit value and reports byte-identically
+// (Match), and no finding may survive (absint resolves the
 // corpus's would-be may races). `make vet2-smoke` runs exactly this test.
 func TestVet2Smoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every benchmark on both engines")
+		t.Skip("runs every benchmark twice")
 	}
 	for i := range Benchmarks {
 		b := &Benchmarks[i]

@@ -458,7 +458,7 @@ func (e *elider) handleCheck(chk *ir.Check, addr ir.Expr, want uint8) {
 // the retired tree walk derived from statement structure. Check decisions
 // are written through FlatCheck.Orig — the check node shared with the
 // tree — and an elided check's instruction is rewritten to FChkElided, so
-// both engines observe every decision identically.
+// the tree and flat forms carry every decision identically.
 func (e *elider) runFlat(ff *ir.FlatFunc) {
 	var stack []map[string]*availEntry
 	evIdx := 0

@@ -1,9 +1,15 @@
 package compile
 
 // The linearize pass: lowers each function's statement tree into the flat
-// register form (ir.FlatFunc), emitting instructions in exactly the tree
-// walker's evaluation order so the two engines are behaviorally identical
-// — same check order, same scheduler yield points, same failure messages.
+// register form (ir.FlatFunc). The emitted order is the runtime's
+// evaluation-order contract: operands left to right; every access as
+// bounds check, access count and scheduler yield, sharing check, then the
+// observed memory operation; a read-modify-write reads before it evaluates
+// its right-hand side; builtin arguments in order, each C-string argument
+// read as soon as it is evaluated. Check order, yield points and failure
+// messages all follow from it, and the golden outputs under
+// internal/interp/testdata/golden pin them: moving an instruction across
+// another shows up there as a diff.
 //
 // Registers are allocated stack-wise: every expression nets exactly one
 // register holding its value, and temporaries above it are released as
@@ -70,8 +76,9 @@ func linearizeFunc(fn *ir.Func) *ir.FlatFunc {
 	l.stmts(fn.Body)
 	// Implicit return when the body falls off the end (dead but harmless
 	// after an explicit return; the verifier requires a terminating ret).
-	// Imm=1 marks it so the VM yields the thread's return slot, matching
-	// the tree walker's fall-off-the-end behavior.
+	// Imm=1 marks it so the VM yields the thread's return slot: a function
+	// that falls off its end returns its most recently completed call's
+	// value.
 	r := l.alloc()
 	l.emit(ir.Instr{Op: ir.FConst, A: r, Imm: 0})
 	l.emit(ir.Instr{Op: ir.FRet, A: r, Imm: 1})
@@ -325,8 +332,7 @@ func (l *linz) expr(x ir.Expr) int32 {
 		return ra
 	case *ir.Compound:
 		if pr, ok := l.promoted(v.Addr); ok {
-			// The old value is read before the RHS evaluates, matching
-			// the tree walker's order.
+			// The old value is read before the RHS evaluates.
 			old := l.alloc()
 			l.emit(ir.Instr{Op: ir.FMove, A: old, B: pr})
 			rr := l.expr(v.RHS)
@@ -369,8 +375,8 @@ func (l *linz) expr(x ir.Expr) int32 {
 			r := l.expr(a)
 			args = append(args, r)
 			if ai, ok := cstringArg(v.Name, i); ok {
-				// Read the string eagerly, preserving the tree walker's
-				// argument-evaluation/string-read interleaving.
+				// Read the string as soon as its argument is evaluated,
+				// before later arguments.
 				l.emit(ir.Instr{Op: ir.FCString, A: r, B: idx, C: ai})
 			}
 		}
@@ -390,8 +396,7 @@ func (l *linz) expr(x ir.Expr) int32 {
 }
 
 // cstringArg says whether builtin name reads argument i as a C string at
-// the point the argument has just been evaluated (the interleaving the
-// tree walker uses).
+// the point the argument has just been evaluated.
 func cstringArg(name string, i int) (int32, bool) {
 	switch name {
 	case "print", "strlen":
@@ -554,8 +559,8 @@ func (l *linz) lowerLoop(v *ir.SLoop) {
 
 func (l *linz) lowerSwitch(v *ir.SSwitch) {
 	rx := l.expr(v.X)
-	// Dispatch chain: first matching value arm, else the last default arm
-	// (mirroring the tree walker's scan), else past the switch.
+	// Dispatch chain: first matching value arm, else the last default arm,
+	// else past the switch.
 	jumps := make([]int32, len(v.Arms))
 	for i := range jumps {
 		jumps[i] = -1

@@ -5,7 +5,7 @@ package compile
 // dedicated VM register instead of frame memory, turning its three-dispatch
 // access protocol (FFrame + FYield + FLoad/FStore) into a single FMove.
 //
-// The promotion is invisible to every observable the engines are pinned
+// The promotion is invisible to every observable the runtime is pinned
 // on: stack addresses never count as accesses or yield to the scheduler
 // (countAccess excludes the stack region), a CheckNone access runs no
 // check, and a slot is only promoted when nothing else can reach its frame
@@ -90,7 +90,7 @@ func (p *promScan) access(addr ir.Expr, barrier bool, chks ...*ir.Check) {
 
 // badAll disqualifies every slot mentioned anywhere in x — used for lock
 // expressions and sharing-cast operands, which the runtime evaluates
-// against frame memory in both engines.
+// against frame memory.
 func (p *promScan) badAll(x ir.Expr) {
 	switch v := x.(type) {
 	case nil:

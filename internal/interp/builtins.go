@@ -13,117 +13,9 @@ import (
 	"repro/internal/token"
 )
 
-// The builtins are split into engine-shared do* bodies that take evaluated
-// argument values, and a per-engine dispatch: builtin() below evaluates
-// tree arguments lazily in the walker's order; the VM's FBuiltin case in
-// vm.go reads the same values out of registers (with FCString preserving
-// the walker's argument-evaluation/string-read interleaving) and calls the
-// same bodies.
-
-// builtin dispatches a runtime builtin call for the tree engine.
-func (t *thread) builtin(e *ir.BuiltinCall) int64 {
-	switch e.Name {
-	case "malloc":
-		return t.doMalloc(t.eval(e.Args[0]), e.Pos)
-
-	case "free":
-		return t.doFree(t.eval(e.Args[0]), e.Pos)
-
-	case "spawn":
-		fnVal := t.eval(e.Args[0])
-		arg := t.eval(e.Args[1])
-		return t.doSpawn(fnVal, arg, e.Pos)
-
-	case "join":
-		return t.doJoin(t.eval(e.Args[0]), e.Pos)
-
-	case "mutexNew":
-		return t.doMutexNew(e.Pos)
-
-	case "condNew":
-		return t.doCondNew(e.Pos)
-
-	case "mutexLock":
-		return t.doMutexLock(t.eval(e.Args[0]), e.Pos)
-
-	case "mutexUnlock":
-		return t.doMutexUnlock(t.eval(e.Args[0]), e.Pos)
-
-	case "condWait":
-		cvAddr := t.eval(e.Args[0])
-		mAddr := t.eval(e.Args[1])
-		return t.doCondWait(cvAddr, mAddr, e.Pos)
-
-	case "condSignal", "condBroadcast":
-		return t.doCondSignal(t.eval(e.Args[0]), e.Name == "condBroadcast", e.Pos)
-
-	case "print":
-		s := t.readCString(t.eval(e.Args[0]), e.ArgChecks[0], e.Pos)
-		rest := make([]int64, 0, len(e.Args)-1)
-		for _, a := range e.Args[1:] {
-			rest = append(rest, t.eval(a))
-		}
-		return t.doPrint(s, rest)
-
-	case "printInt":
-		return t.doPrintInt(t.eval(e.Args[0]))
-
-	case "assert":
-		return t.doAssert(t.eval(e.Args[0]), e.Pos)
-
-	case "rand":
-		return t.rand()
-
-	case "srand":
-		return t.doSrand(t.eval(e.Args[0]))
-
-	case "sleepMs":
-		return t.doSleepMs(t.eval(e.Args[0]))
-
-	case "yield":
-		return t.doYield()
-
-	case "memset":
-		p := t.eval(e.Args[0])
-		v := t.eval(e.Args[1])
-		n := t.eval(e.Args[2])
-		return t.doMemset(p, v, n, e)
-
-	case "memcpy":
-		d := t.eval(e.Args[0])
-		s := t.eval(e.Args[1])
-		n := t.eval(e.Args[2])
-		return t.doMemcpy(d, s, n, e)
-
-	case "strlen":
-		return int64(len(t.readCString(t.eval(e.Args[0]), e.ArgChecks[0], e.Pos)))
-
-	case "strcmp":
-		a := t.readCString(t.eval(e.Args[0]), e.ArgChecks[0], e.Pos)
-		b := t.readCString(t.eval(e.Args[1]), e.ArgChecks[1], e.Pos)
-		return int64(strings.Compare(a, b))
-
-	case "strcpy":
-		d := t.eval(e.Args[0])
-		s := t.eval(e.Args[1])
-		return t.doStrcpy(d, s, e)
-
-	case "shcRecycle":
-		p := t.eval(e.Args[0])
-		n := t.eval(e.Args[1])
-		return t.doRecycle(p, n)
-
-	case "strstr":
-		hay := t.readCString(t.eval(e.Args[0]), e.ArgChecks[0], e.Pos)
-		needle := t.readCString(t.eval(e.Args[1]), e.ArgChecks[1], e.Pos)
-		return int64(strings.Index(hay, needle))
-	}
-	t.fail(e.Pos, "internal: unknown builtin %q", e.Name)
-	return 0
-}
-
 // ---------------------------------------------------------------------------
-// engine-shared bodies
+// builtin bodies: each takes evaluated argument values; flatBuiltin in vm.go
+// reads them from registers and the FCString stack and dispatches here.
 
 func (t *thread) doMalloc(n int64, pos token.Pos) int64 {
 	rt := t.rt
@@ -532,7 +424,7 @@ func (t *thread) doSpawn(fnVal, arg int64, pos token.Pos) int64 {
 			rt.ctl.Begin(th.skey)
 		}
 		defer rt.threadEpilogue(nt)
-		nt.invoke(idx, []int64{arg})
+		nt.runFlat(idx, []int64{arg})
 	}()
 	t.schedPoint(sched.PointSpawn)
 	return handle

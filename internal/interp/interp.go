@@ -97,13 +97,6 @@ type Config struct {
 	Tracer    *telemetry.Tracer
 	Counters  *telemetry.Counters
 
-	// Engine selects the execution engine. The default (EngineAuto) runs
-	// the register VM whenever the program carries a flat form and falls
-	// back to the tree walker otherwise; both engines are behaviorally
-	// identical (reports, stats, schedule traces) by construction and by
-	// the differential oracle in engine_test.go.
-	Engine Engine
-
 	// Interrupt, when non-nil, makes the run stoppable from outside: once
 	// the flag is set (Runtime.Interrupt sets it), every thread unwinds at
 	// its next scheduling point without reporting, and Run returns
@@ -111,30 +104,6 @@ type Config struct {
 	// single nil comparison. See Runtime.Interrupt for the blocking-thread
 	// guarantees.
 	Interrupt *atomic.Bool
-}
-
-// Engine selects how compiled code executes.
-type Engine int
-
-const (
-	// EngineAuto runs the VM when the program has a flat form, else the
-	// tree walker.
-	EngineAuto Engine = iota
-	// EngineVM forces the register VM over the flat instruction form.
-	EngineVM
-	// EngineTree forces the recursive tree walker (kept for one release as
-	// the differential baseline).
-	EngineTree
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineVM:
-		return "vm"
-	case EngineTree:
-		return "tree"
-	}
-	return "auto"
 }
 
 // DefaultConfig returns a configuration adequate for the test programs and
@@ -206,11 +175,6 @@ type Stats struct {
 type Runtime struct {
 	prog *ir.Program
 	cfg  Config
-
-	// useVM is the resolved engine choice: the register VM over the flat
-	// form, or the recursive tree walker. Fixed at New so every thread of
-	// one runtime executes on the same engine.
-	useVM bool
 
 	mem       []int64
 	stackBase int64
@@ -313,7 +277,6 @@ func New(prog *ir.Program, cfg Config) *Runtime {
 		out:       cfg.Stdout,
 		ctl:       cfg.Sched,
 		intr:      cfg.Interrupt,
-		useVM:     prog.Flat != nil && cfg.Engine != EngineTree,
 	}
 	if rt.out == nil {
 		rt.out = io.Discard
@@ -649,7 +612,7 @@ func (rt *Runtime) Run() (int64, error) {
 	ret := int64(0)
 	func() {
 		defer rt.threadEpilogue(t)
-		ret = t.invoke(mainIdx, nil)
+		ret = t.runFlat(mainIdx, nil)
 	}()
 	rt.wg.Wait()
 	if rt.interrupted.Load() {
@@ -688,15 +651,6 @@ func (rt *Runtime) Interrupt() {
 // Interrupt (the condition under which Run returns ErrInterrupted).
 func (rt *Runtime) Interrupted() bool { return rt.interrupted.Load() }
 
-// EngineUsed reports the engine the runtime resolved to at New: EngineVM
-// or EngineTree (never EngineAuto).
-func (rt *Runtime) EngineUsed() Engine {
-	if rt.useVM {
-		return EngineVM
-	}
-	return EngineTree
-}
-
 func (rt *Runtime) trackLive(d int32) {
 	n := rt.liveThreads.Add(d)
 	if d > 0 {
@@ -704,8 +658,9 @@ func (rt *Runtime) trackLive(d int32) {
 	}
 }
 
-// threadEpilogue runs when a thread finishes: recover failures, clear its
-// shadow bits, recycle its id.
+// threadEpilogue runs when a thread finishes: recover failures (program
+// failures and unexpected panics alike become ReportThreadFail reports),
+// clear its shadow bits, recycle its id.
 func (rt *Runtime) threadEpilogue(t *thread) {
 	interrupted := false
 	if r := recover(); r != nil {
@@ -729,7 +684,9 @@ func (rt *Runtime) threadEpilogue(t *thread) {
 				}
 			}
 		default:
-			panic(r)
+			// An interpreter bug, not a program error: contain it to this
+			// thread so one bad run cannot take the host process down.
+			rt.report(ReportThreadFail, token.Pos{}, fmt.Sprintf("%s: thread %d failed: internal error: %v", token.Pos{}, t.tid, r))
 		}
 	}
 	if !interrupted && t.locks.Count() > 0 {

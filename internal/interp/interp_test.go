@@ -5,9 +5,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/interp"
+	"repro/internal/locklog"
+	"repro/internal/sched"
 )
 
 // exec runs src fully instrumented, failing the test on analysis errors.
@@ -469,6 +472,55 @@ int main(void) {
 `, compile.DefaultOptions(), cfg)
 	if err == nil || !strings.Contains(err.Error(), "invalid memory access") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// panicObserver is an Eraser detector whose Access panics on every thread
+// but main, standing in for an interpreter bug on a spawned goroutine.
+type panicObserver struct{ *baseline.Eraser }
+
+func (o panicObserver) Access(tid int, addr int64, write bool, locks *locklog.Log, site int) {
+	if tid != 1 {
+		panic("observer fault")
+	}
+	o.Eraser.Access(tid, addr, write, locks, site)
+}
+
+// TestInternalPanicContained: an unexpected panic on a spawned thread's
+// goroutine is reported as that thread's internal-error failure, and the
+// run finishes and returns it, free-running and scheduled alike, instead
+// of crashing the host process.
+func TestInternalPanicContained(t *testing.T) {
+	const src = `
+int g;
+
+void *worker(void *d) {
+	g = 1;
+	return NULL;
+}
+
+int main(void) {
+	int h = spawn(worker, NULL);
+	join(h);
+	return 7;
+}
+`
+	for _, scheduled := range []bool{false, true} {
+		cfg := interp.DefaultConfig()
+		cfg.Observer = panicObserver{baseline.NewEraser()}
+		if scheduled {
+			cfg.Sched = sched.New(sched.NewRandom(1), sched.Options{})
+		}
+		rt, ret, err := core.BuildAndRun(src, compile.DefaultOptions(), cfg)
+		if err == nil || !strings.Contains(err.Error(), "internal error: observer fault") {
+			t.Fatalf("scheduled=%v: err = %v", scheduled, err)
+		}
+		if ret != 7 {
+			t.Fatalf("scheduled=%v: main returned %d, want 7", scheduled, ret)
+		}
+		if fails := rt.ReportsOfKind(interp.ReportThreadFail); len(fails) != 1 {
+			t.Fatalf("scheduled=%v: %d thread-failure reports, want 1", scheduled, len(fails))
+		}
 	}
 }
 

@@ -25,6 +25,8 @@ type thread struct {
 
 	frame int64 // current frame base
 
+	// retVal is the value of the most recently completed call on this
+	// thread; a function that falls off its end returns it (FRet Imm=1).
 	retVal int64
 
 	// noYield suppresses scheduling points during the nested evaluation of
@@ -39,7 +41,7 @@ type thread struct {
 	nBarrier int64
 	nElided  int64
 
-	// regs is the VM engine's register stack: each flat frame claims a
+	// regs is the VM's register stack: each flat frame claims a
 	// window of NumRegs cells. cstrs is its pending C-string stack, filled
 	// by FCString instructions and consumed by the following FBuiltin.
 	regs  []int64
@@ -147,7 +149,7 @@ func (t *thread) applyCheck(addr int64, chk ir.Check, write bool) {
 	case ir.CheckLocked:
 		t.nLockChk++
 		t.noYield++
-		lockAddr := t.eval(chk.Lock)
+		lockAddr := t.lockValue(chk.Lock)
 		t.noYield--
 		held := t.locks.Held(lockAddr)
 		if t.rt.tel != nil {
@@ -176,6 +178,29 @@ func (t *thread) applyCheck(addr int64, chk ir.Check, write bool) {
 		}
 		t.rt.tracer.Append(telemetry.KindElidedCheck, t.tid, chk.Site, addr, 0)
 	}
+}
+
+// lockValue evaluates a locked check's lock expression. Lowering builds
+// lock expressions only from the Ident/Member chains the checker accepts as
+// verifiably constant, so they are address arithmetic over constants,
+// frame slots and loads (ir.FlatProgram.Verify rejects anything else).
+// Loads go through t.load, so access counts, checks and the observer see
+// them like any other access.
+func (t *thread) lockValue(e ir.Expr) int64 {
+	switch e := e.(type) {
+	case *ir.Const:
+		return e.V
+	case *ir.FrameAddr:
+		return t.frame + int64(e.Slot)
+	case *ir.Load:
+		return t.load(t.lockValue(e.Addr), e.Chk, token.Pos{})
+	case *ir.Bin:
+		if e.Op == ir.OpAdd {
+			return t.lockValue(e.L) + t.lockValue(e.R)
+		}
+	}
+	t.fail(token.Pos{}, "internal: lock expression %T", e)
+	return 0
 }
 
 func (t *thread) observe(addr int64, write bool, site int) {
@@ -261,17 +286,6 @@ func (t *thread) dynStore(addr, val int64) {
 // ---------------------------------------------------------------------------
 // calls and frames
 
-// invoke runs function fnIdx with the given arguments on whichever engine
-// the runtime selected. Every entry into user code — the main call, direct
-// and indirect calls, and spawned thread bodies — goes through here, so
-// one runtime never mixes engines.
-func (t *thread) invoke(fnIdx int, args []int64) int64 {
-	if t.rt.useVM {
-		return t.runFlat(fnIdx, args)
-	}
-	return t.runFunc(t.rt.prog.Funcs[fnIdx], args)
-}
-
 // pushFrame claims and zeroes a fresh frame for fn and stores the argument
 // values (tracked pointer parameters through the barrier). It returns the
 // frame base and the caller's frame pointer for popFrame.
@@ -316,286 +330,12 @@ func (t *thread) popFrame(fn *ir.Func, frameBase, prevFrame int64) {
 	t.sp = frameBase
 }
 
-// runFunc executes fn with the given argument values in a fresh frame and
-// returns its result (the tree-walking engine).
-func (t *thread) runFunc(fn *ir.Func, args []int64) int64 {
-	frameBase, prevFrame := t.pushFrame(fn, args)
-	t.retVal = 0
-	t.execStmts(fn.Body)
-	t.popFrame(fn, frameBase, prevFrame)
-	return t.retVal
-}
-
-// ---------------------------------------------------------------------------
-// statements
-
-// ctl is the control-flow signal of statement execution.
-type ctl int
-
-const (
-	ctlNone ctl = iota
-	ctlBreak
-	ctlContinue
-	ctlReturn
-)
-
-func (t *thread) execStmts(ss []ir.Stmt) ctl {
-	for _, s := range ss {
-		if c := t.exec(s); c != ctlNone {
-			return c
-		}
-	}
-	return ctlNone
-}
-
-func (t *thread) exec(s ir.Stmt) ctl {
-	switch s := s.(type) {
-	case *ir.SExpr:
-		t.eval(s.E)
-		return ctlNone
-	case *ir.SIf:
-		if t.eval(s.C) != 0 {
-			return t.execStmts(s.Then)
-		}
-		return t.execStmts(s.Else)
-	case *ir.SLoop:
-		first := true
-		for {
-			if !(s.PostFirst && first) {
-				if s.Cond != nil && t.eval(s.Cond) == 0 {
-					return ctlNone
-				}
-			}
-			first = false
-			c := t.execStmts(s.Body)
-			switch c {
-			case ctlBreak:
-				return ctlNone
-			case ctlReturn:
-				return ctlReturn
-			}
-			if s.Post != nil {
-				t.eval(s.Post)
-			}
-			if s.PostFirst {
-				if s.Cond != nil && t.eval(s.Cond) == 0 {
-					return ctlNone
-				}
-			}
-		}
-	case *ir.SReturn:
-		if s.E != nil {
-			t.retVal = t.eval(s.E)
-		} else {
-			t.retVal = 0
-		}
-		return ctlReturn
-	case *ir.SBreak:
-		return ctlBreak
-	case *ir.SContinue:
-		return ctlContinue
-	case *ir.SSwitch:
-		v := t.eval(s.X)
-		start := -1
-		dflt := -1
-		for i := range s.Arms {
-			if s.IsDflt[i] {
-				dflt = i
-				continue
-			}
-			if s.Values[i] == v {
-				start = i
-				break
-			}
-		}
-		if start < 0 {
-			start = dflt
-		}
-		if start < 0 {
-			return ctlNone
-		}
-		for i := start; i < len(s.Arms); i++ {
-			c := t.execStmts(s.Arms[i])
-			switch c {
-			case ctlBreak:
-				return ctlNone
-			case ctlContinue, ctlReturn:
-				return c
-			}
-		}
-		return ctlNone
-	}
-	t.fail(token.Pos{}, "internal: unknown statement %T", s)
-	return ctlNone
-}
-
-// ---------------------------------------------------------------------------
-// do-while handling note: SLoop with PostFirst runs the body before the
-// first condition test; Post still runs between iterations.
-
-// eval evaluates an expression.
-func (t *thread) eval(e ir.Expr) int64 {
-	switch e := e.(type) {
-	case *ir.Const:
-		return e.V
-	case *ir.StrAddr:
-		return t.rt.prog.StringAddr[e.Idx]
-	case *ir.FrameAddr:
-		return t.frame + int64(e.Slot)
-	case *ir.FuncVal:
-		return ir.EncodeFunc(e.Index)
-	case *ir.Load:
-		return t.load(t.eval(e.Addr), e.Chk, token.Pos{})
-	case *ir.Bin:
-		return t.binop(e)
-	case *ir.Logic:
-		l := t.eval(e.L)
-		if e.Or {
-			if l != 0 {
-				return 1
-			}
-			return boolVal(t.eval(e.R) != 0)
-		}
-		if l == 0 {
-			return 0
-		}
-		return boolVal(t.eval(e.R) != 0)
-	case *ir.Un:
-		x := t.eval(e.X)
-		switch e.Op {
-		case ir.UnNeg:
-			return -x
-		case ir.UnNot:
-			return boolVal(x == 0)
-		case ir.UnBitNot:
-			return ^x
-		}
-	case *ir.CondE:
-		if t.eval(e.C) != 0 {
-			return t.eval(e.T)
-		}
-		return t.eval(e.F)
-	case *ir.Store:
-		addr := t.eval(e.Addr)
-		v := t.eval(e.Val)
-		t.store(addr, v, e.Chk, e.Barrier, token.Pos{})
-		return v
-	case *ir.IncDec:
-		addr := t.eval(e.Addr)
-		old := t.load(addr, e.ChkR, token.Pos{})
-		nv := old + e.Delta
-		t.store(addr, nv, e.ChkW, e.Barrier, token.Pos{})
-		if e.Post {
-			return old
-		}
-		return nv
-	case *ir.Compound:
-		addr := t.eval(e.Addr)
-		old := t.load(addr, e.ChkR, e.Pos)
-		rhs := t.eval(e.RHS)
-		nv := t.arith(e.Op, old, rhs, e.Pos)
-		t.store(addr, nv, e.ChkW, e.Barrier, e.Pos)
-		return nv
-	case *ir.Call:
-		return t.call(e)
-	case *ir.BuiltinCall:
-		return t.builtin(e)
-	case *ir.Scast:
-		return t.scast(e)
-	}
-	t.fail(token.Pos{}, "internal: unknown expression %T", e)
-	return 0
-}
-
-func boolVal(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func (t *thread) binop(e *ir.Bin) int64 {
-	l := t.eval(e.L)
-	r := t.eval(e.R)
-	return t.arith(e.Op, l, r, e.Pos)
-}
-
-func (t *thread) arith(op ir.OpKind, l, r int64, pos token.Pos) int64 {
-	switch op {
-	case ir.OpAdd:
-		return l + r
-	case ir.OpSub:
-		return l - r
-	case ir.OpMul:
-		return l * r
-	case ir.OpDiv:
-		if r == 0 {
-			t.fail(pos, "division by zero")
-		}
-		return l / r
-	case ir.OpMod:
-		if r == 0 {
-			t.fail(pos, "modulo by zero")
-		}
-		return l % r
-	case ir.OpAnd:
-		return l & r
-	case ir.OpOr:
-		return l | r
-	case ir.OpXor:
-		return l ^ r
-	case ir.OpShl:
-		return l << uint(r&63)
-	case ir.OpShr:
-		return l >> uint(r&63)
-	case ir.OpEq:
-		return boolVal(l == r)
-	case ir.OpNe:
-		return boolVal(l != r)
-	case ir.OpLt:
-		return boolVal(l < r)
-	case ir.OpLe:
-		return boolVal(l <= r)
-	case ir.OpGt:
-		return boolVal(l > r)
-	case ir.OpGe:
-		return boolVal(l >= r)
-	}
-	t.fail(pos, "internal: unknown operator")
-	return 0
-}
-
-func (t *thread) call(e *ir.Call) int64 {
-	args := make([]int64, len(e.Args))
-	for i, a := range e.Args {
-		args[i] = t.eval(a)
-	}
-	idx := e.Target
-	if idx < 0 {
-		v := t.eval(e.Fn)
-		idx = ir.DecodeFunc(v)
-		if idx < 0 || idx >= len(t.rt.prog.Funcs) {
-			t.fail(e.Pos, "call through invalid function pointer 0x%x", v)
-		}
-	}
-	fn := t.rt.prog.Funcs[idx]
-	if len(args) != fn.NumParams {
-		t.fail(e.Pos, "call to %s with %d args, want %d", fn.Name, len(args), fn.NumParams)
-	}
-	return t.invoke(idx, args)
-}
-
-// scast implements the sharing cast: verify the source is the sole
+// scastAt implements the sharing cast once the source l-value's address is
+// known (the VM reaches it from FScast): verify the source is the sole
 // reference (the oneref check of the formal semantics runs before the
 // assignment it guards: |{b : M(b).value = a}| = 1, the source slot being
 // that one), null the source slot, clear the object's reader/writer sets —
 // after a cast, past accesses no longer constitute unintended sharing.
-func (t *thread) scast(e *ir.Scast) int64 {
-	return t.scastAt(t.eval(e.Addr), e)
-}
-
-// scastAt is the engine-shared body of the sharing cast, entered once the
-// source l-value's address is known (the VM reaches it from FScast).
 func (t *thread) scastAt(addr int64, e *ir.Scast) int64 {
 	t.checkAddr(addr, e.Pos)
 	t.schedPoint(sched.PointScast)

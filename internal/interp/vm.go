@@ -1,12 +1,13 @@
 package interp
 
 // The register VM: a dispatch loop over the flat instruction form
-// (ir.FlatFunc). It shares every runtime substrate with the tree walker —
-// applyCheck, observe, the builtin do* bodies, scastAt, frame push/pop —
-// so the two engines differ only in how they sequence those calls, and
-// the linearize pass emits instructions in exactly the tree walker's
-// evaluation order. Reports, stats, telemetry, and recorded schedule
-// traces are byte-identical across engines (pinned by engine_test.go).
+// (ir.FlatFunc). The linearize pass fixes the evaluation order: operands
+// left to right, each access as checkAddr, countAccess, applyCheck,
+// observe, raw operation, and builtin arguments with their C-string reads
+// in argument order. The VM executes instructions exactly as emitted, so
+// reports, stats, telemetry, and recorded schedule traces are a function
+// of the program, the configuration, and the schedule; the golden files
+// under testdata/golden pin them (engine_test.go).
 
 import (
 	"strings"
@@ -255,9 +256,9 @@ dispatch:
 
 		case ir.FRet:
 			if in.Imm != 0 {
-				// Implicit fall-off-the-end return: mirror the tree
-				// walker, whose retVal carries the most recently completed
-				// call's value.
+				// Implicit fall-off-the-end return: the function yields
+				// the thread's return slot, the value of the most recently
+				// completed call in this activation (0 if none).
 				ret = t.retVal
 			} else {
 				ret = regs[in.A]
@@ -275,10 +276,16 @@ dispatch:
 	return ret
 }
 
-// flatBuiltin dispatches a builtin for the VM: argument values come from
-// registers, C strings from the thread's pending string stack (pushed by
-// FCString in the tree walker's interleaving), and the bodies are the
-// engine-shared do* methods.
+func boolVal(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// flatBuiltin dispatches a builtin: argument values come from registers, C
+// strings from the thread's pending string stack (pushed by FCString in
+// argument order), and the bodies are the do* methods in builtins.go.
 func (t *thread) flatBuiltin(bi *ir.BuiltinInfo, regs []int64) int64 {
 	e := bi.E
 	arg := func(i int) int64 { return regs[bi.Args[i]] }

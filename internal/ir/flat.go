@@ -4,9 +4,9 @@
 // pipeline rewrites it (barrier stripping, check elision as instruction
 // rewriting), and the register VM in internal/interp dispatches over it.
 //
-// The flat form is behaviorally equivalent to the tree by construction:
-// instructions are emitted in exactly the tree walker's evaluation order,
-// and the access protocol is decomposed into explicit instructions —
+// The linearize pass emits instructions in the runtime's evaluation order
+// (the contract is stated in internal/compile/linearize.go), and the
+// access protocol is decomposed into explicit instructions —
 // FYield (bounds check + access count + scheduler yield point), FChk*
 // (the sharing-mode check), FBarrier (the reference-counting write
 // barrier), and FLoad/FStore (the observed raw memory operation) — so
@@ -15,7 +15,7 @@
 // Side tables (Checks, Calls, Builtins, Scasts, Kills) keep the parts of
 // an instruction that do not fit three int32 operands; FlatCheck.Orig
 // points at the tree's own Check node, so a pass that rewrites a check
-// decision is visible to both engines at once.
+// decision updates the tree and flat forms at once.
 package ir
 
 import (
@@ -98,16 +98,15 @@ const (
 	FCall    // A <- call Calls[B]
 	FBuiltin // A <- builtin Builtins[B]
 	// FCString reads the NUL-terminated string at the address in register
-	// A (with Builtins[B].E.ArgChecks[C]) onto the thread's string stack,
-	// preserving the tree walker's argument-evaluation/string-read
-	// interleaving for print/strlen/strcmp/strstr.
+	// A (with Builtins[B].E.ArgChecks[C]) onto the thread's string stack
+	// as soon as that argument is evaluated, before later arguments, for
+	// print/strlen/strcmp/strstr.
 	FCString
 
 	// FRet returns the value in A. Imm != 0 marks the implicit
-	// fall-off-the-end return, which yields the thread's current return
-	// slot instead (the tree walker's retVal carries the most recently
-	// completed call's value across a missing return statement, and the VM
-	// reproduces that).
+	// fall-off-the-end return, which yields the thread's return slot
+	// instead: the value of the most recently completed call in this
+	// activation, 0 if none.
 	FRet
 
 	// FKill is a metadata-only write-invalidation marker: register
@@ -167,7 +166,8 @@ type Instr struct {
 // FlatCheck is the side-table entry behind an FChk* instruction.
 type FlatCheck struct {
 	// Orig points at the check node shared with the tree form, so a pass
-	// that rewrites the decision (elision) updates both engines at once.
+	// that rewrites the decision (elision) updates the tree and flat forms
+	// at once.
 	Orig *Check
 	// Addr is the access's address expression in tree form; the elision
 	// pass derives its canonical availability keys from it.
@@ -244,8 +244,8 @@ type FlatProgram struct {
 
 // Verify checks the structural invariants of the flat program against its
 // owning Program: known opcodes, jump targets inside the function,
-// register operands inside the frame, and side-table/site indexes in
-// range. The pass pipeline runs it after every pass so a miscompiled
+// register operands inside the frame, side-table/site indexes in range,
+// and lock expressions the runtime can evaluate. The pass pipeline runs it after every pass so a miscompiled
 // rewrite fails at build time instead of as a VM fault.
 func (fp *FlatProgram) Verify(p *Program) error {
 	if len(fp.Funcs) != len(p.Funcs) {
@@ -462,6 +462,32 @@ func (ff *FlatFunc) verify(p *Program, fn *Func) error {
 			return err
 		}
 	}
+	for i := range ff.Checks {
+		if c := ff.Checks[i].Orig; c != nil {
+			if err := verifyLock(c); err != nil {
+				return fmt.Errorf("check %d: %v", i, err)
+			}
+		}
+	}
+	for i := range ff.Builtins {
+		if bi := &ff.Builtins[i]; bi.E != nil {
+			for j := range bi.E.ArgChecks {
+				if err := verifyLock(&bi.E.ArgChecks[j]); err != nil {
+					return fmt.Errorf("builtin %d arg %d: %v", i, j, err)
+				}
+			}
+		}
+	}
+	for i, sc := range ff.Scasts {
+		if sc == nil {
+			continue
+		}
+		for _, c := range []*Check{&sc.ChkR, &sc.ChkW} {
+			if err := verifyLock(c); err != nil {
+				return fmt.Errorf("scast %d: %v", i, err)
+			}
+		}
+	}
 	for _, ev := range ff.Events {
 		if ev.PC < 0 || ev.PC > n {
 			return fmt.Errorf("elide event pc %d out of range [0,%d]", ev.PC, n)
@@ -471,6 +497,50 @@ func (ff *FlatFunc) verify(p *Program, fn *Func) error {
 		}
 	}
 	return nil
+}
+
+// verifyLock rejects a check whose lock expression the runtime's lock
+// evaluator cannot run. A locked check needs a lock expression, and every
+// lock expression must be address arithmetic over Const, FrameAddr, Load
+// and Bin{OpAdd}: all that lowering emits for the Ident/Member chains the
+// checker accepts as verifiably constant locks.
+func verifyLock(c *Check) error {
+	if c.Kind == CheckLocked && c.Lock == nil {
+		return fmt.Errorf("locked check at site %d has no lock expression", c.Site)
+	}
+	if c.Lock == nil {
+		return nil
+	}
+	if bad := badLockNode(c.Lock); bad != nil {
+		return fmt.Errorf("site %d: lock expression node %T is outside the runtime lock evaluator", c.Site, bad)
+	}
+	return nil
+}
+
+// badLockNode returns the first node of lock expression e outside the lock
+// evaluator's node set, or nil. A Load's own check is held to the same rule.
+func badLockNode(e Expr) Expr {
+	switch e := e.(type) {
+	case *Const, *FrameAddr:
+		return nil
+	case *Load:
+		if bad := badLockNode(e.Addr); bad != nil {
+			return bad
+		}
+		if e.Chk.Lock != nil {
+			return badLockNode(e.Chk.Lock)
+		}
+		return nil
+	case *Bin:
+		if e.Op != OpAdd {
+			return e
+		}
+		if bad := badLockNode(e.L); bad != nil {
+			return bad
+		}
+		return badLockNode(e.R)
+	}
+	return e
 }
 
 // ---------------------------------------------------------------------------

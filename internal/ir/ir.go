@@ -388,9 +388,9 @@ type Program struct {
 	Elision ElisionStats
 
 	// Flat is the linear instruction form of Funcs, attached by the
-	// linearize pass; the register VM executes it. Nil for hand-built
-	// programs that never went through the pass pipeline (the tree walker
-	// still runs those).
+	// linearize pass; the register VM executes it. Nil only for hand-built
+	// programs that never went through the pass pipeline, which cannot
+	// run.
 	Flat *FlatProgram
 }
 

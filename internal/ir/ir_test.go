@@ -111,6 +111,14 @@ func TestFlatVerifyAcceptsFixture(t *testing.T) {
 	if err := fp.Verify(p); err != nil {
 		t.Fatalf("fixture must verify: %v", err)
 	}
+	// The lock-expression shape lowering emits for a Member chain such as
+	// d->m: loads and constant-offset adds over a frame slot.
+	fp.Funcs[0].Checks[0].Orig = &Check{Kind: CheckLocked, Site: 0, Lock: &Load{
+		Addr: &Bin{Op: OpAdd, L: &Load{Addr: &FrameAddr{Slot: 0}}, R: &Const{V: 1}},
+	}}
+	if err := fp.Verify(p); err != nil {
+		t.Fatalf("member-chain lock expression must verify: %v", err)
+	}
 }
 
 // TestFlatVerifyRejects mutates the fixture one invariant at a time; every
@@ -220,6 +228,18 @@ func TestFlatVerifyRejects(t *testing.T) {
 		{"unknown event op", func(p *Program, fp *FlatProgram) {
 			fp.Funcs[0].Events = []ElideEvent{{PC: 0, Op: EvStartEmpty + 1}}
 		}, "unknown elide event"},
+		{"lock expression is a call", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Checks[0].Orig = &Check{Kind: CheckLocked, Site: 0, Lock: &Call{Target: 1}}
+		}, "lock expression node *ir.Call"},
+		{"builtin arg lock loads through a call", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Builtins[0].E.ArgChecks[0] = Check{Kind: CheckLocked, Site: 0, Lock: &Load{Addr: &Call{Target: 1}}}
+		}, "builtin 0 arg 0"},
+		{"lock offset is not an add", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Scasts[0].ChkR = Check{Kind: CheckLocked, Site: 0, Lock: &Bin{Op: OpMul, L: &Const{V: 2}, R: &Const{V: 3}}}
+		}, "lock expression node *ir.Bin"},
+		{"locked check without lock", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[1].Checks[0].Orig = &Check{Kind: CheckLocked, Site: 0}
+		}, "no lock expression"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

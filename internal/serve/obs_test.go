@@ -256,8 +256,7 @@ func TestDrainGraceFlipsHealth(t *testing.T) {
 }
 
 // TestStatsAttribution covers the /stats self-description satellite:
-// server_start, go_version, engine, and endpoints must be present and
-// sane.
+// server_start, go_version, and endpoints must be present and sane.
 func TestStatsAttribution(t *testing.T) {
 	_, base := startServer(t, Config{})
 	resp, err := http.Get(base + "/stats")
@@ -277,9 +276,6 @@ func TestStatsAttribution(t *testing.T) {
 	}
 	if !strings.HasPrefix(st.GoVersion, "go") {
 		t.Errorf("go_version %q", st.GoVersion)
-	}
-	if st.Engine != "auto" {
-		t.Errorf("engine %q, want auto", st.Engine)
 	}
 	found := false
 	for _, ep := range st.Endpoints {

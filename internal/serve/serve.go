@@ -88,8 +88,6 @@ type runRequest struct {
 	// defaults to 1; a negative seed requests free-running (real Go
 	// scheduling, replies not deterministic).
 	Seed *int64 `json:"seed,omitempty"`
-	// Engine is "auto" (default), "vm", or "tree".
-	Engine string `json:"engine,omitempty"`
 	// Elide and Discharge select compile options and are part of the
 	// program identity (ignored when Handle names the program).
 	Elide     bool `json:"elide,omitempty"`
@@ -109,7 +107,7 @@ type reportJSON struct {
 }
 
 // runStats is the deterministic slice of the run's counters: every field
-// is a pure function of (program, seed, engine, options) under the
+// is a pure function of (program, seed, options) under the
 // cooperative scheduler. Page/cache/timing gauges are deliberately
 // excluded — they may vary run to run and would break the byte-identical
 // reply contract.
@@ -149,13 +147,11 @@ type errorReply struct {
 	Error string `json:"error"`
 }
 
-// statsReply is the /stats snapshot. ServerStart/GoVersion/Engine make a
-// scraped snapshot attributable: which process, built with what, running
-// which default engine.
+// statsReply is the /stats snapshot. ServerStart/GoVersion make a scraped
+// snapshot attributable: which process, built with what.
 type statsReply struct {
 	ServerStart   string                `json:"server_start"`
 	GoVersion     string                `json:"go_version"`
-	Engine        string                `json:"engine"`
 	Endpoints     []string              `json:"endpoints"`
 	UptimeSeconds float64               `json:"uptime_seconds"`
 	Requests      int64                 `json:"requests"`
@@ -433,19 +429,6 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return dec.Decode(v)
 }
 
-// parseEngine maps the wire engine name to the runtime's enum.
-func parseEngine(name string) (interp.Engine, error) {
-	switch name {
-	case "", "auto":
-		return interp.EngineAuto, nil
-	case "vm":
-		return interp.EngineVM, nil
-	case "tree":
-		return interp.EngineTree, nil
-	}
-	return interp.EngineAuto, fmt.Errorf("unknown engine %q (want auto, vm, or tree)", name)
-}
-
 // resolve turns a request into a compiled-program entry, reporting
 // whether the program came from cache.
 func (s *Server) resolve(req *runRequest) (*entry, bool, int, string) {
@@ -512,12 +495,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "bad request body: "+err.Error())
 		return
 	}
-	engine, err := parseEngine(req.Engine)
-	if err != nil {
-		out.Status, out.Err = http.StatusBadRequest, "bad engine"
-		s.badRequest(w, err.Error())
-		return
-	}
 	timeout := s.cfg.Timeout
 	if req.TimeoutMS > 0 {
 		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
@@ -554,7 +531,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		or.SetField("cache", "miss")
 	}
 
-	reply, timedOut := s.execute(e, &req, engine, timeout, or, out)
+	reply, timedOut := s.execute(e, &req, timeout, or, out)
 	if timedOut {
 		s.timeouts.Add(1)
 		out.Status, out.Err = http.StatusGatewayTimeout, "deadline"
@@ -573,7 +550,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // request phases are spanned here; when slow-capture is armed the run
 // also gets a private event ring so a capture can show what the program
 // did, never affecting the reply.
-func (s *Server) execute(e *entry, req *runRequest, engine interp.Engine, timeout time.Duration, or *obsrv.Req, obsOut *obsrv.Outcome) (*runReply, bool) {
+func (s *Server) execute(e *entry, req *runRequest, timeout time.Duration, or *obsrv.Req, obsOut *obsrv.Outcome) (*runReply, bool) {
 	s.runners.Add(1)
 	defer s.runners.Done()
 
@@ -581,7 +558,6 @@ func (s *Server) execute(e *entry, req *runRequest, engine interp.Engine, timeou
 	var out bytes.Buffer
 	cfg := interp.DefaultConfig()
 	cfg.Stdout = &out
-	cfg.Engine = engine
 	cfg.Metrics = req.Metrics
 	cfg.Interrupt = new(atomic.Bool)
 	if cap := s.obs.TraceCapacity(); cap > 0 {
@@ -703,7 +679,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	reply := statsReply{
 		ServerStart:   s.start.UTC().Format(time.RFC3339Nano),
 		GoVersion:     runtime.Version(),
-		Engine:        "auto",
 		Endpoints:     serveEndpoints,
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Requests:      s.requests.Load(),

@@ -151,7 +151,7 @@ func TestRunInlineBasic(t *testing.T) {
 }
 
 // TestCacheHitMissByteIdentical is the determinism contract: the same
-// (program, seed, engine, options) request gets a byte-identical JSON body
+// (program, seed, options) request gets a byte-identical JSON body
 // whether the program was compiled for this request or pulled from cache,
 // and whether it was named inline or by handle.
 func TestCacheHitMissByteIdentical(t *testing.T) {
@@ -232,7 +232,7 @@ func TestBadRequests(t *testing.T) {
 		{"empty", map[string]any{}, 400},
 		{"both source and handle", map[string]any{"source": "int main(void){return 0;}", "handle": "x"}, 400},
 		{"unknown handle", map[string]any{"handle": strings.Repeat("ab", 32)}, 404},
-		{"bad engine", map[string]any{"source": "int main(void){return 0;}", "engine": "jit"}, 400},
+		{"removed engine field", map[string]any{"source": "int main(void){return 0;}", "engine": "vm"}, 400},
 		{"compile error", map[string]any{"source": "int main(void{"}, 400},
 		{"check error", map[string]any{"source": "int racy *p; int main(void){ p = malloc(4); int private *q = p; return 0; }"}, 400},
 	}

@@ -82,12 +82,6 @@ type Options struct {
 	// TraceEvents, when positive, enables structured event tracing with a
 	// ring buffer of that many events (Result.Trace).
 	TraceEvents int
-	// Engine selects the execution engine: "" or "auto" runs the register
-	// VM over the flat instruction form (the default), "vm" forces it, and
-	// "tree" keeps the recursive tree walker (retained behind this option
-	// for one release). Both engines produce byte-identical reports, stats,
-	// telemetry, and schedule traces.
-	Engine string
 }
 
 // DefaultOptions enables full instrumentation.
@@ -254,9 +248,6 @@ type Program struct {
 
 // Build compiles the analyzed program with the given instrumentation.
 func (a *Analysis) Build(opts Options) (*Program, error) {
-	if _, err := parseEngine(opts.Engine); err != nil {
-		return nil, err
-	}
 	copts := compile.Options{
 		Checks:         opts.Checks,
 		Elide:          opts.ElideChecks,
@@ -302,9 +293,6 @@ type Result struct {
 	// Trace is the structured event stream (nil unless Options.TraceEvents
 	// was positive).
 	Trace *telemetry.Tracer
-	// Engine names the execution engine the run resolved to ("vm" or
-	// "tree").
-	Engine string
 }
 
 // Races returns the conflict reports (the paper's read/write conflict
@@ -334,24 +322,9 @@ func filterReports(rs []interp.Report, k interp.ReportKind) []interp.Report {
 	return out
 }
 
-// parseEngine maps the Options.Engine string onto the runtime's engine
-// selector.
-func parseEngine(s string) (interp.Engine, error) {
-	switch s {
-	case "", "auto":
-		return interp.EngineAuto, nil
-	case "vm":
-		return interp.EngineVM, nil
-	case "tree":
-		return interp.EngineTree, nil
-	}
-	return interp.EngineAuto, fmt.Errorf("unknown engine %q (want auto, vm, or tree)", s)
-}
-
 // baseConfig translates the build options into a runtime configuration.
 func (p *Program) baseConfig() interp.Config {
 	cfg := interp.DefaultConfig()
-	cfg.Engine, _ = parseEngine(p.opts.Engine)
 	cfg.Stdout = p.opts.Stdout
 	cfg.Observer = p.opts.Observer
 	cfg.CheckCache = p.opts.CheckCache
@@ -376,7 +349,6 @@ func (p *Program) runWith(ctl *sched.Controller) (*Result, error) {
 		Stats:     rt.Stats(),
 		Telemetry: rt.TelemetrySnapshot(),
 		Trace:     rt.Tracer(),
-		Engine:    rt.EngineUsed().String(),
 	}
 	if ctl != nil {
 		res.Deadlock = ctl.Deadlocked()
