@@ -66,6 +66,37 @@ func BenchmarkTable1Dillo(b *testing.B)   { benchPair(b, "dillo") }
 func BenchmarkTable1Fftw(b *testing.B)    { benchPair(b, "fftw") }
 func BenchmarkTable1Stunnel(b *testing.B) { benchPair(b, "stunnel") }
 
+// BenchmarkInterpNew measures runtime set-up alone. Memory is demand-paged,
+// so B/op is the page directories plus what the program's initializers
+// write, not the configured address space.
+func BenchmarkInterpNew(b *testing.B) {
+	trivial, err := core.Analyze(parser.Source{Name: "trivial.shc", Text: `int main(void) { return 0; }`})
+	if err != nil {
+		b.Fatal(err)
+	}
+	progs := []struct {
+		name string
+		prog *ir.Program
+	}{
+		{"Trivial", nil},
+		{"Pfscan", buildBench(b, "pfscan", compile.DefaultOptions())},
+	}
+	if progs[0].prog, err = trivial.Build(compile.DefaultOptions()); err != nil {
+		b.Fatal(err)
+	}
+	for _, p := range progs {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				newRuntime = interp.New(p.prog, interp.DefaultConfig())
+			}
+		})
+	}
+}
+
+// newRuntime keeps BenchmarkInterpNew's result live.
+var newRuntime *interp.Runtime
+
 // BenchmarkRCScheme is the §4.3 ablation: the paper replaced naive atomic
 // reference counting (">60% overhead in many cases") with the adapted
 // Levanoni–Petrank scheme. pfscan is the most RC-active row.

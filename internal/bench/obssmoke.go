@@ -138,7 +138,9 @@ func RunObsSmoke(opts ObsSmokeOptions, w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("/metrics is not valid Prometheus text: %w", err)
 	}
-	for _, want := range []string{"sharc_requests_total", "sharc_request_duration_seconds", "sharc_slow_captures_total"} {
+	wantMetrics := append([]string{"sharc_requests_total", "sharc_request_duration_seconds", "sharc_slow_captures_total"},
+		obsrv.GoRuntimeMetrics...)
+	for _, want := range wantMetrics {
 		if !strings.Contains(string(mb), want) {
 			return fmt.Errorf("/metrics missing %s", want)
 		}

@@ -301,7 +301,7 @@ func (t *thread) doRecycle(p, n int64) int64 {
 	}
 	// The custom allocator owns the memory layout; SharC only forgets
 	// past accesses (and drops tracked references held inside).
-	for i := int64(0); i < n && p+i < int64(len(rt.mem)); i++ {
+	for i := int64(0); i < n && p+i < rt.mem.Len(); i++ {
 		if old := t.loadRaw(p + i); old != 0 {
 			t.dynStore(p+i, 0)
 		} else {

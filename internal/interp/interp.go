@@ -1,7 +1,13 @@
 // Package interp executes instrumented ShC programs. Every ShC thread is a
-// real goroutine, every ShC mutex a real sync.Mutex, and memory is one flat
-// array of int64 cells, so the dynamic checks interleave with genuine
-// concurrency exactly as SharC's instrumented native code does.
+// real goroutine, every ShC mutex a real sync.Mutex, and memory is one
+// address space of int64 cells, so the dynamic checks interleave with
+// genuine concurrency exactly as SharC's instrumented native code does.
+//
+// The address space (globals, then one stack region per thread id, then
+// the heap) is demand-paged (internal/paged): a run allocates only the
+// 4 KiB pages it writes, as native SharC pays only for the pages a program
+// touches, and the per-cell side tables of the substrates are paged the
+// same way.
 //
 // The runtime wires together the three SharC substrates: shadow memory for
 // the dynamic sharing mode (internal/shadow), per-thread lock logs for the
@@ -21,6 +27,7 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/locklog"
+	"repro/internal/paged"
 	"repro/internal/refcount"
 	"repro/internal/sched"
 	"repro/internal/shadow"
@@ -59,8 +66,12 @@ type Observer interface {
 
 // Config tunes the runtime.
 type Config struct {
-	StackCells int // per-thread stack size (cells)
-	HeapCells  int // heap size (cells)
+	// StackCells and HeapCells size the address space: the per-thread
+	// stack region and the heap, in cells. They are limits, not
+	// allocations — pages are allocated as the program writes them — so
+	// stack overflow and heap exhaustion happen at these bounds.
+	StackCells int
+	HeapCells  int
 	Stdout     io.Writer
 	RC         RCScheme
 	MaxReports int
@@ -176,14 +187,14 @@ type Runtime struct {
 	prog *ir.Program
 	cfg  Config
 
-	mem       []int64
+	mem       paged.Int64s // the address space, demand-paged
 	stackBase int64
 	heapBase  int64
 
 	shadow    *shadow.Shadow
 	siteIDs   []uint32 // program site -> shadow site
 	rc        refcount.Manager
-	barriered []atomic.Uint32 // bitmap: cells ever stored through a barrier
+	barriered paged.Bits // cells ever stored through a barrier
 
 	heapMu    sync.Mutex
 	heapNext  int64
@@ -264,7 +275,7 @@ func New(prog *ir.Program, cfg Config) *Runtime {
 	rt := &Runtime{
 		prog:      prog,
 		cfg:       cfg,
-		mem:       make([]int64, memCells),
+		mem:       paged.NewInt64s(memCells),
 		stackBase: stackBase,
 		heapBase:  heapBase,
 		heapNext:  alignGranule(heapBase),
@@ -343,16 +354,16 @@ func New(prog *ir.Program, cfg Config) *Runtime {
 		rt.rc = refcount.NewNaive(rt.resolveObj)
 	}
 	if rt.rc != nil {
-		rt.barriered = make([]atomic.Uint32, (memCells+31)/32)
+		rt.barriered = paged.NewBits(memCells)
 	}
 	// Globals and strings.
 	for _, init := range prog.Inits {
-		rt.mem[init.Addr] = rt.constValue(init.Val)
+		rt.mem.Store(init.Addr, rt.constValue(init.Val))
 	}
 	for i, s := range prog.Strings {
 		base := prog.StringAddr[i]
 		for j := 0; j < len(s); j++ {
-			rt.mem[base+int64(j)] = int64(s[j])
+			rt.mem.Store(base+int64(j), int64(s[j]))
 		}
 	}
 	return rt
@@ -375,17 +386,17 @@ func alignGranule(a int64) int64 {
 
 // LoadCell implements refcount.Memory.
 func (rt *Runtime) LoadCell(addr int64) int64 {
-	if addr < 0 || addr >= int64(len(rt.mem)) {
+	if addr < 0 || addr >= rt.mem.Len() {
 		return 0
 	}
-	return atomic.LoadInt64(&rt.mem[addr])
+	return rt.mem.Load(addr)
 }
 
 // resolveObj maps a pointer value to the base of the heap block carved at
 // that address (0 if not heap). Extents persist across free so deferred
 // reference-count updates for stale pointers still resolve.
 func (rt *Runtime) resolveObj(ptr int64) int64 {
-	if ptr < rt.heapBase || ptr >= int64(len(rt.mem)) {
+	if ptr < rt.heapBase || ptr >= rt.mem.Len() {
 		return 0
 	}
 	rt.heapMu.Lock()
@@ -419,11 +430,11 @@ func (rt *Runtime) malloc(n int64) (int64, bool) {
 		rt.blocks[base] = n
 		rt.touchHeapPagesLocked(base, n)
 		for i := int64(0); i < n; i++ {
-			atomic.StoreInt64(&rt.mem[base+i], 0)
+			rt.mem.Store(base+i, 0)
 		}
 		return base, true
 	}
-	if rt.heapNext+n > int64(len(rt.mem)) {
+	if rt.heapNext+n > rt.mem.Len() {
 		return 0, false
 	}
 	base := rt.heapNext

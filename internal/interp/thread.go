@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/ir"
 	"repro/internal/locklog"
@@ -104,15 +103,15 @@ func (t *thread) schedPoint(p sched.Point) {
 // memory access
 
 func (t *thread) loadRaw(addr int64) int64 {
-	return atomic.LoadInt64(&t.rt.mem[addr])
+	return t.rt.mem.Load(addr)
 }
 
 func (t *thread) storeRaw(addr, v int64) {
-	atomic.StoreInt64(&t.rt.mem[addr], v)
+	t.rt.mem.Store(addr, v)
 }
 
 func (t *thread) checkAddr(addr int64, pos token.Pos) {
-	if addr <= 0 || addr >= int64(len(t.rt.mem)) {
+	if addr <= 0 || addr >= t.rt.mem.Len() {
 		t.fail(pos, "invalid memory access at 0x%x (null or out of bounds)", addr)
 	}
 }
@@ -244,38 +243,17 @@ func (t *thread) store(addr, val int64, chk ir.Check, barrier bool, pos token.Po
 	if barrier && t.rt.rc != nil {
 		old := t.loadRaw(addr)
 		t.rt.rc.Barrier(t.tid, addr, old, val)
-		t.markBarriered(addr)
+		t.rt.barriered.Set(addr)
 		t.nBarrier++
 	}
 	t.storeRaw(addr, val)
-}
-
-func (t *thread) markBarriered(addr int64) {
-	w := addr / 32
-	bit := uint32(1) << uint(addr%32)
-	for {
-		v := t.rt.barriered[w].Load()
-		if v&bit != 0 {
-			return
-		}
-		if t.rt.barriered[w].CompareAndSwap(v, v|bit) {
-			return
-		}
-	}
-}
-
-func (t *thread) isBarriered(addr int64) bool {
-	if t.rt.barriered == nil {
-		return false
-	}
-	return t.rt.barriered[addr/32].Load()&(uint32(1)<<uint(addr%32)) != 0
 }
 
 // dynStore is used by builtins and teardown paths that write cells without
 // static type knowledge: it barriers iff the cell was ever stored through a
 // barrier.
 func (t *thread) dynStore(addr, val int64) {
-	if t.rt.rc != nil && t.isBarriered(addr) {
+	if t.rt.rc != nil && t.rt.barriered.Test(addr) {
 		old := t.loadRaw(addr)
 		t.rt.rc.Barrier(t.tid, addr, old, val)
 		t.nBarrier++
@@ -306,7 +284,7 @@ func (t *thread) pushFrame(fn *ir.Func, args []int64) (frameBase, prevFrame int6
 		slot := fn.ParamSlots[i]
 		if slot < len(fn.RCSlotSet) && fn.RCSlotSet[slot] && t.rt.rc != nil {
 			t.rt.rc.Barrier(t.tid, frameBase+int64(slot), 0, v)
-			t.markBarriered(frameBase + int64(slot))
+			t.rt.barriered.Set(frameBase + int64(slot))
 			t.nBarrier++
 		}
 		t.storeRaw(frameBase+int64(slot), v)

@@ -11,7 +11,6 @@ package interp
 
 import (
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/ir"
 	"repro/internal/sched"
@@ -41,11 +40,12 @@ func (t *thread) runFlat(fnIdx int, args []int64) int64 {
 	}
 
 	code := ff.Code
-	// Hoisted runtime state for the fused access handlers. rt.mem is
-	// allocated once and never grows, and the region bounds and observer
-	// are fixed for the run, so none of these can go stale mid-dispatch.
+	// Hoisted runtime state for the fused access handlers. rt.mem's page
+	// directory is allocated once and never grows (pages are installed in
+	// it, never replaced), and the region bounds and observer are fixed
+	// for the run, so none of these can go stale mid-dispatch.
 	mem := rt.mem
-	memLen := int64(len(mem))
+	memLen := mem.Len()
 	stackBase, heapBase := rt.stackBase, rt.heapBase
 	obs := rt.cfg.Observer
 	checks := ff.Checks
@@ -155,7 +155,7 @@ dispatch:
 				addr := regs[in.A]
 				old := t.loadRaw(addr)
 				rt.rc.Barrier(t.tid, addr, old, regs[in.B])
-				t.markBarriered(addr)
+				rt.barriered.Set(addr)
 				t.nBarrier++
 			}
 
@@ -175,7 +175,7 @@ dispatch:
 			if obs != nil {
 				obs.Access(t.tid, addr, false, t.locks, int(in.C))
 			}
-			regs[in.A] = atomic.LoadInt64(&mem[addr])
+			regs[in.A] = mem.Load(addr)
 		case ir.FLoadChk:
 			addr := regs[in.B]
 			if addr <= 0 || addr >= memLen {
@@ -190,7 +190,7 @@ dispatch:
 			if obs != nil {
 				obs.Access(t.tid, addr, false, t.locks, fc.Orig.Site)
 			}
-			regs[in.A] = atomic.LoadInt64(&mem[addr])
+			regs[in.A] = mem.Load(addr)
 		case ir.FStoreAcc:
 			addr := regs[in.A]
 			if addr <= 0 || addr >= memLen {
@@ -203,7 +203,7 @@ dispatch:
 			if obs != nil {
 				obs.Access(t.tid, addr, true, t.locks, int(in.C))
 			}
-			atomic.StoreInt64(&mem[addr], regs[in.B])
+			mem.Store(addr, regs[in.B])
 		case ir.FStoreChk:
 			addr := regs[in.A]
 			if addr <= 0 || addr >= memLen {
@@ -218,7 +218,7 @@ dispatch:
 			if obs != nil {
 				obs.Access(t.tid, addr, true, t.locks, fc.Orig.Site)
 			}
-			atomic.StoreInt64(&mem[addr], regs[in.B])
+			mem.Store(addr, regs[in.B])
 
 		case ir.FScast:
 			regs[in.A] = t.scastAt(regs[in.B], ff.Scasts[in.C])

@@ -152,6 +152,7 @@ func New(cfg Config) *Observer {
 		"Slow-request captures written.")
 	o.reg.Gauge("sharc_uptime_seconds", "Seconds since server start.",
 		func() float64 { return time.Since(o.start).Seconds() })
+	registerGoRuntime(o.reg)
 	o.reg.Counter("sharc_build_info",
 		"Build metadata (constant 1).",
 		"go_version", runtime.Version()).Add(1)

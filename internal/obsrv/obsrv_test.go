@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -131,6 +133,40 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+	// The Go runtime gauges are live readings, not placeholders.
+	for _, name := range GoRuntimeMetrics {
+		if !strings.Contains(out, "\n"+name+" ") {
+			t.Errorf("exposition missing Go runtime gauge %s", name)
+		}
+	}
+	if v := sampleValue(t, out, "go_goroutines"); v < 1 {
+		t.Errorf("go_goroutines = %v, want >= 1", v)
+	}
+	runtime.GC()
+	buf.Reset()
+	if err := o.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if v := sampleValue(t, buf.String(), "go_gc_cycles_total"); v < 1 {
+		t.Errorf("go_gc_cycles_total = %v after runtime.GC, want >= 1", v)
+	}
+}
+
+// sampleValue returns the value of the unlabeled sample name in a
+// Prometheus text exposition.
+func sampleValue(t *testing.T, exposition, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(exposition, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("no sample %s", name)
+	return 0
 }
 
 func TestValidatePrometheusRejectsGarbage(t *testing.T) {

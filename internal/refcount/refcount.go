@@ -26,6 +26,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/paged"
 )
 
 // Resolver maps a pointer value (cell address) to the base address of the
@@ -68,14 +70,14 @@ type LP struct {
 
 	epoch atomic.Uint32 // low bit selects the live generation
 
-	// dirty[e] is a bitmap with one bit per memory cell; loggedOld[e][slot]
-	// is the value the slot held before its first update in epoch e. The
-	// logged value is stored before the dirty bit is set, so any observer
-	// that sees the bit also sees the value. The logged-value store is
-	// chunked and allocated lazily: programs touch a small fraction of the
-	// address space, and eager full-memory arrays dominate startup cost.
-	dirty     [2][]atomic.Uint32
-	loggedOld [2][]atomic.Pointer[loggedChunk]
+	// dirty[e] is a bitmap with one bit per memory cell; loggedOld[e] holds,
+	// per slot, the value the slot held before its first update in epoch e.
+	// The logged value is stored before the dirty bit is set, so any
+	// observer that sees the bit also sees the value. Both are
+	// demand-paged: programs touch a small fraction of the address space,
+	// and eager full-memory arrays dominate startup cost.
+	dirty     [2]paged.Bits
+	loggedOld [2]paged.Int64s
 	cells     int
 
 	// logs[e][tid] lists the slots thread tid dirtied in epoch e.
@@ -95,71 +97,14 @@ type LP struct {
 	mem Memory
 }
 
-// loggedChunkShift sizes the lazy chunks of the logged-value store: 64Ki
-// cells (512 KiB) per chunk per generation.
-const loggedChunkShift = 16
-
-type loggedChunk [1 << loggedChunkShift]atomic.Int64
-
 // NewLP returns an LP manager covering cells of memory.
 func NewLP(cells int, resolve Resolver) *LP {
-	words := (cells + 31) / 32
-	chunks := (cells >> loggedChunkShift) + 2
 	lp := &LP{resolve: resolve, cells: cells}
 	for e := 0; e < 2; e++ {
-		lp.dirty[e] = make([]atomic.Uint32, words+1)
-		lp.loggedOld[e] = make([]atomic.Pointer[loggedChunk], chunks)
+		lp.dirty[e] = paged.NewBits(int64(cells))
+		lp.loggedOld[e] = paged.NewInt64s(int64(cells))
 	}
 	return lp
-}
-
-// loggedCell returns the logged-value cell for slot in generation e,
-// allocating its chunk on first touch.
-func (lp *LP) loggedCell(e int, slot int64) *atomic.Int64 {
-	ci := slot >> loggedChunkShift
-	ch := lp.loggedOld[e][ci].Load()
-	if ch == nil {
-		fresh := new(loggedChunk)
-		if !lp.loggedOld[e][ci].CompareAndSwap(nil, fresh) {
-			ch = lp.loggedOld[e][ci].Load()
-		} else {
-			ch = fresh
-		}
-	}
-	return &ch[slot&(1<<loggedChunkShift-1)]
-}
-
-func (lp *LP) dirtyTest(e int, slot int64) bool {
-	w := slot / 32
-	return lp.dirty[e][w].Load()&(1<<uint(slot%32)) != 0
-}
-
-func (lp *LP) dirtySet(e int, slot int64) bool {
-	w := slot / 32
-	bit := uint32(1) << uint(slot%32)
-	for {
-		v := lp.dirty[e][w].Load()
-		if v&bit != 0 {
-			return false
-		}
-		if lp.dirty[e][w].CompareAndSwap(v, v|bit) {
-			return true
-		}
-	}
-}
-
-func (lp *LP) dirtyClear(e int, slot int64) {
-	w := slot / 32
-	bit := uint32(1) << uint(slot%32)
-	for {
-		v := lp.dirty[e][w].Load()
-		if v&bit == 0 {
-			return
-		}
-		if lp.dirty[e][w].CompareAndSwap(v, v&^bit) {
-			return
-		}
-	}
 }
 
 // Barrier implements the mutator write barrier: on the first update of a
@@ -172,10 +117,10 @@ func (lp *LP) Barrier(tid int, slot, old, _ int64) {
 	}
 	lp.seq[tid].Add(1) // odd: in barrier
 	e := int(lp.epoch.Load() & 1)
-	if !lp.dirtyTest(e, slot) {
+	if !lp.dirty[e].Test(slot) {
 		// Store the old value before publishing the dirty bit.
-		lp.loggedCell(e, slot).Store(old)
-		if lp.dirtySet(e, slot) {
+		lp.loggedOld[e].Store(slot, old)
+		if lp.dirty[e].Set(slot) {
 			lp.logs[e][tid] = append(lp.logs[e][tid], slot)
 		}
 	}
@@ -222,7 +167,7 @@ func (lp *LP) Collect(tid int) {
 		lp.logs[oldE][t] = log[:0]
 		lp.logged.Add(int64(len(log)))
 		for _, slot := range log {
-			old := lp.loggedCell(oldE, slot).Load()
+			old := lp.loggedOld[oldE].Load(slot)
 			if obj := lp.resolve(old); obj != 0 {
 				lp.countCell(obj).Add(-1)
 			}
@@ -231,13 +176,13 @@ func (lp *LP) Collect(tid int) {
 			// value if the slot has been re-dirtied (the re-dirtier saw the
 			// end-of-epoch value and logged it).
 			cur := lp.mem.LoadCell(slot)
-			if lp.dirtyTest(newE, slot) {
-				cur = lp.loggedCell(newE, slot).Load()
+			if lp.dirty[newE].Test(slot) {
+				cur = lp.loggedOld[newE].Load(slot)
 			}
 			if obj := lp.resolve(cur); obj != 0 {
 				lp.countCell(obj).Add(1)
 			}
-			lp.dirtyClear(oldE, slot)
+			lp.dirty[oldE].Clear(slot)
 		}
 	}
 	lp.collections.Add(1)

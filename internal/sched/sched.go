@@ -134,9 +134,12 @@ type Controller struct {
 	deadlock  bool
 	aborted   bool
 	record    bool
-	decisions []int
+	steps     []Step // recorded decisions, run-length encoded as in Trace
 	nDec      int64
 	obs       Observer
+	// readyBuf backs readyLocked's result: one decision's ready set at a
+	// time, reused so decisions do not allocate.
+	readyBuf []int
 }
 
 // New returns a Controller driving its tasks with the given strategy.
@@ -183,13 +186,16 @@ func (c *Controller) Begin(key int) {
 }
 
 // readyLocked returns the keys of all pickable tasks in ascending order.
+// The slice is the controller's reusable buffer: it is valid until the next
+// call, so callers use it only while holding c.mu.
 func (c *Controller) readyLocked() []int {
-	var ready []int
+	ready := c.readyBuf[:0]
 	for _, t := range c.tasks {
 		if t.state == stReady || t.state == stRunning {
 			ready = append(ready, t.key)
 		}
 	}
+	c.readyBuf = ready
 	return ready
 }
 
@@ -209,7 +215,11 @@ func (c *Controller) decideLocked(ready []int, cur int, p Point) int {
 	}
 	c.nDec++
 	if c.record {
-		c.decisions = append(c.decisions, choice)
+		if n := len(c.steps); n > 0 && c.steps[n-1].Key == choice {
+			c.steps[n-1].N++
+		} else {
+			c.steps = append(c.steps, Step{Key: choice, N: 1})
+		}
 	}
 	if c.obs != nil {
 		c.obs.Decision(c.nDec-1, choice, p)
@@ -518,17 +528,13 @@ func (c *Controller) Trace() *Trace {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	tr := &Trace{
-		Version:   TraceVersion,
-		Strategy:  c.strategy.Name(),
-		Seed:      c.strategy.Seed(),
-		Decisions: int64(len(c.decisions)),
+		Version:  TraceVersion,
+		Strategy: c.strategy.Name(),
+		Seed:     c.strategy.Seed(),
+		Steps:    append([]Step(nil), c.steps...),
 	}
-	for _, k := range c.decisions {
-		if n := len(tr.Steps); n > 0 && tr.Steps[n-1].Key == k {
-			tr.Steps[n-1].N++
-		} else {
-			tr.Steps = append(tr.Steps, Step{Key: k, N: 1})
-		}
+	if c.record {
+		tr.Decisions = c.nDec
 	}
 	return tr
 }

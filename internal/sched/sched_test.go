@@ -377,3 +377,16 @@ func TestAbort(t *testing.T) {
 	}
 	c.Abort() // idempotent
 }
+
+// TestDecisionsDoNotAllocate: a scheduling decision reuses the controller's
+// ready buffer, so a yield that keeps the token allocates nothing.
+func TestDecisionsDoNotAllocate(t *testing.T) {
+	c := New(NewRandom(1), Options{})
+	key := c.Register()
+	c.Begin(key)
+	c.YieldPoint(key, PointCheck) // sizes the buffer
+	if n := testing.AllocsPerRun(100, func() { c.YieldPoint(key, PointCheck) }); n != 0 {
+		t.Fatalf("YieldPoint allocated %v times per decision", n)
+	}
+	c.Exit(key)
+}

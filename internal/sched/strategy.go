@@ -6,8 +6,9 @@ import "fmt"
 // in ascending order (never empty), the key of the yielding task, the
 // global decision index, and the point class, and returns the key to run
 // next (must be a member of ready; the Controller falls back to ready[0]
-// otherwise). Strategies are used single-threaded: only the token holder
-// decides.
+// otherwise). Pick must not retain ready past its return: the Controller
+// reuses the slice for the next decision. Strategies are used
+// single-threaded: only the token holder decides.
 type Strategy interface {
 	Pick(ready []int, cur int, decision int64, p Point) int
 	Name() string

@@ -143,7 +143,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := obsrv.ValidatePrometheus(body); err != nil {
 		t.Fatalf("/metrics does not parse as Prometheus text: %v\n%s", err, body)
 	}
-	for _, want := range []string{
+	for _, want := range append([]string{
 		`sharc_requests_total{code="200",endpoint="run"} 2`,
 		"sharc_request_duration_seconds_bucket",
 		`sharc_phase_duration_seconds_count{phase="execute"} 2`,
@@ -153,7 +153,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"sharc_admission_queue_depth",
 		"sharc_slow_captures_total 2",
 		"sharc_build_info",
-	} {
+	}, obsrv.GoRuntimeMetrics...) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)
 		}

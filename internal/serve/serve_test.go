@@ -283,13 +283,23 @@ func TestAdmissionRefusal(t *testing.T) {
 // drain starts run to completion; new work is refused.
 func TestGracefulDrain(t *testing.T) {
 	s, base := startServer(t, Config{Timeout: 2 * time.Minute})
+	// Size the in-flight run from a measured one, so it is still running
+	// when Shutdown starts yet finishes well inside the 30 s drain deadline
+	// on any host, -race instrumentation included. The calibration time
+	// includes the compile and the round trip, so the estimate errs short.
+	const calibN = 200_000
+	calibStart := time.Now()
+	if st, _, b := post(t, base+"/run", map[string]any{"source": counter(calibN)}); st != http.StatusOK {
+		t.Fatalf("calibration run: %d %s", st, b)
+	}
+	n := max(calibN, int(int64(calibN)*int64(2*time.Second)/int64(time.Since(calibStart))))
 	type result struct {
 		status int
 		body   []byte
 	}
 	inflight := make(chan result, 1)
 	go func() {
-		st, _, b := post(t, base+"/run", map[string]any{"source": counter(8_000_000)})
+		st, _, b := post(t, base+"/run", map[string]any{"source": counter(n)})
 		inflight <- result{st, b}
 	}()
 	waitFor(t, 5*time.Second, func() bool { return s.activeCount() == 1 })

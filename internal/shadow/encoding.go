@@ -142,6 +142,6 @@ func (s *Shadow) clearThreadState(tid int, log []int32) {
 
 // stateOf reports the state-encoding view of a granule, for tests.
 func (s *Shadow) stateOf(cell int64) (state uint32, tid int) {
-	w := s.word(granuleOf(cell)).Load()
+	w := s.wordValue(granuleOf(cell))
 	return w & stMask, int(w & tidMask)
 }

@@ -25,6 +25,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/paged"
 	"repro/internal/token"
 )
 
@@ -85,13 +86,6 @@ func (c *Conflict) Error() string {
 		c.Last.Tid, c.Last.Site.LValue, c.Last.Site.Pos.File, c.Last.Site.Pos.Line)
 }
 
-// chunkShift sizes the lazily allocated shadow chunks: 16Ki granules
-// (256 KiB of cells) per chunk.
-const chunkShift = 14
-
-type wordChunk [1 << chunkShift]atomic.Uint32
-type lastChunk [1 << chunkShift]atomic.Uint64
-
 // threadLog collects the granules one thread has set bits on (first access
 // only), so ClearThread is proportional to the thread's footprint. Each
 // thread appends to its own log under its own lock: first accesses by
@@ -120,16 +114,16 @@ type Options struct {
 }
 
 // Shadow tracks reader/writer sets for a fixed-size cell memory. The
-// per-granule state is chunked and allocated on first touch: programs use
-// a small fraction of the address space, and eager full-size arrays would
-// dominate runtime startup.
+// per-granule state is demand-paged (internal/paged): programs use a small
+// fraction of the address space, and eager full-size arrays would dominate
+// runtime startup.
 type Shadow struct {
 	granules int
 	enc      Encoding
-	words    []atomic.Pointer[wordChunk] // reader/writer bit sets
+	words    paged.Table[atomic.Uint32] // reader/writer bit sets
 	// last is best-effort metadata for reports: the last checked access per
 	// granule, packed as tid<<33 | kind<<32 | siteID.
-	last []atomic.Pointer[lastChunk]
+	last paged.Table[atomic.Uint64]
 
 	// sites interns (lvalue, pos) pairs.
 	sitesMu sync.Mutex
@@ -167,12 +161,11 @@ func NewWithEncoding(cells int, enc Encoding) *Shadow {
 // NewWithOptions returns a shadow configured by o.
 func NewWithOptions(cells int, o Options) *Shadow {
 	n := (cells+GranuleCells-1)/GranuleCells + 1
-	chunks := (n >> chunkShift) + 1
 	s := &Shadow{
 		granules: n,
 		enc:      o.Encoding,
-		words:    make([]atomic.Pointer[wordChunk], chunks),
-		last:     make([]atomic.Pointer[lastChunk], chunks),
+		words:    paged.NewTable[atomic.Uint32](int64(n)),
+		last:     paged.NewTable[atomic.Uint64](int64(n)),
 		siteIDs:  make(map[Site]uint32),
 		sink:     o.Sink,
 	}
@@ -186,37 +179,16 @@ func NewWithOptions(cells int, o Options) *Shadow {
 // NumGranules returns the number of granules covered.
 func (s *Shadow) NumGranules() int { return s.granules }
 
-const chunkMask = 1<<chunkShift - 1
-
-// word returns the shadow word for granule g, allocating its chunk on
+// word returns the shadow word for granule g, allocating its page on
 // first touch.
-func (s *Shadow) word(g int) *atomic.Uint32 {
-	ci := g >> chunkShift
-	ch := s.words[ci].Load()
-	if ch == nil {
-		fresh := new(wordChunk)
-		if !s.words[ci].CompareAndSwap(nil, fresh) {
-			ch = s.words[ci].Load()
-		} else {
-			ch = fresh
-		}
-	}
-	return &ch[g&chunkMask]
-}
+func (s *Shadow) word(g int) *atomic.Uint32 { return s.words.Slot(int64(g)) }
 
-// lastCell returns the last-access metadata cell for granule g.
-func (s *Shadow) lastCell(g int) *atomic.Uint64 {
-	ci := g >> chunkShift
-	ch := s.last[ci].Load()
-	if ch == nil {
-		fresh := new(lastChunk)
-		if !s.last[ci].CompareAndSwap(nil, fresh) {
-			ch = s.last[ci].Load()
-		} else {
-			ch = fresh
-		}
+// wordValue reads granule g's shadow word without allocating.
+func (s *Shadow) wordValue(g int) uint32 {
+	if w := s.words.Lookup(int64(g)); w != nil {
+		return w.Load()
 	}
-	return &ch[g&chunkMask]
+	return 0
 }
 
 // InternSite returns a stable id for a report site; the compiler interns
@@ -304,11 +276,14 @@ func (s *Shadow) takeLog(tid int) []int32 {
 }
 
 func (s *Shadow) recordLast(g int, tid int, kind AccessKind, siteID uint32) {
-	s.lastCell(g).Store(uint64(tid)<<33 | uint64(kind&1)<<32 | uint64(siteID))
+	s.last.Slot(int64(g)).Store(uint64(tid)<<33 | uint64(kind&1)<<32 | uint64(siteID))
 }
 
 func (s *Shadow) lastAccess(g int) Access {
-	v := s.lastCell(g).Load()
+	var v uint64
+	if c := s.last.Lookup(int64(g)); c != nil {
+		v = c.Load()
+	}
 	return Access{
 		Tid:  int(v >> 33),
 		Kind: AccessKind((v >> 32) & 1),
@@ -476,7 +451,9 @@ func (s *Shadow) ClearRange(cell, n int64) {
 	g0 := granuleOf(cell)
 	g1 := granuleOf(cell + n - 1)
 	for g := g0; g <= g1 && g < s.granules; g++ {
-		s.word(g).Store(0)
+		if w := s.words.Lookup(int64(g)); w != nil {
+			w.Store(0)
+		}
 	}
 }
 
@@ -487,7 +464,7 @@ func (s *Shadow) Readers(cell int64) (readers []int, hasWriter bool) {
 	if g >= s.granules {
 		return nil, false
 	}
-	w := s.word(g).Load()
+	w := s.wordValue(g)
 	for t := 1; t <= MaxThreads; t++ {
 		if w&(1<<uint(t)) != 0 {
 			readers = append(readers, t)

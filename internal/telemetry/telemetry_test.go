@@ -297,3 +297,18 @@ func BenchmarkCollectorOnly(b *testing.B) {
 		c.DynamicCheck(1, 3, i&1 == 0, false, false)
 	}
 }
+
+// TestTracerRingGrowsOnDemand: the ring allocates only the events a run
+// appends (TestTracerRingWrap pins the full ring).
+func TestTracerRingGrowsOnDemand(t *testing.T) {
+	tr := NewTracer(DefaultTraceCapacity, nil)
+	for i := 0; i < 3; i++ {
+		tr.Append(KindChkRead, 1, -1, int64(i), 0)
+	}
+	if c := cap(tr.events); c >= DefaultTraceCapacity {
+		t.Fatalf("3 appends reserved %d ring slots", c)
+	}
+	if ev := tr.Events(); len(ev) != 3 || ev[2].Addr != 2 {
+		t.Fatalf("events = %+v, want the 3 appended", ev)
+	}
+}

@@ -104,9 +104,12 @@ type Event struct {
 // explorer gives every worker its own tracer and merges afterwards with
 // MergeTracers).
 type Tracer struct {
-	mu     sync.Mutex
-	events []Event
-	total  uint64
+	mu sync.Mutex
+	// events grows on demand up to capacity, then wraps as a ring: a run
+	// that appends few events never pays for the whole ring.
+	events   []Event
+	capacity int
+	total    uint64
 	// frozen marks a tracer produced by MergeTracers: events holds the
 	// retained window verbatim (not a ring), total counts pre-merge
 	// appends, and further appends are rejected.
@@ -127,7 +130,7 @@ func NewTracer(capacity int, info []SiteInfo) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	t := &Tracer{events: make([]Event, capacity), info: info}
+	t := &Tracer{capacity: capacity, info: info}
 	t.step.Store(-1)
 	return t
 }
@@ -149,7 +152,11 @@ func (t *Tracer) Append(kind Kind, tid, site int, addr, aux int64) {
 	}
 	t.mu.Lock()
 	e.Seq = t.total
-	t.events[t.total%uint64(len(t.events))] = e
+	if len(t.events) < t.capacity {
+		t.events = append(t.events, e)
+	} else {
+		t.events[t.total%uint64(len(t.events))] = e
+	}
 	t.total++
 	t.mu.Unlock()
 }
