@@ -1,11 +1,18 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: all build vet test race verify bench elision explore explore-smoke portfolio-smoke portfolio-race portfolio profile-smoke vet-smoke vet2-smoke obs vet-bench ablation serve-smoke serve-bench obs-smoke
+.PHONY: all build fmt-check vet test race verify bench elision explore explore-smoke portfolio-smoke portfolio-race portfolio profile-smoke vet-smoke vet2-smoke obs vet-bench ablation serve-smoke serve-bench obs-smoke
 
 all: verify
 
 build:
 	$(GO) build ./...
+
+# fmt-check fails when any Go file in the tree is not gofmt-formatted.
+fmt-check:
+	@out=$$($(GOFMT) -l .); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
+	@echo "fmt-check ok"
 
 vet:
 	$(GO) vet ./...
@@ -16,11 +23,11 @@ test:
 race:
 	$(GO) test -race ./internal/paged ./internal/shadow ./internal/interp ./internal/refcount ./internal/sched ./internal/telemetry ./internal/portfolio ./internal/serve ./internal/obsrv ./internal/absint
 
-# verify is the gate for every change: build, go vet, the full test suite,
-# the race detector over the concurrency-bearing packages, and the
+# verify is the gate for every change: build, gofmt, go vet, the full test
+# suite, the race detector over the concurrency-bearing packages, and the
 # exploration, portfolio, profile, static-analysis, and execution-service
 # smokes.
-verify: build vet test race explore-smoke portfolio-smoke profile-smoke vet-smoke vet2-smoke serve-smoke obs-smoke
+verify: build fmt-check vet test race explore-smoke portfolio-smoke profile-smoke vet-smoke vet2-smoke serve-smoke obs-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -59,6 +59,11 @@ func DefaultOptions() Options {
 // Compile lowers a resolved, inferred, checked world. The checker must have
 // passed: Compile assumes well-typed input and panics on impossibilities.
 func Compile(w *types.World, inf *qualinfer.Result, opts Options) (*ir.Program, error) {
+	return compileWith(w, inf, opts, pipeline(opts))
+}
+
+// compileWith lowers the world and runs the given flat pass sequence.
+func compileWith(w *types.World, inf *qualinfer.Result, opts Options, passes []Pass) (*ir.Program, error) {
 	c := &compiler{
 		w:    w,
 		inf:  inf,
@@ -80,7 +85,7 @@ func Compile(w *types.World, inf *qualinfer.Result, opts Options) (*ir.Program, 
 	if c.prog.Main < 0 {
 		return nil, fmt.Errorf("program has no main function")
 	}
-	if err := runPasses(c.prog, pipeline(opts)); err != nil {
+	if err := runPasses(c.prog, passes); err != nil {
 		return nil, err
 	}
 	return c.prog, nil

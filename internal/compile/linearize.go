@@ -14,6 +14,8 @@ package compile
 // Registers are allocated stack-wise: every expression nets exactly one
 // register holding its value, and temporaries above it are released as
 // they are consumed, so NumRegs is the expression-nesting high-water mark.
+// The moves and dead results this leaves behind are removed by the last
+// pass of the pipeline, regopt (regopt.go).
 //
 // Alongside the instructions the pass records elide events: the
 // control-flow bookkeeping (availability snapshots at joins, kills at
@@ -614,7 +616,9 @@ type Pass struct {
 
 // pipeline is the standard lowering sequence for opts: linearize, the
 // RC-site barrier strip, (when enabled) check elision over the linear
-// form, and finally access-window fusion into superinstructions.
+// form, access-window fusion into superinstructions, and finally the
+// register cleanup (copy propagation, dead-code deletion, move folding;
+// see regopt.go).
 func pipeline(opts Options) []Pass {
 	ps := []Pass{
 		{Name: "linearize", Run: Linearize},
@@ -625,7 +629,10 @@ func pipeline(opts Options) []Pass {
 			elideChecksWith(p, fullKills)
 		}})
 	}
-	ps = append(ps, Pass{Name: "fuse", Run: fuseAccesses})
+	ps = append(ps,
+		Pass{Name: "fuse", Run: fuseAccesses},
+		Pass{Name: "regopt", Run: regopt},
+	)
 	return ps
 }
 
@@ -662,9 +669,9 @@ func stripBarriers(p *ir.Program) {
 	}
 }
 
-// compactFlat deletes FNop instructions, remapping jump targets and elide
-// event anchors. Passes delete instructions by overwriting them with FNop
-// and then compacting.
+// compactFlat deletes FNop instructions in place, remapping jump targets
+// and elide event anchors. Passes delete instructions by overwriting them
+// with FNop and then compacting.
 func compactFlat(ff *ir.FlatFunc) {
 	n := len(ff.Code)
 	newPC := make([]int32, n+1)
@@ -676,7 +683,7 @@ func compactFlat(ff *ir.FlatFunc) {
 		}
 	}
 	newPC[n] = kept
-	out := make([]ir.Instr, 0, kept)
+	out := ff.Code[:0] // the write index never passes the read index
 	for _, in := range ff.Code {
 		if in.Op == ir.FNop {
 			continue

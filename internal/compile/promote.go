@@ -2,8 +2,12 @@ package compile
 
 // Register promotion of safe locals: a frame slot whose every appearance
 // is a direct, check-free, barrier-free scalar access can live in a
-// dedicated VM register instead of frame memory, turning its three-dispatch
-// access protocol (FFrame + FYield + FLoad/FStore) into a single FMove.
+// dedicated VM register instead of frame memory. Linearize turns its
+// three-dispatch access protocol (FFrame + FYield + FLoad/FStore) into an
+// FMove between the dedicated register and a temporary, and the regopt
+// pass then usually removes that move too: reads are copy-propagated into
+// their users and writes are folded into the instruction computing the
+// value, so a promoted access typically costs no dispatch at all.
 //
 // The promotion is invisible to every observable the runtime is pinned
 // on: stack addresses never count as accesses or yield to the scheduler

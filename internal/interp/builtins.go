@@ -251,7 +251,7 @@ func (t *thread) doSleepMs(ms int64) int64 {
 		// Virtual time: a sleep is just a scheduling point, so races a
 		// real sleep would hide behind wall-clock separation become
 		// explorable interleavings.
-		t.schedPoint(sched.PointYield)
+		t.schedPoint(sched.PointSleep)
 		return 0
 	}
 	if ms > 0 {

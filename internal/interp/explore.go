@@ -91,7 +91,7 @@ type Finding struct {
 
 // ExploreSummary is the coverage report of an exploration run.
 type ExploreSummary struct {
-	Schedules int `json:"schedules"`
+	Schedules int   `json:"schedules"`
 	Decisions int64 `json:"decisions"`
 	// Duplicates counts schedules whose strategy identity repeated an
 	// earlier index (a static property of the strategy family and seed).

@@ -2,7 +2,10 @@
 // over frame-relative virtual registers. internal/compile lowers every
 // function's statement tree into this form (the linearize pass), the pass
 // pipeline rewrites it (barrier stripping, check elision as instruction
-// rewriting), and the register VM in internal/interp dispatches over it.
+// rewriting, access fusion, register cleanup), and the register VM in
+// internal/interp dispatches over it. OpRegs describes each opcode's
+// register operands once, for the verifier and for passes that track
+// registers.
 //
 // The linearize pass emits instructions in the runtime's evaluation order
 // (the contract is stated in internal/compile/linearize.go), and the
@@ -155,6 +158,101 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", int(o))
 }
 
+// RegRole says whether an instruction field names a register, and how the
+// instruction uses it.
+type RegRole uint8
+
+const (
+	RegNone RegRole = iota // an index, a jump target, or unused
+	RegUse                 // a register the instruction reads
+	RegDef                 // the register the instruction writes
+)
+
+// OpRegs describes the register operands of one opcode. Every instruction
+// reads its operands before it writes its destination.
+type OpRegs struct {
+	A, B, C RegRole
+	// SideArgs: the instruction also reads the argument registers of its
+	// side-table entry: Calls[B].Args (and FnReg for an indirect call) for
+	// FCall, Builtins[B].Args for FBuiltin.
+	SideArgs bool
+	// Pure: writing A is the instruction's only effect, so it can be
+	// deleted when A is dead. Divide and modulo can fail; loads, checks,
+	// calls, builtins and casts have effects.
+	Pure bool
+}
+
+var (
+	pureDef = OpRegs{A: RegDef, Pure: true}
+	pureUn  = OpRegs{A: RegDef, B: RegUse, Pure: true}
+	pureBin = OpRegs{A: RegDef, B: RegUse, C: RegUse, Pure: true}
+	useA    = OpRegs{A: RegUse}
+	useAB   = OpRegs{A: RegUse, B: RegUse}
+	defAuse = OpRegs{A: RegDef, B: RegUse}
+)
+
+// opRegs is the one description of every opcode's register operands; the
+// verifier's range checks and the regopt pass both read it.
+var opRegs = [opCount]OpRegs{
+	FConst: pureDef, FStr: pureDef, FFrame: pureDef, FFunc: pureDef,
+	FMove: pureUn,
+	FAdd:  pureBin, FSub: pureBin, FMul: pureBin,
+	FDiv: {A: RegDef, B: RegUse, C: RegUse}, FMod: {A: RegDef, B: RegUse, C: RegUse},
+	FAnd: pureBin, FOr: pureBin, FXor: pureBin, FShl: pureBin, FShr: pureBin,
+	FEq: pureBin, FNe: pureBin, FLt: pureBin, FLe: pureBin, FGt: pureBin, FGe: pureBin,
+	FNeg: pureUn, FNot: pureUn, FBitNot: pureUn, FSetNZ: pureUn,
+	FJmpZ: useA, FJmpNZ: useA, FJmpEqImm: useA,
+	FYield: useA, FChkRead: useA, FChkWrite: useA, FChkLock: useA, FChkElided: useA,
+	FLoad: defAuse, FStore: useAB, FBarrier: useAB,
+	FScast:   defAuse,
+	FCall:    {A: RegDef, SideArgs: true},
+	FBuiltin: {A: RegDef, SideArgs: true},
+	FCString: useA,
+	FRet:     useA,
+	FLoadAcc: defAuse, FLoadChk: defAuse, FStoreAcc: useAB, FStoreChk: useAB,
+}
+
+// Regs returns the register operands of opcode o, which must be known.
+func (o Op) Regs() OpRegs { return opRegs[o] }
+
+// VisitUses calls f with a pointer to every register operand in reads, its
+// side-table argument registers included, so a pass can rename them in
+// place. The implicit return (FRet with Imm != 0) reads no register.
+func (ff *FlatFunc) VisitUses(in *Instr, f func(r *int32)) {
+	rs := &opRegs[in.Op]
+	if rs.A == RegUse && (in.Op != FRet || in.Imm == 0) {
+		f(&in.A)
+	}
+	if rs.B == RegUse {
+		f(&in.B)
+	}
+	if rs.C == RegUse {
+		f(&in.C)
+	}
+	if rs.SideArgs {
+		args, fnReg := ff.sideArgs(in)
+		for i := range args {
+			f(&args[i])
+		}
+		if fnReg != nil {
+			f(fnReg)
+		}
+	}
+}
+
+// sideArgs returns the argument registers of the side-table entry of an
+// FCall or FBuiltin, and for an indirect call its function register.
+func (ff *FlatFunc) sideArgs(in *Instr) (args []int32, fnReg *int32) {
+	if in.Op == FBuiltin {
+		return ff.Builtins[in.B].Args, nil
+	}
+	ci := &ff.Calls[in.B]
+	if ci.Target < 0 {
+		return ci.Args, &ci.FnReg
+	}
+	return ci.Args, nil
+}
+
 // Instr is one flat instruction: an opcode, three register/index operands,
 // and a wide immediate.
 type Instr struct {
@@ -267,11 +365,10 @@ func (ff *FlatFunc) verify(p *Program, fn *Func) error {
 	if ff.Code[n-1].Op != FRet {
 		return fmt.Errorf("code does not end in ret")
 	}
-	reg := func(pc int32, r int32) error {
-		if r < 0 || int(r) >= ff.NumRegs {
-			return fmt.Errorf("pc %d: register %d out of range [0,%d)", pc, r, ff.NumRegs)
-		}
-		return nil
+	// Registers compare unsigned, so a negative register is out of range.
+	nregs := uint32(ff.NumRegs)
+	regErr := func(pc int32, r int32) error {
+		return fmt.Errorf("pc %d: register %d out of range [0,%d)", pc, r, ff.NumRegs)
 	}
 	target := func(pc int32, t int32) error {
 		if t < 0 || t >= n {
@@ -291,172 +388,120 @@ func (ff *FlatFunc) verify(p *Program, fn *Func) error {
 		}
 		return nil
 	}
+	check := func(pc int32, idx int32) error {
+		if idx < 0 || int(idx) >= len(ff.Checks) {
+			return fmt.Errorf("pc %d: check index %d out of range", pc, idx)
+		}
+		c := ff.Checks[idx].Orig
+		if c == nil {
+			return fmt.Errorf("pc %d: check %d has nil Orig", pc, idx)
+		}
+		if c.Kind != CheckNone {
+			return checkSite(pc, c.Site)
+		}
+		return nil
+	}
 	for pc := int32(0); pc < n; pc++ {
 		in := &ff.Code[pc]
 		if in.Op >= opCount {
 			return fmt.Errorf("pc %d: unknown opcode %d", pc, int(in.Op))
 		}
+		rs := opRegs[in.Op]
+		if rs.A != RegNone && uint32(in.A) >= nregs {
+			return regErr(pc, in.A)
+		}
+		if rs.B != RegNone && uint32(in.B) >= nregs {
+			return regErr(pc, in.B)
+		}
+		if rs.C != RegNone && uint32(in.C) >= nregs {
+			return regErr(pc, in.C)
+		}
 		var err error
 		switch in.Op {
-		case FNop:
-		case FConst:
-			err = reg(pc, in.A)
+		case FNop, FConst, FMove, FNeg, FNot, FBitNot, FSetNZ,
+			FAdd, FSub, FMul, FAnd, FOr, FXor, FShl, FShr,
+			FEq, FNe, FLt, FLe, FGt, FGe, FLoad, FBarrier, FRet:
 		case FStr:
-			err = reg(pc, in.A)
-			if err == nil && (in.B < 0 || int(in.B) >= len(p.Strings)) {
+			if in.B < 0 || int(in.B) >= len(p.Strings) {
 				err = fmt.Errorf("pc %d: string index %d out of range", pc, in.B)
 			}
 		case FFrame:
-			err = reg(pc, in.A)
-			if err == nil && (in.B < 0 || int(in.B) >= fn.FrameSize) {
+			if in.B < 0 || int(in.B) >= fn.FrameSize {
 				err = fmt.Errorf("pc %d: frame slot %d out of range [0,%d)", pc, in.B, fn.FrameSize)
 			}
 		case FFunc:
-			err = reg(pc, in.A)
-			if err == nil && (in.B < 0 || int(in.B) >= len(p.Funcs)) {
+			if in.B < 0 || int(in.B) >= len(p.Funcs) {
 				err = fmt.Errorf("pc %d: function index %d out of range", pc, in.B)
 			}
-		case FMove, FNeg, FNot, FBitNot, FSetNZ:
-			if err = reg(pc, in.A); err == nil {
-				err = reg(pc, in.B)
-			}
-		case FAdd, FSub, FMul, FDiv, FMod, FAnd, FOr, FXor, FShl, FShr,
-			FEq, FNe, FLt, FLe, FGt, FGe:
-			if err = reg(pc, in.A); err == nil {
-				err = reg(pc, in.B)
-			}
-			if err == nil {
-				err = reg(pc, in.C)
-			}
-			if err == nil && (in.Op == FDiv || in.Op == FMod) {
-				err = pos(pc, in.Imm)
-			}
+		case FDiv, FMod:
+			err = pos(pc, in.Imm)
 		case FJmp:
 			err = target(pc, in.A)
-		case FJmpZ, FJmpNZ:
-			if err = reg(pc, in.A); err == nil {
-				err = target(pc, in.B)
-			}
-		case FJmpEqImm:
-			if err = reg(pc, in.A); err == nil {
-				err = target(pc, in.B)
-			}
+		case FJmpZ, FJmpNZ, FJmpEqImm:
+			err = target(pc, in.B)
 		case FYield:
-			if err = reg(pc, in.A); err == nil {
-				err = pos(pc, in.Imm)
-			}
+			err = pos(pc, in.Imm)
 		case FChkRead, FChkWrite, FChkLock, FChkElided:
-			if err = reg(pc, in.A); err == nil {
-				if in.B < 0 || int(in.B) >= len(ff.Checks) {
-					err = fmt.Errorf("pc %d: check index %d out of range", pc, in.B)
-				} else if c := ff.Checks[in.B].Orig; c == nil {
-					err = fmt.Errorf("pc %d: check %d has nil Orig", pc, in.B)
-				} else if c.Kind != CheckNone {
-					err = checkSite(pc, c.Site)
-				}
-			}
-		case FLoad:
-			if err = reg(pc, in.A); err == nil {
-				err = reg(pc, in.B)
-			}
+			err = check(pc, in.B)
 		case FStore:
-			if err = reg(pc, in.A); err == nil {
-				err = reg(pc, in.B)
-			}
-			if err == nil && in.Imm >= 0 && int(in.Imm) >= len(ff.Kills) {
+			if in.Imm >= 0 && int(in.Imm) >= len(ff.Kills) {
 				err = fmt.Errorf("pc %d: kill index %d out of range", pc, in.Imm)
 			}
-		case FBarrier:
-			if err = reg(pc, in.A); err == nil {
-				err = reg(pc, in.B)
-			}
 		case FScast:
-			if err = reg(pc, in.A); err == nil {
-				err = reg(pc, in.B)
-			}
-			if err == nil && (in.C < 0 || int(in.C) >= len(ff.Scasts)) {
+			if in.C < 0 || int(in.C) >= len(ff.Scasts) {
 				err = fmt.Errorf("pc %d: scast index %d out of range", pc, in.C)
 			}
 		case FCall:
-			if err = reg(pc, in.A); err == nil {
-				if in.B < 0 || int(in.B) >= len(ff.Calls) {
-					err = fmt.Errorf("pc %d: call index %d out of range", pc, in.B)
-				} else {
-					ci := &ff.Calls[in.B]
-					if ci.Target >= len(p.Funcs) {
-						err = fmt.Errorf("pc %d: call target %d out of range", pc, ci.Target)
-					}
-					if err == nil && ci.Target < 0 {
-						err = reg(pc, ci.FnReg)
-					}
-					for _, r := range ci.Args {
-						if err == nil {
-							err = reg(pc, r)
-						}
-					}
-				}
+			if in.B < 0 || int(in.B) >= len(ff.Calls) {
+				err = fmt.Errorf("pc %d: call index %d out of range", pc, in.B)
+			} else if ci := &ff.Calls[in.B]; ci.Target >= len(p.Funcs) {
+				err = fmt.Errorf("pc %d: call target %d out of range", pc, ci.Target)
 			}
 		case FBuiltin:
-			if err = reg(pc, in.A); err == nil {
-				if in.B < 0 || int(in.B) >= len(ff.Builtins) {
-					err = fmt.Errorf("pc %d: builtin index %d out of range", pc, in.B)
-				} else {
-					bi := &ff.Builtins[in.B]
-					if bi.E == nil {
-						err = fmt.Errorf("pc %d: builtin %d has nil call node", pc, in.B)
-					}
-					for _, r := range bi.Args {
-						if err == nil {
-							err = reg(pc, r)
-						}
-					}
-				}
+			if in.B < 0 || int(in.B) >= len(ff.Builtins) {
+				err = fmt.Errorf("pc %d: builtin index %d out of range", pc, in.B)
+			} else if ff.Builtins[in.B].E == nil {
+				err = fmt.Errorf("pc %d: builtin %d has nil call node", pc, in.B)
 			}
 		case FCString:
-			if err = reg(pc, in.A); err == nil {
-				if in.B < 0 || int(in.B) >= len(ff.Builtins) {
-					err = fmt.Errorf("pc %d: builtin index %d out of range", pc, in.B)
-				} else if bi := &ff.Builtins[in.B]; bi.E == nil ||
-					in.C < 0 || int(in.C) >= len(bi.E.ArgChecks) {
-					err = fmt.Errorf("pc %d: cstring arg index %d out of range", pc, in.C)
-				}
+			if in.B < 0 || int(in.B) >= len(ff.Builtins) {
+				err = fmt.Errorf("pc %d: builtin index %d out of range", pc, in.B)
+			} else if bi := &ff.Builtins[in.B]; bi.E == nil ||
+				in.C < 0 || int(in.C) >= len(bi.E.ArgChecks) {
+				err = fmt.Errorf("pc %d: cstring arg index %d out of range", pc, in.C)
 			}
-		case FRet:
-			err = reg(pc, in.A)
 		case FKill:
 			if in.Imm < 0 || int(in.Imm) >= len(ff.Kills) {
 				err = fmt.Errorf("pc %d: kill index %d out of range", pc, in.Imm)
 			}
 		case FLoadAcc, FStoreAcc:
-			if err = reg(pc, in.A); err == nil {
-				err = reg(pc, in.B)
-			}
 			// Site 0 is the CheckNone default and is legal even in a
 			// program with no interned sites (checks off).
-			if err == nil && in.C != 0 {
+			if in.C != 0 {
 				err = checkSite(pc, int(in.C))
 			}
 			if err == nil {
 				err = pos(pc, in.Imm)
 			}
 		case FLoadChk, FStoreChk:
-			if err = reg(pc, in.A); err == nil {
-				err = reg(pc, in.B)
-			}
-			if err == nil {
-				if in.C < 0 || int(in.C) >= len(ff.Checks) {
-					err = fmt.Errorf("pc %d: check index %d out of range", pc, in.C)
-				} else if c := ff.Checks[in.C].Orig; c == nil {
-					err = fmt.Errorf("pc %d: check %d has nil Orig", pc, in.C)
-				} else if c.Kind != CheckNone {
-					err = checkSite(pc, c.Site)
-				}
-			}
-			if err == nil {
+			if err = check(pc, in.C); err == nil {
 				err = pos(pc, in.Imm)
 			}
 		default:
 			err = fmt.Errorf("pc %d: unhandled opcode %v", pc, in.Op)
+		}
+		if err == nil && rs.SideArgs {
+			// The side-table entry is in range now: check its argument
+			// registers too.
+			args, fnReg := ff.sideArgs(in)
+			for _, r := range args {
+				if uint32(r) >= nregs {
+					return regErr(pc, r)
+				}
+			}
+			if fnReg != nil && uint32(*fnReg) >= nregs {
+				return regErr(pc, *fnReg)
+			}
 		}
 		if err != nil {
 			return err
@@ -558,10 +603,10 @@ const flatMagic = "shcF1\n"
 
 type flatEncoder struct{ buf []byte }
 
-func (e *flatEncoder) u64(v uint64)  { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *flatEncoder) i64(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *flatEncoder) int(v int)     { e.i64(int64(v)) }
-func (e *flatEncoder) str(s string)  { e.u64(uint64(len(s))); e.buf = append(e.buf, s...) }
+func (e *flatEncoder) u64(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+func (e *flatEncoder) i64(v int64)  { e.buf = binary.AppendVarint(e.buf, v) }
+func (e *flatEncoder) int(v int)    { e.i64(int64(v)) }
+func (e *flatEncoder) str(s string) { e.u64(uint64(len(s))); e.buf = append(e.buf, s...) }
 func (e *flatEncoder) pos(p token.Pos) {
 	e.str(p.File)
 	e.int(p.Line)

@@ -87,8 +87,8 @@ func flatFixture() (*Program, *FlatProgram) {
 			Args: []int32{0},
 		}},
 		Scasts: []*Scast{{
-			ChkR: Check{Kind: CheckDynamic, Site: 0},
-			ChkW: Check{Kind: CheckDynamic, Site: 0},
+			ChkR:    Check{Kind: CheckDynamic, Site: 0},
+			ChkW:    Check{Kind: CheckDynamic, Site: 0},
 			Barrier: true, Pos: pos, TargetDesc: "int dynamic *",
 		}},
 	}

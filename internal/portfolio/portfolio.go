@@ -158,13 +158,13 @@ func New(kind string, workers int) (Sharing, error) {
 // workers with worker-local duplicate memos only.
 type noneSharing struct{}
 
-func (*noneSharing) Publish(string, Memo)          {}
-func (*noneSharing) Lookup(string) (Memo, bool)    { return Memo{}, false }
-func (*noneSharing) PublishSites([]string)         {}
-func (*noneSharing) SiteCount() int                { return 0 }
-func (*noneSharing) Sites() []string               { return nil }
-func (*noneSharing) Stats() Stats                  { return Stats{} }
-func (*noneSharing) Close()                        {}
+func (*noneSharing) Publish(string, Memo)       {}
+func (*noneSharing) Lookup(string) (Memo, bool) { return Memo{}, false }
+func (*noneSharing) PublishSites([]string)      {}
+func (*noneSharing) SiteCount() int             { return 0 }
+func (*noneSharing) Sites() []string            { return nil }
+func (*noneSharing) Stats() Stats               { return Stats{} }
+func (*noneSharing) Close()                     {}
 
 // ---------------------------------------------------------------------------
 // local broadcast

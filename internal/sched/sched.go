@@ -38,7 +38,8 @@ const (
 	PointCheck // checked (non-stack) memory access
 	PointScast
 	PointExit
-	PointYield // explicit yield / sleep
+	PointYield // explicit yield()
+	PointSleep // sleepMs: virtual time, a plain preemption opportunity
 )
 
 func (p Point) String() string {
@@ -65,6 +66,8 @@ func (p Point) String() string {
 		return "exit"
 	case PointYield:
 		return "yield"
+	case PointSleep:
+		return "sleep"
 	}
 	return "?"
 }

@@ -128,7 +128,11 @@ func (p *PCT) prio(k int) uint64 {
 }
 
 func (p *PCT) Pick(ready []int, cur int, decision int64, pt Point) int {
-	if p.changes[decision] {
+	// An explicit yield() demotes the yielder the way a change point
+	// does: a thread spinning on yield() while it waits for lower-priority
+	// workers would otherwise be picked again until a change point. A
+	// sleepMs point (PointSleep) is an ordinary preemption opportunity.
+	if p.changes[decision] || pt == PointYield {
 		p.prios[cur] = p.low
 		p.low--
 	}

@@ -91,6 +91,35 @@ func TestPCTDemotion(t *testing.T) {
 	}
 }
 
+// TestPCTYieldSpinHandoff: a task spinning on yield() until a worker
+// finishes must let the worker run under PCT. Without demotion at yield
+// points a spinner that draws the higher priority is picked until a change
+// point demotes it; the horizon here puts the change points out of reach,
+// as a long calibrated horizon does in practice.
+func TestPCTYieldSpinHandoff(t *testing.T) {
+	const spinLimit = 10000
+	for seed := int64(1); seed <= 20; seed++ {
+		done := false
+		spins := 0
+		spinner := func(c *Controller, key int) {
+			for !done && spins < spinLimit {
+				spins++
+				c.YieldPoint(key, PointYield)
+			}
+		}
+		worker := func(c *Controller, key int) {
+			for i := 0; i < 20; i++ {
+				c.YieldPoint(key, PointCheck)
+			}
+			done = true
+		}
+		runTasks(t, NewPCT(seed, 3, 1<<40), false, spinner, worker)
+		if !done || spins >= spinLimit {
+			t.Fatalf("seed %d: the spinner yielded %d times without the worker finishing", seed, spins)
+		}
+	}
+}
+
 func TestReplayFollowsTrace(t *testing.T) {
 	tr := &Trace{
 		Version:   TraceVersion,

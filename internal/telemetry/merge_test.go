@@ -33,9 +33,9 @@ func TestCountersMerge(t *testing.T) {
 func TestCollectorMerge(t *testing.T) {
 	info := []SiteInfo{{LValue: "g"}, {LValue: "h"}}
 	a, b := NewCollector(info), NewCollector(info)
-	a.DynamicCheck(1, 0, true, false, false)  // writer tid 1 at site 0
-	b.DynamicCheck(2, 0, false, false, true)  // reader tid 2, conflicting
-	b.DynamicCheck(3, 1, true, true, false)   // site 1 under lock
+	a.DynamicCheck(1, 0, true, false, false) // writer tid 1 at site 0
+	b.DynamicCheck(2, 0, false, false, true) // reader tid 2, conflicting
+	b.DynamicCheck(3, 1, true, true, false)  // site 1 under lock
 	a.Merge(b)
 	snap := a.Snapshot(GlobalStats{}, Elision{})
 	s0 := snap.Sites[0]
