@@ -117,6 +117,7 @@ func TestEngineDifferentialCorpus(t *testing.T) {
 		cache bool
 	}{
 		{"plain", false, false},
+		{"cache", false, true},
 		{"elide", true, false},
 		{"elide+cache", true, true},
 	}
@@ -160,15 +161,23 @@ func TestEngineDifferentialFuzz(t *testing.T) {
 		}
 		ran++
 		fmt.Fprintf(&sb, "### program %d source sha256:%x\n", i, sha256.Sum256([]byte(src)))
-		for _, elide := range []bool{false, true} {
+		for _, cc := range []struct {
+			name  string
+			elide bool
+			cache bool
+		}{
+			{"elide=false", false, false},
+			{"cache", false, true},
+			{"elide=true", true, true},
+		} {
 			copts := compile.DefaultOptions()
-			copts.Elide = elide
+			copts.Elide = cc.elide
 			prog, err := a.Build(copts)
 			if err != nil {
 				t.Fatalf("program %d: build: %v", i, err)
 			}
 			for _, seed := range []int64{1, 7} {
-				sb.WriteString(engineRun(t, fmt.Sprintf("program %d elide=%v seed=%d", i, elide, seed), prog, elide, seed))
+				sb.WriteString(engineRun(t, fmt.Sprintf("program %d %s seed=%d", i, cc.name, seed), prog, cc.cache, seed))
 			}
 		}
 	}

@@ -17,6 +17,16 @@ import (
 // buildHotsites compiles the examples/profile program with telemetry on.
 func buildHotsites(t *testing.T, elide, cache bool) *Program {
 	t.Helper()
+	return buildHotsitesWith(t, func(opts *Options) {
+		opts.ElideChecks = elide
+		opts.CheckCache = cache
+	})
+}
+
+// buildHotsitesWith compiles the examples/profile program with telemetry on
+// and the options set edits.
+func buildHotsitesWith(t *testing.T, set func(*Options)) *Program {
+	t.Helper()
 	src, err := os.ReadFile(filepath.Join("examples", "profile", "hotsites.shc"))
 	if err != nil {
 		t.Fatal(err)
@@ -31,8 +41,7 @@ func buildHotsites(t *testing.T, elide, cache bool) *Program {
 	opts := DefaultOptions()
 	opts.Metrics = true
 	opts.TraceEvents = 1 << 13
-	opts.ElideChecks = elide
-	opts.CheckCache = cache
+	set(&opts)
 	p, err := a.Build(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -75,6 +84,17 @@ func TestTelemetryGoldenProfileElided(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 	checkGolden(t, "profile_hotsites_elided.golden", []byte(telemetry.FormatProfile(res.Telemetry, 10)))
+}
+
+// TestTelemetryGoldenProfileDischarged pins the profile of the build with
+// static discharge: the discharged q->done write shows as an "(elided)" row.
+func TestTelemetryGoldenProfileDischarged(t *testing.T) {
+	p := buildHotsitesWith(t, func(opts *Options) { opts.StaticDischarge = true })
+	res, err := p.RunSeeded(1)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	checkGolden(t, "profile_hotsites_discharged.golden", []byte(telemetry.FormatProfile(res.Telemetry, 10)))
 }
 
 func TestTelemetryGoldenTraces(t *testing.T) {
