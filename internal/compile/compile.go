@@ -376,6 +376,7 @@ func (c *compiler) checkFor(t *types.Type, lv ast.Expr) ir.Check {
 				Site: c.site(ast.ExprString(lv), lv.Pos()),
 			}
 		}
+		c.prog.Elision.TotalDynamic++
 		return ir.Check{
 			Kind: ir.CheckDynamic,
 			Site: c.site(ast.ExprString(lv), lv.Pos()),
@@ -391,6 +392,7 @@ func (c *compiler) checkFor(t *types.Type, lv ast.Expr) ir.Check {
 				Site: c.site(ast.ExprString(lv), lv.Pos()),
 			}
 		}
+		c.prog.Elision.TotalLocked++
 		return ir.Check{
 			Kind: ir.CheckLocked,
 			Site: c.site(ast.ExprString(lv), lv.Pos()),

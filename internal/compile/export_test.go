@@ -18,6 +18,16 @@ func CompileWithout(w *types.World, inf *qualinfer.Result, opts Options, pass st
 	return compileWith(w, inf, opts, passes)
 }
 
+// TreeCheckTotals counts the dynamic and locked checks left in p's tree
+// form, the way the elision pass counts its totals.
+func TreeCheckTotals(p *ir.Program) (dynamic, locked int) {
+	var st ir.ElisionStats
+	for _, fn := range p.Funcs {
+		countFuncChecks(fn, &st)
+	}
+	return st.TotalDynamic, st.TotalLocked
+}
+
 // DeadMoves returns the pcs of ff's FMove instructions whose destination
 // is dead after the move.
 func DeadMoves(ff *ir.FlatFunc) []int32 {

@@ -105,7 +105,7 @@ func FormatProfileVet(snap *Snapshot, top int, verdicts map[string]string) strin
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "profile: %d accesses, %d dynamic checks, %d locked checks, %d threads peak\n",
 		g.TotalAccesses, g.DynamicChecks, g.LockChecks, g.MaxThreads)
-	if el := snap.Elision; el.TotalDynamic+el.TotalLocked > 0 {
+	if el := snap.Elision; el.ElidedDynamic+el.ElidedLocked > 0 {
 		fmt.Fprintf(&sb, "static elision: %d/%d dynamic and %d/%d locked check sites removed\n",
 			el.ElidedDynamic, el.TotalDynamic, el.ElidedLocked, el.TotalLocked)
 	}
