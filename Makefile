@@ -1,12 +1,18 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build fmt-check vet test race verify bench elision explore explore-smoke portfolio-smoke portfolio-race portfolio profile-smoke vet-smoke vet2-smoke obs vet-bench ablation serve-smoke serve-bench obs-smoke
+.PHONY: all build bench-build fmt-check vet test race verify bench explore explore-smoke portfolio-smoke portfolio-race portfolio profile-smoke vet-smoke vet2-smoke obs vet-bench ablation serve-smoke serve-bench obs-smoke
 
 all: verify
 
 build:
 	$(GO) build ./...
+
+# bench-build vets the benchmark module: benchmark/ is its own module, so
+# `go build ./...` never compiles it, and a change to a package it imports
+# would otherwise break it silently.
+bench-build:
+	cd benchmark && $(GO) vet ./...
 
 # fmt-check fails when any Go file in the tree is not gofmt-formatted.
 fmt-check:
@@ -23,18 +29,14 @@ test:
 race:
 	$(GO) test -race ./internal/paged ./internal/shadow ./internal/interp ./internal/refcount ./internal/sched ./internal/telemetry ./internal/portfolio ./internal/serve ./internal/obsrv ./internal/absint
 
-# verify is the gate for every change: build, gofmt, go vet, the full test
-# suite, the race detector over the concurrency-bearing packages, and the
-# exploration, portfolio, profile, static-analysis, and execution-service
-# smokes.
-verify: build fmt-check vet test race explore-smoke portfolio-smoke profile-smoke vet-smoke vet2-smoke serve-smoke obs-smoke
+# verify is the gate for every change: build, the benchmark module, gofmt,
+# go vet, the full test suite, the race detector over the
+# concurrency-bearing packages, and the exploration, portfolio, profile,
+# static-analysis, and execution-service smokes.
+verify: build bench-build fmt-check vet test race explore-smoke portfolio-smoke profile-smoke vet-smoke vet2-smoke serve-smoke obs-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# elision regenerates BENCH_elision.json (the check-elision ladder).
-elision:
-	$(GO) run ./cmd/sharc-bench -elision
 
 # explore regenerates BENCH_explore.json (exploration vs free running).
 explore:
@@ -105,8 +107,8 @@ vet-smoke:
 # vet2-smoke is the abstract-interpretation acceptance gate: on every
 # Table-1 benchmark the absint tier must push the statically avoided
 # check fraction past 90%, resolve every would-be finding, and keep the
-# discharged build's reports and exit byte-identical to the elide-only
-# build.
+# discharged build's reports and exit byte-identical to the default
+# checked build.
 vet2-smoke:
 	$(GO) test ./internal/bench -run TestVet2Smoke -count 1
 
@@ -158,7 +160,7 @@ obs-smoke:
 serve-bench:
 	$(GO) run ./cmd/sharc-bench -serve
 
-# vet-bench regenerates BENCH_vet.json (static discharge vs elision alone).
+# vet-bench regenerates BENCH_vet.json (static discharge vs full checks).
 vet-bench:
 	$(GO) run ./cmd/sharc-bench -vet
 

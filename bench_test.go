@@ -165,10 +165,9 @@ func BenchmarkDetectors(b *testing.B) {
 	})
 }
 
-// BenchmarkCheckElision measures the redundant-check-elimination ladder on
-// every Table-1 row: full checks (Off), the static elision pass (Static),
-// and the static pass plus the per-thread granule check cache (StaticCache).
-func BenchmarkCheckElision(b *testing.B) {
+// BenchmarkCheckCache measures the per-thread granule check cache on every
+// Table-1 row: full checks without the cache (Off) and with it (Cache).
+func BenchmarkCheckCache(b *testing.B) {
 	run := func(b *testing.B, prog *ir.Program, cache bool) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
@@ -180,14 +179,10 @@ func BenchmarkCheckElision(b *testing.B) {
 			}
 		}
 	}
-	elide := compile.DefaultOptions()
-	elide.Elide = true
 	for _, name := range []string{"pfscan", "aget", "pbzip2", "dillo", "fftw", "stunnel"} {
-		plain := buildBench(b, name, compile.DefaultOptions())
-		elided := buildBench(b, name, elide)
-		b.Run(name+"/Off", func(b *testing.B) { run(b, plain, false) })
-		b.Run(name+"/Static", func(b *testing.B) { run(b, elided, false) })
-		b.Run(name+"/StaticCache", func(b *testing.B) { run(b, elided, true) })
+		prog := buildBench(b, name, compile.DefaultOptions())
+		b.Run(name+"/Off", func(b *testing.B) { run(b, prog, false) })
+		b.Run(name+"/Cache", func(b *testing.B) { run(b, prog, true) })
 	}
 }
 

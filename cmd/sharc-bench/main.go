@@ -10,9 +10,6 @@
 //	sharc-bench -scale full -reps 5     the full-size workloads
 //	sharc-bench -run dillo              one row only
 //	sharc-bench -detectors              the detector comparison
-//	sharc-bench -elision                the check-elision ladder (off /
-//	                                    static / static+cache), also written
-//	                                    to BENCH_elision.json
 //	sharc-bench -explore                systematic schedule exploration on
 //	                                    the seeded-racy programs, compared
 //	                                    against free-running detection, also
@@ -25,8 +22,8 @@
 //	sharc-bench -obs                    telemetry overhead tiers (off /
 //	                                    metrics / metrics+trace), also
 //	                                    written to BENCH_obs.json
-//	sharc-bench -vet                    static check discharge (elide-only
-//	                                    vs elide + vet discharge), also
+//	sharc-bench -vet                    static check discharge (checked
+//	                                    vs checked + vet discharge), also
 //	                                    written to BENCH_vet.json
 //	sharc-bench -ablate                 absint tier ablation: avoided-check
 //	                                    fraction under lockset only, +MHP
@@ -59,8 +56,6 @@ func main() {
 	runOne := flag.String("run", "", "run a single benchmark by name")
 	detectors := flag.Bool("detectors", false, "compare against Eraser and happens-before detectors")
 	ladder := flag.Bool("ladder", false, "measure the incremental-annotation claim: unannotated vs annotated")
-	elision := flag.Bool("elision", false, "measure the check-elision ladder and write BENCH_elision.json")
-	elisionOut := flag.String("elision-out", "BENCH_elision.json", "output path for the elision JSON")
 	explore := flag.Bool("explore", false, "compare schedule exploration against free-running detection and write BENCH_explore.json")
 	exploreOut := flag.String("explore-out", "BENCH_explore.json", "output path for the exploration JSON")
 	pf := flag.Bool("portfolio", false, "measure portfolio-exploration scaling vs worker count and write BENCH_portfolio.json")
@@ -161,37 +156,6 @@ func main() {
 		return
 	}
 
-	if *elision {
-		var rows []bench.ElisionRow
-		for i := range bench.Benchmarks {
-			b := &bench.Benchmarks[i]
-			if *runOne != "" && b.Name != *runOne {
-				continue
-			}
-			r, err := bench.RunElision(b, scale, *reps)
-			if err != nil {
-				fatal(err)
-			}
-			rows = append(rows, r)
-		}
-		fmt.Println("Check-elision ladder (overhead vs orig; elided checks and cache hits):")
-		fmt.Print(bench.FormatElision(rows))
-		for _, r := range rows {
-			fmt.Printf("%s: elided %d/%d checks statically, %d/%d cache hits, %d page memo hits\n",
-				r.Name, r.ElidedDynamic+r.ElidedLocked, r.TotalDynamic+r.TotalLocked,
-				r.CacheHits, r.CacheLookups, r.PageMemoHits)
-		}
-		data, err := bench.ElisionJSON(rows)
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*elisionOut, data, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *elisionOut)
-		return
-	}
-
 	if *obs {
 		var rows []bench.ObsRow
 		for i := range bench.Benchmarks {
@@ -231,7 +195,7 @@ func main() {
 			}
 			rows = append(rows, r)
 		}
-		fmt.Println("Static check discharge (elide-only vs elide + vet discharge):")
+		fmt.Println("Static check discharge (checked vs checked + vet discharge):")
 		fmt.Print(bench.FormatVet(rows))
 		data, err := bench.VetJSON(rows)
 		if err != nil {

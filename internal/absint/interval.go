@@ -1144,7 +1144,7 @@ func (e *engine) step(pc int, st *aState, merge func(int, *aState)) {
 			merge(int(in.B), taken)
 		}
 		next()
-	case ir.FYield, ir.FBarrier, ir.FKill, ir.FNop, ir.FChkElided,
+	case ir.FYield, ir.FBarrier, ir.FNop, ir.FChkElided,
 		ir.FChkLock, ir.FChkRead, ir.FChkWrite, ir.FCString:
 		next()
 	case ir.FLoad, ir.FLoadAcc:

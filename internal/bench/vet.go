@@ -8,48 +8,45 @@ import (
 	"time"
 
 	"repro/internal/absint"
+	"repro/internal/compile"
 	"repro/internal/core"
+	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/parser"
 	"repro/internal/vet"
 )
 
 // VetRow measures static check discharge on one Table-1 benchmark: the
-// elide-only build against elide + vet discharge. Match is the soundness
-// cross-check — the discharged build reproduced the elide-only build's
-// exit value and reports.
+// default checked build against the build with vet discharge. Match is the
+// soundness cross-check — the discharged build reproduced the checked
+// build's exit value and reports.
 type VetRow struct {
 	Name string `json:"name"`
 
 	MustFindings int `json:"must_findings"`
 	MayFindings  int `json:"may_findings"`
 
-	// Check-site accounting from the discharged build. Discharged sites
-	// never reach the elision pass, so elided+discharged over
-	// total+discharged is the full statically-avoided fraction.
+	// Check-site accounting from the discharged build: the checks it
+	// still compiles and the ones it discharged.
 	TotalDynamic      int `json:"total_dynamic_checks"`
 	TotalLocked       int `json:"total_locked_checks"`
-	ElidedDynamic     int `json:"elided_dynamic_checks"`
-	ElidedLocked      int `json:"elided_locked_checks"`
 	DischargedDynamic int `json:"discharged_dynamic_checks"`
 	DischargedLocked  int `json:"discharged_locked_checks"`
 	// DischargedAbsint is the subset of discharged dynamic sites proven by
 	// the abstract-interpretation tier (disjoint from DischargedDynamic).
 	DischargedAbsint int `json:"discharged_absint_checks"`
 
-	// AvoidedFracElide is the elide-only build's statically-removed check
-	// fraction; AvoidedFracDischarge adds vet discharge on top.
-	AvoidedFracElide     float64 `json:"avoided_frac_elide"`
-	AvoidedFracDischarge float64 `json:"avoided_frac_elide_discharge"`
+	// AvoidedFracDischarge is the fraction of check sites discharged.
+	AvoidedFracDischarge float64 `json:"avoided_frac_discharge"`
 
-	TimeElideVM     time.Duration `json:"time_elide_vm_ns"`
+	TimeCheckedVM   time.Duration `json:"time_checked_vm_ns"`
 	TimeDischargeVM time.Duration `json:"time_discharge_vm_ns"`
 
-	// SpeedupVM is elide-only time over discharged time (>1 = discharge
-	// made the run faster).
+	// SpeedupVM is checked time over discharged time (>1 = discharge made
+	// the run faster).
 	SpeedupVM float64 `json:"speedup_vm"`
 
-	// Match: the discharged run produced exactly the elide-only run's exit
+	// Match: the discharged run produced exactly the checked run's exit
 	// value and reports.
 	Match bool  `json:"match"`
 	Exit  int64 `json:"exit"`
@@ -77,49 +74,45 @@ func RunVet(b *Benchmark, s Scale, reps int) (VetRow, error) {
 		}
 	}
 
-	progElide, err := a.Build(elideOptions())
+	progChecked, err := a.Build(compile.DefaultOptions())
 	if err != nil {
-		return row, fmt.Errorf("%s (elide build): %w", b.Name, err)
+		return row, fmt.Errorf("%s (checked build): %w", b.Name, err)
 	}
-	dopts := elideOptions()
+	dopts := compile.DefaultOptions()
 	dopts.Discharge = rep.Discharge()
 	progDisch, err := a.Build(dopts)
 	if err != nil {
 		return row, fmt.Errorf("%s (discharge build): %w", b.Name, err)
 	}
 
-	el := progElide.Elision
-	row.AvoidedFracElide = el.AvoidedFraction()
 	ds := progDisch.Elision
 	row.TotalDynamic = ds.TotalDynamic
 	row.TotalLocked = ds.TotalLocked
-	row.ElidedDynamic = ds.ElidedDynamic
-	row.ElidedLocked = ds.ElidedLocked
 	row.DischargedDynamic = ds.DischargedDynamic
 	row.DischargedLocked = ds.DischargedLocked
 	row.DischargedAbsint = ds.DischargedAbsint
 	row.AvoidedFracDischarge = ds.AvoidedFraction()
 
 	// Soundness cross-check before timing.
-	rtE, retE, _, err := runOnce(progElide, nil)
+	rtC, retC, _, err := runOnce(progChecked, nil)
 	if err != nil {
-		return row, fmt.Errorf("%s (elide): %w", b.Name, err)
+		return row, fmt.Errorf("%s (checked): %w", b.Name, err)
 	}
 	rtD, retD, _, err := runOnce(progDisch, nil)
 	if err != nil {
 		return row, fmt.Errorf("%s (discharge): %w", b.Name, err)
 	}
 	row.Exit = retD
-	row.Match = retE == retD && reportsEqual(rtE.Reports(), rtD.Reports())
+	row.Match = retC == retD && reportsEqual(rtC.Reports(), rtD.Reports())
 
 	// Timing: the cross-check runs above are the untimed warmup; interleave
 	// the configurations so host drift hits both columns equally, and take
 	// the median rep. The median is robust against the occasional
 	// descheduling spike that made early BENCH_vet.json speedups jitter
 	// across regenerations.
-	var ev, dv []time.Duration
+	var cv, dv []time.Duration
 	for rep := 0; rep < reps; rep++ {
-		dEV, err := timeOnce(progElide)
+		dCV, err := timeOnce(progChecked)
 		if err != nil {
 			return row, err
 		}
@@ -127,12 +120,12 @@ func RunVet(b *Benchmark, s Scale, reps int) (VetRow, error) {
 		if err != nil {
 			return row, err
 		}
-		ev, dv = append(ev, dEV), append(dv, dDV)
+		cv, dv = append(cv, dCV), append(dv, dDV)
 	}
-	row.TimeElideVM = medianDuration(ev)
+	row.TimeCheckedVM = medianDuration(cv)
 	row.TimeDischargeVM = medianDuration(dv)
 	if row.TimeDischargeVM > 0 {
-		row.SpeedupVM = float64(row.TimeElideVM) / float64(row.TimeDischargeVM)
+		row.SpeedupVM = float64(row.TimeCheckedVM) / float64(row.TimeDischargeVM)
 	}
 	return row, nil
 }
@@ -141,6 +134,30 @@ func RunVet(b *Benchmark, s Scale, reps int) (VetRow, error) {
 func timeOnce(prog *ir.Program) (time.Duration, error) {
 	_, _, d, err := runOnce(prog, nil)
 	return d, err
+}
+
+// reportsEqual compares two report sets as multisets of rendered reports:
+// thread interleaving may reorder collection, but the contents must match.
+func reportsEqual(a, b []interp.Report) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	as := make([]string, len(a))
+	bs := make([]string, len(b))
+	for i := range a {
+		as[i] = a[i].Msg
+	}
+	for i := range b {
+		bs[i] = b[i].Msg
+	}
+	sort.Strings(as)
+	sort.Strings(bs)
+	for i := range as {
+		if as[i] != bs[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // medianDuration returns the median of ds (the lower middle for even
@@ -157,13 +174,12 @@ func medianDuration(ds []time.Duration) time.Duration {
 // FormatVet renders the discharge comparison as an aligned table.
 func FormatVet(rows []VetRow) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-10s %5s %5s %10s %10s %8s %6s %5s\n",
-		"name", "must", "may", "avoid(el)", "avoid(+d)", "speedup", "match", "exit")
+	fmt.Fprintf(&sb, "%-10s %5s %5s %10s %8s %6s %5s\n",
+		"name", "must", "may", "avoided", "speedup", "match", "exit")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-10s %5d %5d %9.1f%% %9.1f%% %7.2fx %6v %5d\n",
+		fmt.Fprintf(&sb, "%-10s %5d %5d %9.1f%% %7.2fx %6v %5d\n",
 			r.Name, r.MustFindings, r.MayFindings,
-			100*r.AvoidedFracElide, 100*r.AvoidedFracDischarge,
-			r.SpeedupVM, r.Match, r.Exit)
+			100*r.AvoidedFracDischarge, r.SpeedupVM, r.Match, r.Exit)
 	}
 	return sb.String()
 }
@@ -207,7 +223,7 @@ func RunAblation(b *Benchmark, s Scale) (AblationRow, error) {
 	out := []*float64{&row.Lockset, &row.PlusMHP, &row.PlusIntervals, &row.PlusSummaries}
 	for i, opts := range ablationTiers {
 		rep := vet.AnalyzeWith(a.World, a.Inf, opts)
-		dopts := elideOptions()
+		dopts := compile.DefaultOptions()
 		dopts.Discharge = rep.Discharge()
 		prog, err := a.Build(dopts)
 		if err != nil {

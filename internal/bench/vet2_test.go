@@ -12,7 +12,7 @@ import (
 // TestVet2Smoke is the vet v2 acceptance gate over the six Table-1
 // benchmarks: with the absint tier on, the statically avoided check
 // fraction must exceed 90% on every row, the discharged build must
-// reproduce the elide-only build's exit value and reports byte-identically
+// reproduce the default checked build's exit value and reports byte-identically
 // (Match), and no finding may survive (absint resolves the
 // corpus's would-be may races). `make vet2-smoke` runs exactly this test.
 func TestVet2Smoke(t *testing.T) {
@@ -27,7 +27,7 @@ func TestVet2Smoke(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !row.Match {
-				t.Errorf("discharged build diverged from the elide-only build")
+				t.Errorf("discharged build diverged from the checked build")
 			}
 			if row.AvoidedFracDischarge <= 0.90 {
 				t.Errorf("avoided fraction %.3f, want > 0.90", row.AvoidedFracDischarge)

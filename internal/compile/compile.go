@@ -32,12 +32,6 @@ type Options struct {
 	// RC enables reference-counting write barriers (required for sound
 	// sharing casts).
 	RC bool
-	// Elide runs the static redundant-check-elision pass after lowering:
-	// a check is removed when the same l-value was already checked
-	// at-least-as-strongly earlier in the same region with no intervening
-	// invalidation point (see elide.go). Off by default; the elided-check
-	// counts land in ir.Program.Elision.
-	Elide bool
 	// RCSiteAnalysis restricts barriers to pointers whose referent shape
 	// may reach a sharing cast (§4.3's optimization); when false every
 	// pointer store is barriered.
@@ -46,8 +40,7 @@ type Options struct {
 	// whose dynamic or locked checks are statically proven unnecessary.
 	// The lowering mints CheckElided at these sites instead of a runtime
 	// check (and, for locked sites, skips compiling the lock expression
-	// entirely, like the elision pass does); the counts land in
-	// ir.Program.Elision.DischargedDynamic/DischargedLocked.
+	// entirely); the counts land in ir.Program.Elision.
 	Discharge *ir.DischargeSet
 }
 
@@ -59,7 +52,7 @@ func DefaultOptions() Options {
 // Compile lowers a resolved, inferred, checked world. The checker must have
 // passed: Compile assumes well-typed input and panics on impossibilities.
 func Compile(w *types.World, inf *qualinfer.Result, opts Options) (*ir.Program, error) {
-	return compileWith(w, inf, opts, pipeline(opts))
+	return compileWith(w, inf, opts, pipeline())
 }
 
 // compileWith lowers the world and runs the given flat pass sequence.

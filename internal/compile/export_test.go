@@ -10,22 +10,12 @@ import (
 // pipeline: the reference build a pass's oracle compares against.
 func CompileWithout(w *types.World, inf *qualinfer.Result, opts Options, pass string) (*ir.Program, error) {
 	var passes []Pass
-	for _, p := range pipeline(opts) {
+	for _, p := range pipeline() {
 		if p.Name != pass {
 			passes = append(passes, p)
 		}
 	}
 	return compileWith(w, inf, opts, passes)
-}
-
-// TreeCheckTotals counts the dynamic and locked checks left in p's tree
-// form, the way the elision pass counts its totals.
-func TreeCheckTotals(p *ir.Program) (dynamic, locked int) {
-	var st ir.ElisionStats
-	for _, fn := range p.Funcs {
-		countFuncChecks(fn, &st)
-	}
-	return st.TotalDynamic, st.TotalLocked
 }
 
 // DeadMoves returns the pcs of ff's FMove instructions whose destination

@@ -2,7 +2,7 @@ package compile
 
 // The fuse pass: collapses the linear access protocol into superinstructions.
 //
-// After elision has made its decisions, the three-instruction access window
+// The three-instruction access window
 //
 //	FYield (addr check + count + yield)  [FChk* (sharing-mode check)]  FLoad/FStore
 //
@@ -17,13 +17,12 @@ package compile
 // adjacent on the same address register, no FBarrier may sit in it (the
 // barrier sequence stays decomposed; it is rare), and no jump may target
 // its interior (a target at the FYield itself is fine — the fused
-// instruction keeps that pc). FKill markers, only meaningful to the
-// elision pass that has already run, are stripped here.
+// instruction keeps that pc).
 
 import "repro/internal/ir"
 
 // fuseAccesses rewrites every function's intact access windows into
-// superinstructions and strips FKill markers.
+// superinstructions.
 func fuseAccesses(p *ir.Program) {
 	for _, ff := range p.Flat.Funcs {
 		fuseFunc(ff)
@@ -49,11 +48,6 @@ func fuseFunc(ff *ir.FlatFunc) {
 	changed := false
 	for i := 0; i < n; i++ {
 		in := &ff.Code[i]
-		if in.Op == ir.FKill {
-			in.Op = ir.FNop
-			changed = true
-			continue
-		}
 		if in.Op != ir.FYield {
 			continue
 		}

@@ -16,11 +16,6 @@ package compile
 // they are consumed, so NumRegs is the expression-nesting high-water mark.
 // The moves and dead results this leaves behind are removed by the last
 // pass of the pipeline, regopt (regopt.go).
-//
-// Alongside the instructions the pass records elide events: the
-// control-flow bookkeeping (availability snapshots at joins, kills at
-// loop back-edges) that lets the flat elision pass replay the tree pass's
-// decisions from a single linear scan. See elide.go's runFlat.
 
 import (
 	"fmt"
@@ -121,10 +116,6 @@ func (l *linz) patch(idx, t int32) {
 	}
 }
 
-func (l *linz) event(op ir.EventOp) {
-	l.ff.Events = append(l.ff.Events, ir.ElideEvent{PC: l.here(), Op: op})
-}
-
 func (l *linz) pos(p token.Pos) int64 {
 	if idx, ok := l.posIdx[p]; ok {
 		return idx
@@ -138,7 +129,7 @@ func (l *linz) pos(p token.Pos) int64 {
 // chk records a check side-table entry and emits its FChk* instruction;
 // checks of kind CheckNone emit nothing (the access still carries its site
 // on the FLoad/FStore for the observer).
-func (l *linz) chk(orig *ir.Check, addr ir.Expr, write bool, addrReg int32) {
+func (l *linz) chk(orig *ir.Check, write bool, addrReg int32) {
 	if orig.Kind == ir.CheckNone {
 		return
 	}
@@ -155,14 +146,8 @@ func (l *linz) chk(orig *ir.Check, addr ir.Expr, write bool, addrReg int32) {
 		op = ir.FChkElided
 	}
 	idx := int32(len(l.ff.Checks))
-	l.ff.Checks = append(l.ff.Checks, ir.FlatCheck{Orig: orig, Addr: addr, Write: write})
+	l.ff.Checks = append(l.ff.Checks, ir.FlatCheck{Orig: orig, Write: write})
 	l.emit(ir.Instr{Op: op, A: addrReg, B: idx})
-}
-
-// kill records a write-invalidation entry for the elision pass.
-func (l *linz) kill(addr ir.Expr) int64 {
-	l.ff.Kills = append(l.ff.Kills, ir.KillInfo{Addr: addr})
-	return int64(len(l.ff.Kills) - 1)
 }
 
 // promoted reports the dedicated register of a promoted direct-access
@@ -181,20 +166,20 @@ func (l *linz) promoted(addr ir.Expr) (int32, bool) {
 // storeSeq emits the store half of the access protocol for the address in
 // addrReg and the value in valReg: yield, write check, optional RC
 // barrier, raw store.
-func (l *linz) storeSeq(addrReg, valReg int32, chk *ir.Check, addr ir.Expr, barrier bool, p token.Pos) {
+func (l *linz) storeSeq(addrReg, valReg int32, chk *ir.Check, barrier bool, p token.Pos) {
 	l.emit(ir.Instr{Op: ir.FYield, A: addrReg, Imm: l.pos(p)})
-	l.chk(chk, addr, true, addrReg)
+	l.chk(chk, true, addrReg)
 	if barrier {
 		l.emit(ir.Instr{Op: ir.FBarrier, A: addrReg, B: valReg})
 	}
-	l.emit(ir.Instr{Op: ir.FStore, A: addrReg, B: valReg, C: int32(chk.Site), Imm: l.kill(addr)})
+	l.emit(ir.Instr{Op: ir.FStore, A: addrReg, B: valReg, C: int32(chk.Site)})
 }
 
 // loadSeq emits the load half: yield, read check, observed raw load into
 // dst.
-func (l *linz) loadSeq(dst, addrReg int32, chk *ir.Check, addr ir.Expr, p token.Pos) {
+func (l *linz) loadSeq(dst, addrReg int32, chk *ir.Check, p token.Pos) {
 	l.emit(ir.Instr{Op: ir.FYield, A: addrReg, Imm: l.pos(p)})
-	l.chk(chk, addr, false, addrReg)
+	l.chk(chk, false, addrReg)
 	l.emit(ir.Instr{Op: ir.FLoad, A: dst, B: addrReg, C: int32(chk.Site)})
 }
 
@@ -228,7 +213,7 @@ func (l *linz) expr(x ir.Expr) int32 {
 			return r
 		}
 		ra := l.expr(v.Addr)
-		l.loadSeq(ra, ra, &v.Chk, v.Addr, token.Pos{})
+		l.loadSeq(ra, ra, &v.Chk, token.Pos{})
 		return ra
 	case *ir.Bin:
 		rl := l.expr(v.L)
@@ -257,7 +242,6 @@ func (l *linz) expr(x ir.Expr) int32 {
 		} else {
 			jshort = l.emit(ir.Instr{Op: ir.FJmpZ, A: rl})
 		}
-		l.event(ir.EvSnap)
 		rr := l.expr(v.R)
 		l.emit(ir.Instr{Op: ir.FSetNZ, A: rl, B: rr})
 		l.free(1)
@@ -272,34 +256,29 @@ func (l *linz) expr(x ir.Expr) int32 {
 			// result value.
 			l.patch(jshort, l.here())
 		}
-		l.event(ir.EvIntersect)
 		return rl
 	case *ir.CondE:
 		rc := l.expr(v.C)
 		jelse := l.emit(ir.Instr{Op: ir.FJmpZ, A: rc})
-		l.event(ir.EvSnap)
 		rt := l.expr(v.T)
 		l.emit(ir.Instr{Op: ir.FMove, A: rc, B: rt})
 		l.free(1)
 		jend := l.emit(ir.Instr{Op: ir.FJmp})
 		l.patch(jelse, l.here())
-		l.event(ir.EvSwapSnap)
 		rf := l.expr(v.F)
 		l.emit(ir.Instr{Op: ir.FMove, A: rc, B: rf})
 		l.free(1)
 		l.patch(jend, l.here())
-		l.event(ir.EvIntersect)
 		return rc
 	case *ir.Store:
 		if pr, ok := l.promoted(v.Addr); ok {
 			rv := l.expr(v.Val)
-			l.emit(ir.Instr{Op: ir.FKill, Imm: l.kill(v.Addr)})
 			l.emit(ir.Instr{Op: ir.FMove, A: pr, B: rv})
 			return rv
 		}
 		ra := l.expr(v.Addr)
 		rv := l.expr(v.Val)
-		l.storeSeq(ra, rv, &v.Chk, v.Addr, v.Barrier, token.Pos{})
+		l.storeSeq(ra, rv, &v.Chk, v.Barrier, token.Pos{})
 		l.emit(ir.Instr{Op: ir.FMove, A: ra, B: rv})
 		l.free(1)
 		return ra
@@ -310,7 +289,6 @@ func (l *linz) expr(x ir.Expr) int32 {
 			nv := l.alloc()
 			l.emit(ir.Instr{Op: ir.FConst, A: nv, Imm: v.Delta})
 			l.emit(ir.Instr{Op: ir.FAdd, A: nv, B: old, C: nv})
-			l.emit(ir.Instr{Op: ir.FKill, Imm: l.kill(v.Addr)})
 			l.emit(ir.Instr{Op: ir.FMove, A: pr, B: nv})
 			if !v.Post {
 				l.emit(ir.Instr{Op: ir.FMove, A: old, B: nv})
@@ -320,11 +298,11 @@ func (l *linz) expr(x ir.Expr) int32 {
 		}
 		ra := l.expr(v.Addr)
 		old := l.alloc()
-		l.loadSeq(old, ra, &v.ChkR, v.Addr, token.Pos{})
+		l.loadSeq(old, ra, &v.ChkR, token.Pos{})
 		nv := l.alloc()
 		l.emit(ir.Instr{Op: ir.FConst, A: nv, Imm: v.Delta})
 		l.emit(ir.Instr{Op: ir.FAdd, A: nv, B: old, C: nv})
-		l.storeSeq(ra, nv, &v.ChkW, v.Addr, v.Barrier, token.Pos{})
+		l.storeSeq(ra, nv, &v.ChkW, v.Barrier, token.Pos{})
 		if v.Post {
 			l.emit(ir.Instr{Op: ir.FMove, A: ra, B: old})
 		} else {
@@ -340,16 +318,15 @@ func (l *linz) expr(x ir.Expr) int32 {
 			rr := l.expr(v.RHS)
 			l.emit(ir.Instr{Op: flatBinOp(v.Op), A: old, B: old, C: rr, Imm: l.pos(v.Pos)})
 			l.free(1)
-			l.emit(ir.Instr{Op: ir.FKill, Imm: l.kill(v.Addr)})
 			l.emit(ir.Instr{Op: ir.FMove, A: pr, B: old})
 			return old
 		}
 		ra := l.expr(v.Addr)
 		old := l.alloc()
-		l.loadSeq(old, ra, &v.ChkR, v.Addr, v.Pos)
+		l.loadSeq(old, ra, &v.ChkR, v.Pos)
 		rr := l.expr(v.RHS)
 		l.emit(ir.Instr{Op: flatBinOp(v.Op), A: old, B: old, C: rr, Imm: l.pos(v.Pos)})
-		l.storeSeq(ra, old, &v.ChkW, v.Addr, v.Barrier, v.Pos)
+		l.storeSeq(ra, old, &v.ChkW, v.Barrier, v.Pos)
 		l.emit(ir.Instr{Op: ir.FMove, A: ra, B: old})
 		l.free(2)
 		return ra
@@ -435,19 +412,15 @@ func (l *linz) stmt(s ir.Stmt) {
 		rc := l.expr(v.C)
 		jelse := l.emit(ir.Instr{Op: ir.FJmpZ, A: rc})
 		l.free(1)
-		l.event(ir.EvSnap)
 		l.stmts(v.Then)
 		if len(v.Else) > 0 {
 			jend := l.emit(ir.Instr{Op: ir.FJmp})
 			l.patch(jelse, l.here())
-			l.event(ir.EvSwapSnap)
 			l.stmts(v.Else)
 			l.patch(jend, l.here())
 		} else {
 			l.patch(jelse, l.here())
-			l.event(ir.EvSwapSnap)
 		}
-		l.event(ir.EvIntersect)
 	case *ir.SLoop:
 		l.lowerLoop(v)
 	case *ir.SReturn:
@@ -483,18 +456,13 @@ func (l *linz) stmt(s ir.Stmt) {
 }
 
 func (l *linz) lowerLoop(v *ir.SLoop) {
-	brk, cont := loopEscapes(v.Body)
 	sc := &linScope{isLoop: true}
 	top := l.here()
-	l.event(ir.EvKillAll) // the back edge may carry any subset
 	if v.PostFirst {
 		// do-while: body, continue point, post, condition, back edge.
 		l.scopes = append(l.scopes, sc)
 		l.stmts(v.Body)
 		l.scopes = l.scopes[:len(l.scopes)-1]
-		if cont {
-			l.event(ir.EvKillAll)
-		}
 		lcont := l.here()
 		if v.Post != nil {
 			l.expr(v.Post)
@@ -514,27 +482,18 @@ func (l *linz) lowerLoop(v *ir.SLoop) {
 		for _, j := range sc.breaks {
 			l.patch(j, lend)
 		}
-		if v.Cond == nil || brk {
-			l.event(ir.EvKillAll)
-		}
 		return
 	}
-	// while: condition, body, continue point, post, back edge. Availability
-	// at the normal exit is the condition's own (EvSnap/EvRestore pair).
+	// while: condition, body, continue point, post, back edge.
 	var jexit int32 = -1
-	hasCond := v.Cond != nil
-	if hasCond {
+	if v.Cond != nil {
 		rc := l.expr(v.Cond)
 		jexit = l.emit(ir.Instr{Op: ir.FJmpZ, A: rc})
 		l.free(1)
-		l.event(ir.EvSnap)
 	}
 	l.scopes = append(l.scopes, sc)
 	l.stmts(v.Body)
 	l.scopes = l.scopes[:len(l.scopes)-1]
-	if cont {
-		l.event(ir.EvKillAll)
-	}
 	lcont := l.here()
 	if v.Post != nil {
 		l.expr(v.Post)
@@ -550,12 +509,6 @@ func (l *linz) lowerLoop(v *ir.SLoop) {
 	}
 	for _, j := range sc.breaks {
 		l.patch(j, lend)
-	}
-	if hasCond {
-		l.event(ir.EvRestore)
-	}
-	if !hasCond || brk {
-		l.event(ir.EvKillAll)
 	}
 }
 
@@ -582,7 +535,6 @@ func (l *linz) lowerSwitch(v *ir.SSwitch) {
 	starts := make([]int32, len(v.Arms))
 	for i, arm := range v.Arms {
 		starts[i] = l.here()
-		l.event(ir.EvStartEmpty) // fallthrough/dispatch joins
 		l.stmts(arm)
 	}
 	l.scopes = l.scopes[:len(l.scopes)-1]
@@ -600,7 +552,6 @@ func (l *linz) lowerSwitch(v *ir.SSwitch) {
 	for _, j := range sc.breaks {
 		l.patch(j, lend)
 	}
-	l.event(ir.EvKillAll)
 }
 
 // ---------------------------------------------------------------------------
@@ -614,26 +565,17 @@ type Pass struct {
 	Run  func(p *ir.Program)
 }
 
-// pipeline is the standard lowering sequence for opts: linearize, the
-// RC-site barrier strip, (when enabled) check elision over the linear
-// form, access-window fusion into superinstructions, and finally the
-// register cleanup (copy propagation, dead-code deletion, move folding;
-// see regopt.go).
-func pipeline(opts Options) []Pass {
-	ps := []Pass{
+// pipeline is the standard lowering sequence: linearize, the RC-site
+// barrier strip, access-window fusion into superinstructions, and finally
+// the register cleanup (copy propagation, dead-code deletion, move
+// folding; see regopt.go).
+func pipeline() []Pass {
+	return []Pass{
 		{Name: "linearize", Run: Linearize},
 		{Name: "rcsite", Run: stripBarriers},
+		{Name: "fuse", Run: fuseAccesses},
+		{Name: "regopt", Run: regopt},
 	}
-	if opts.Elide && opts.Checks {
-		ps = append(ps, Pass{Name: "elide", Run: func(p *ir.Program) {
-			elideChecksWith(p, fullKills)
-		}})
-	}
-	ps = append(ps,
-		Pass{Name: "fuse", Run: fuseAccesses},
-		Pass{Name: "regopt", Run: regopt},
-	)
-	return ps
 }
 
 func runPasses(p *ir.Program, passes []Pass) error {
@@ -669,12 +611,12 @@ func stripBarriers(p *ir.Program) {
 	}
 }
 
-// compactFlat deletes FNop instructions in place, remapping jump targets
-// and elide event anchors. Passes delete instructions by overwriting them
+// compactFlat deletes FNop instructions in place, remapping jump targets.
+// Passes delete instructions by overwriting them
 // with FNop and then compacting.
 func compactFlat(ff *ir.FlatFunc) {
 	n := len(ff.Code)
-	newPC := make([]int32, n+1)
+	newPC := make([]int32, n)
 	var kept int32
 	for i := 0; i < n; i++ {
 		newPC[i] = kept
@@ -682,7 +624,6 @@ func compactFlat(ff *ir.FlatFunc) {
 			kept++
 		}
 	}
-	newPC[n] = kept
 	out := ff.Code[:0] // the write index never passes the read index
 	for _, in := range ff.Code {
 		if in.Op == ir.FNop {
@@ -697,7 +638,4 @@ func compactFlat(ff *ir.FlatFunc) {
 		out = append(out, in)
 	}
 	ff.Code = out
-	for i := range ff.Events {
-		ff.Events[i].PC = newPC[ff.Events[i].PC]
-	}
 }

@@ -26,6 +26,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/sched"
 	"repro/internal/semantics"
+	"repro/internal/vet"
 )
 
 type oracleProgram struct {
@@ -98,17 +99,15 @@ func flatSize(p *ir.Program) int {
 }
 
 func TestRegoptOracle(t *testing.T) {
-	type optCase struct {
-		name string
-		opts compile.Options
-	}
-	var optCases []optCase
-	for _, base := range []optCase{{"default", compile.DefaultOptions()}, {"orig", compile.Options{}}} {
-		for _, elide := range []bool{false, true} {
-			o := base.opts
-			o.Elide = elide
-			optCases = append(optCases, optCase{fmt.Sprintf("%s/elide=%v", base.name, elide), o})
-		}
+	optCases := []struct {
+		name      string
+		opts      compile.Options
+		discharge bool
+		cache     bool
+	}{
+		{"default", compile.DefaultOptions(), false, false},
+		{"discharge+cache", compile.DefaultOptions(), true, true},
+		{"orig", compile.Options{}, false, false},
 	}
 	ran, before, after := 0, 0, 0
 	for _, op := range oraclePrograms(t) {
@@ -124,11 +123,15 @@ func TestRegoptOracle(t *testing.T) {
 		}
 		ran++
 		for _, oc := range optCases {
-			with, err := compile.Compile(a.World, a.Inf, oc.opts)
+			opts := oc.opts
+			if oc.discharge {
+				opts.Discharge = vet.Analyze(a.World, a.Inf).Discharge()
+			}
+			with, err := compile.Compile(a.World, a.Inf, opts)
 			if err != nil {
 				t.Fatalf("%s %s: %v", op.name, oc.name, err)
 			}
-			without, err := compile.CompileWithout(a.World, a.Inf, oc.opts, "regopt")
+			without, err := compile.CompileWithout(a.World, a.Inf, opts, "regopt")
 			if err != nil {
 				t.Fatalf("%s %s without regopt: %v", op.name, oc.name, err)
 			}
@@ -138,8 +141,8 @@ func TestRegoptOracle(t *testing.T) {
 				if seed == 0 && !op.free {
 					continue
 				}
-				want := oracleRun(t, without, oc.opts.Elide, seed)
-				got := oracleRun(t, with, oc.opts.Elide, seed)
+				want := oracleRun(t, without, oc.cache, seed)
+				got := oracleRun(t, with, oc.cache, seed)
 				if got != want {
 					t.Fatalf("%s %s seed=%d: regopt changed the run\n--- without regopt\n%s--- with regopt\n%s",
 						op.name, oc.name, seed, want, got)

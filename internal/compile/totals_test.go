@@ -12,10 +12,12 @@ import (
 	"repro/internal/vet"
 )
 
-// TestCheckTotalsMatchTreeWalk pins the lowering's check totals to a count
-// of the checks left in the compiled tree: every corpus program and every
-// Table-1 model at both scales, with and without static discharge.
-func TestCheckTotalsMatchTreeWalk(t *testing.T) {
+// TestCheckTotalsAccountForEverySite pins the lowering's check-site
+// accounting on every corpus program and every Table-1 model at both
+// scales: each report site the lowering mints is counted once, as a
+// compiled check or as a discharged one, and discharge turns compiled
+// checks into discharged ones one for one.
+func TestCheckTotalsAccountForEverySite(t *testing.T) {
 	type prog struct{ name, src string }
 	var progs []prog
 	files, err := filepath.Glob(filepath.Join("..", "interp", "testdata", "*.shc"))
@@ -38,22 +40,27 @@ func TestCheckTotalsMatchTreeWalk(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", pr.name, err)
 		}
-		for _, discharge := range []bool{false, true} {
-			opts := compile.DefaultOptions()
-			if discharge {
-				opts.Discharge = vet.Analyze(a.World, a.Inf).Discharge()
-			}
-			p, err := a.Build(opts)
-			if err != nil {
-				t.Fatalf("%s discharge=%v: %v", pr.name, discharge, err)
-			}
-			dyn, locked := compile.TreeCheckTotals(p)
-			if p.Elision.TotalDynamic != dyn || p.Elision.TotalLocked != locked {
-				t.Errorf("%s discharge=%v: lowering counted %d dynamic + %d locked, tree holds %d + %d",
-					pr.name, discharge, p.Elision.TotalDynamic, p.Elision.TotalLocked, dyn, locked)
-			}
-			builds++
+		plain, err := a.Build(compile.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", pr.name, err)
 		}
+		opts := compile.DefaultOptions()
+		opts.Discharge = vet.Analyze(a.World, a.Inf).Discharge()
+		disch, err := a.Build(opts)
+		if err != nil {
+			t.Fatalf("%s discharge: %v", pr.name, err)
+		}
+		p, d := plain.Elision, disch.Elision
+		if got := p.TotalDynamic + p.TotalLocked + p.Discharged(); got != len(plain.Sites) {
+			t.Errorf("%s: counted %d checks for %d sites", pr.name, got, len(plain.Sites))
+		}
+		if got := d.TotalDynamic + d.TotalLocked + d.Discharged(); got != len(disch.Sites) {
+			t.Errorf("%s discharge: counted %d checks for %d sites", pr.name, got, len(disch.Sites))
+		}
+		if p.Discharged() != 0 || p.TotalDynamic+p.TotalLocked != d.TotalDynamic+d.TotalLocked+d.Discharged() {
+			t.Errorf("%s: checked build %+v, discharged build %+v", pr.name, p, d)
+		}
+		builds += 2
 	}
 	if builds != 46 {
 		t.Fatalf("compared %d builds, want 46", builds)

@@ -10,17 +10,17 @@ import (
 	"repro/internal/shadow"
 )
 
-// elisionConfigs is the check-elision matrix: every corpus program must
-// behave identically under every combination of the static pass and the
+// elisionConfigs is the check-removal matrix: every corpus program must
+// behave identically under every combination of static discharge and the
 // runtime cache.
 var elisionConfigs = []struct {
-	name  string
-	elide bool
-	cache bool
+	name      string
+	discharge bool
+	cache     bool
 }{
-	{"static", true, false},
+	{"discharge", true, false},
 	{"cache", false, true},
-	{"static+cache", true, true},
+	{"discharge+cache", true, true},
 }
 
 func sortedReports(rt *interp.Runtime) []string {
@@ -32,8 +32,8 @@ func sortedReports(rt *interp.Runtime) []string {
 	return msgs
 }
 
-// TestCorpusElisionSound runs every testdata program with elision off and
-// under each elision configuration, demanding identical exit values and
+// TestCorpusElisionSound runs every testdata program with full checks and
+// under each check-removal configuration, demanding identical exit values and
 // byte-identical conflict reports. The corpus is annotation-clean, so the
 // strong form of the property is that every configuration reports nothing.
 func TestCorpusElisionSound(t *testing.T) {
@@ -44,26 +44,31 @@ func TestCorpusElisionSound(t *testing.T) {
 
 			rtOff, exitOff, err := core.BuildAndRun(src, compile.DefaultOptions(), interp.DefaultConfig())
 			if err != nil {
-				t.Fatalf("elision off: %v", err)
+				t.Fatalf("full checks: %v", err)
 			}
 			baseReports := sortedReports(rtOff)
+			compiled := buildCorpus(t, tc.file, compile.DefaultOptions())
+			discharged := buildDischarged(t, tc.file)
 
 			for _, ec := range elisionConfigs {
-				opts := compile.DefaultOptions()
-				opts.Elide = ec.elide
+				prog := compiled
+				if ec.discharge {
+					prog = discharged
+				}
 				cfg := interp.DefaultConfig()
 				cfg.CheckCache = ec.cache
 
-				rt, exit, err := core.BuildAndRun(src, opts, cfg)
+				rt := interp.New(prog, cfg)
+				exit, err := rt.Run()
 				if err != nil {
 					t.Fatalf("%s: %v", ec.name, err)
 				}
 				if exit != exitOff {
-					t.Errorf("%s: exit = %d, elision off = %d", ec.name, exit, exitOff)
+					t.Errorf("%s: exit = %d, full checks = %d", ec.name, exit, exitOff)
 				}
 				got := sortedReports(rt)
 				if len(got) != len(baseReports) {
-					t.Errorf("%s: %d reports, elision off had %d:\n got  %q\n want %q",
+					t.Errorf("%s: %d reports, full checks had %d:\n got  %q\n want %q",
 						ec.name, len(got), len(baseReports), got, baseReports)
 					continue
 				}
@@ -78,7 +83,7 @@ func TestCorpusElisionSound(t *testing.T) {
 	}
 }
 
-// TestCorpusElisionStateEncoding repeats the matrix under the state-machine
+// TestCorpusElisionStateEncoding runs the cache under the state-machine
 // shadow encoding: the cache fast path must compose with either encoding.
 func TestCorpusElisionStateEncoding(t *testing.T) {
 	for _, tc := range corpusCases {
@@ -86,15 +91,13 @@ func TestCorpusElisionStateEncoding(t *testing.T) {
 		t.Run(tc.file, func(t *testing.T) {
 			src := readCorpus(t, tc.file)
 
-			opts := compile.DefaultOptions()
-			opts.Elide = true
 			cfg := interp.DefaultConfig()
 			cfg.ShadowEncoding = shadow.EncodingState
 			cfg.CheckCache = true
 
-			rt, exit, err := core.BuildAndRun(src, opts, cfg)
+			rt, exit, err := core.BuildAndRun(src, compile.DefaultOptions(), cfg)
 			if err != nil {
-				t.Fatalf("state+elide+cache: %v", err)
+				t.Fatalf("state+cache: %v", err)
 			}
 			if tc.exit >= 0 && exit != tc.exit {
 				t.Errorf("exit = %d, want %d", exit, tc.exit)

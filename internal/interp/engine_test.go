@@ -2,7 +2,8 @@ package interp_test
 
 // Golden-output oracle for the execution engine. Every corpus program, and
 // every checker-passing program from the seed-2008 fuzz generator, runs
-// under fixed cooperative schedules in every elision configuration. The
+// under fixed cooperative schedules with and without the runtime check
+// cache. The
 // observables of each run -- exit value, error text, reports, statistics,
 // and the sha256 of the recorded schedule trace -- must match the files in
 // testdata/golden byte for byte. The files were recorded while a
@@ -107,28 +108,16 @@ func checkEngineGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestEngineDifferentialCorpus runs every corpus program under fixed seeds
-// and every elision configuration and compares the observables with the
+// TestEngineDifferentialCorpus runs every corpus program under fixed seeds,
+// with and without the check cache, and compares the observables with the
 // program's golden file.
 func TestEngineDifferentialCorpus(t *testing.T) {
-	configs := []struct {
-		name  string
-		elide bool
-		cache bool
-	}{
-		{"plain", false, false},
-		{"cache", false, true},
-		{"elide", true, false},
-		{"elide+cache", true, true},
-	}
 	for _, file := range allCorpusFiles {
 		file := file
 		t.Run(file, func(t *testing.T) {
 			var sb strings.Builder
-			for _, cc := range configs {
-				copts := compile.DefaultOptions()
-				copts.Elide = cc.elide
-				prog := buildCorpus(t, file, copts)
+			prog := buildCorpus(t, file, compile.DefaultOptions())
+			for _, cc := range cacheConfigs {
 				for _, seed := range []int64{1, 12} {
 					sb.WriteString(engineRun(t, fmt.Sprintf("%s seed=%d", cc.name, seed), prog, cc.cache, seed))
 				}
@@ -143,7 +132,7 @@ func TestEngineDifferentialCorpus(t *testing.T) {
 
 // TestEngineDifferentialFuzz is the fuzz oracle: random well-typed
 // core-language programs are rendered to ShC, and every one that passes the
-// static checker runs under fixed seeds with and without elision, its
+// static checker runs under fixed seeds with and without the check cache, its
 // observables compared with testdata/golden/fuzz.golden. Programs the
 // static checker rejects (the renderer maps the core language onto a
 // stricter surface syntax) are skipped; the test demands a minimum yield so
@@ -161,21 +150,16 @@ func TestEngineDifferentialFuzz(t *testing.T) {
 		}
 		ran++
 		fmt.Fprintf(&sb, "### program %d source sha256:%x\n", i, sha256.Sum256([]byte(src)))
+		prog, err := a.Build(compile.DefaultOptions())
+		if err != nil {
+			t.Fatalf("program %d: build: %v", i, err)
+		}
+		// The plain sections keep the label they were recorded under,
+		// "elide=false", so the recorded file never changes.
 		for _, cc := range []struct {
 			name  string
-			elide bool
 			cache bool
-		}{
-			{"elide=false", false, false},
-			{"cache", false, true},
-			{"elide=true", true, true},
-		} {
-			copts := compile.DefaultOptions()
-			copts.Elide = cc.elide
-			prog, err := a.Build(copts)
-			if err != nil {
-				t.Fatalf("program %d: build: %v", i, err)
-			}
+		}{{"elide=false", false}, {"cache", true}} {
 			for _, seed := range []int64{1, 7} {
 				sb.WriteString(engineRun(t, fmt.Sprintf("program %d %s seed=%d", i, cc.name, seed), prog, cc.cache, seed))
 			}
@@ -190,20 +174,19 @@ func TestEngineDifferentialFuzz(t *testing.T) {
 // ---------------------------------------------------------------------------
 // cross-engine replay matrix
 
-// TestSchedCrossEngineReplay extends the elision soundness oracle across
-// engines. testdata/golden/<file>.replay.golden holds schedules, exit values
-// and reports recorded on the tree walker before it was retired: the VM must
-// record the byte-identical trace under the same seed, and that trace must
-// replay without divergence under every elision configuration (off, static,
-// static+cache) with identical exit values and reports.
+// TestSchedCrossEngineReplay extends the check-removal soundness oracle
+// across engines. testdata/golden/<file>.replay.golden holds schedules, exit
+// values and reports recorded on the tree walker before it was retired: the
+// VM must record the byte-identical trace under the same seed, and that
+// trace must replay without divergence on the checked build and on the
+// discharged build with and without the check cache (off, discharge,
+// discharge+cache), with identical exit values and reports.
 func TestSchedCrossEngineReplay(t *testing.T) {
 	for _, file := range []string{"bank.shc", "barrier.shc", "racy_handoff.shc", "racy_reader.shc"} {
 		file := file
 		t.Run(file, func(t *testing.T) {
 			plain := buildCorpus(t, file, compile.DefaultOptions())
-			elideOpts := compile.DefaultOptions()
-			elideOpts.Elide = true
-			elided := buildCorpus(t, file, elideOpts)
+			discharged := buildDischarged(t, file)
 
 			cells := []struct {
 				name  string
@@ -211,8 +194,8 @@ func TestSchedCrossEngineReplay(t *testing.T) {
 				cache bool
 			}{
 				{"off", plain, false},
-				{"static", elided, false},
-				{"static+cache", elided, true},
+				{"discharge", discharged, false},
+				{"discharge+cache", discharged, true},
 			}
 
 			var sb strings.Builder

@@ -537,7 +537,7 @@ func Explore(prog *ir.Program, cfg Config, opt ExploreOptions) *ExploreSummary {
 				globals = append(globals, r.global)
 			}
 		}
-		sum.Telemetry = master.Snapshot(telemetry.MergeGlobalStats(globals...), elisionInfo(prog))
+		sum.Telemetry = master.Snapshot(telemetry.MergeGlobalStats(globals...))
 	}
 	if e.tracing {
 		parts := make([]*telemetry.Tracer, 0, len(workerIns))

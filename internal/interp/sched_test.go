@@ -11,6 +11,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/parser"
 	"repro/internal/sched"
+	"repro/internal/vet"
 )
 
 // buildCorpus compiles a testdata program with the given options.
@@ -20,6 +21,23 @@ func buildCorpus(t *testing.T, file string, copts compile.Options) *ir.Program {
 	if err != nil {
 		t.Fatal(err)
 	}
+	prog, err := a.Build(copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// buildDischarged compiles a testdata program with the checks the vet
+// analysis proves safe discharged.
+func buildDischarged(t *testing.T, file string) *ir.Program {
+	t.Helper()
+	a, err := core.Analyze(parser.Source{Name: file, Text: readCorpus(t, file)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	copts := compile.DefaultOptions()
+	copts.Discharge = vet.Analyze(a.World, a.Inf).Discharge()
 	prog, err := a.Build(copts)
 	if err != nil {
 		t.Fatal(err)
@@ -81,26 +99,20 @@ func TestSchedCorpusClean(t *testing.T) {
 	}
 }
 
+// cacheConfigs runs a build with the runtime check cache off and on.
+var cacheConfigs = []struct {
+	name  string
+	cache bool
+}{{"plain", false}, {"cache", true}}
+
 // TestSchedDeterminism: the same (program, seed) produces byte-identical
-// traces, reports, and exit values across 20 repeated runs, under every
-// elision config (none, static elision, check cache, both).
+// traces, reports, and exit values across 20 repeated runs, with and
+// without the check cache.
 func TestSchedDeterminism(t *testing.T) {
-	configs := []struct {
-		name  string
-		elide bool
-		cache bool
-	}{
-		{"plain", false, false},
-		{"elide", true, false},
-		{"cache", false, true},
-		{"elide+cache", true, true},
-	}
 	for _, file := range []string{"bank.shc", "barrier.shc", "racy_handoff.shc"} {
-		for _, cc := range configs {
+		prog := buildCorpus(t, file, compile.DefaultOptions())
+		for _, cc := range cacheConfigs {
 			t.Run(file+"/"+cc.name, func(t *testing.T) {
-				copts := compile.DefaultOptions()
-				copts.Elide = cc.elide
-				prog := buildCorpus(t, file, copts)
 				cfg := interp.DefaultConfig()
 				cfg.CheckCache = cc.cache
 				var first schedRunResult
@@ -144,38 +156,39 @@ func TestSchedRecordReplay(t *testing.T) {
 	}
 }
 
-// TestSchedCrossElisionReplay is the elision soundness oracle: a schedule
-// recorded on the unelided build replays without divergence on the elided
-// build (scheduling points anchor to memory accesses, which elision never
-// removes), and the elided build must produce the same reports and exit
-// value under that fixed schedule.
+// TestSchedCrossElisionReplay is the check-removal soundness oracle: a
+// schedule recorded on the checked build replays without divergence on the
+// discharged build, with and without the check cache (scheduling points
+// anchor to memory accesses, which neither removes), and the discharged
+// build must produce the same reports and exit value under that fixed
+// schedule.
 func TestSchedCrossElisionReplay(t *testing.T) {
-	for _, file := range []string{"bank.shc", "barrier.shc", "racy_handoff.shc", "racy_reader.shc"} {
+	for _, file := range allCorpusFiles {
 		t.Run(file, func(t *testing.T) {
 			plain := buildCorpus(t, file, compile.DefaultOptions())
-			elideOpts := compile.DefaultOptions()
-			elideOpts.Elide = true
-			elided := buildCorpus(t, file, elideOpts)
+			discharged := buildDischarged(t, file)
 
-			for _, seed := range []int64{3, 17} {
+			for _, seed := range []int64{1, 3, 7, 12, 17} {
 				rec := schedRun(t, plain, interp.DefaultConfig(), sched.NewRandom(seed))
 				tr, err := sched.UnmarshalTrace([]byte(rec.trace))
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep := sched.NewReplay(tr)
-				cfg := interp.DefaultConfig()
-				cfg.CheckCache = true // exercise the runtime half of elision too
-				got := schedRun(t, elided, cfg, rep)
-				if rep.Diverged() {
-					t.Fatalf("seed %d: trace did not align across elision configs", seed)
-				}
-				if got.exit != rec.exit {
-					t.Fatalf("seed %d: exit %d under elision, %d unelided", seed, got.exit, rec.exit)
-				}
-				if got.reports != rec.reports {
-					t.Fatalf("seed %d: elision changed reports under a fixed schedule:\nunelided:\n%s---\nelided:\n%s",
-						seed, rec.reports, got.reports)
+				for _, cache := range []bool{false, true} {
+					rep := sched.NewReplay(tr)
+					cfg := interp.DefaultConfig()
+					cfg.CheckCache = cache
+					got := schedRun(t, discharged, cfg, rep)
+					if rep.Diverged() {
+						t.Fatalf("seed %d cache=%v: trace did not align on the discharged build", seed, cache)
+					}
+					if got.exit != rec.exit {
+						t.Fatalf("seed %d cache=%v: exit %d discharged, %d checked", seed, cache, got.exit, rec.exit)
+					}
+					if got.reports != rec.reports {
+						t.Fatalf("seed %d cache=%v: discharge changed reports under a fixed schedule:\nchecked:\n%s---\ndischarged:\n%s",
+							seed, cache, rec.reports, got.reports)
+					}
 				}
 			}
 		})

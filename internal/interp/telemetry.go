@@ -20,16 +20,6 @@ func siteInfos(prog *ir.Program) []telemetry.SiteInfo {
 	return info
 }
 
-// elisionInfo copies the static pass's counts into telemetry's form.
-func elisionInfo(prog *ir.Program) telemetry.Elision {
-	return telemetry.Elision{
-		TotalDynamic:  prog.Elision.TotalDynamic,
-		TotalLocked:   prog.Elision.TotalLocked,
-		ElidedDynamic: prog.Elision.ElidedDynamic,
-		ElidedLocked:  prog.Elision.ElidedLocked,
-	}
-}
-
 // cacheSink receives check-cache outcomes from the shadow and attributes
 // them to program sites (the shadow interns sites separately, so ids are
 // translated through shadowRev). Installed only when the collector or
@@ -141,5 +131,5 @@ func (rt *Runtime) TelemetrySnapshot() *telemetry.Snapshot {
 	if rt.tel == nil {
 		return nil
 	}
-	return rt.tel.Snapshot(rt.globalStats(), elisionInfo(rt.prog))
+	return rt.tel.Snapshot(rt.globalStats())
 }

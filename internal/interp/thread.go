@@ -29,9 +29,9 @@ type thread struct {
 	retVal int64
 
 	// noYield suppresses scheduling points during the nested evaluation of
-	// a locked check's lock expression: elision removes that evaluation, so
-	// yielding inside it would misalign decision sequences across elision
-	// configs and break cross-config replay.
+	// a locked check's lock expression: discharge removes that evaluation,
+	// so yielding inside it would misalign decision sequences across
+	// discharge configs and break cross-config replay.
 	noYield int
 
 	nAccess  int64
@@ -169,7 +169,7 @@ func (t *thread) applyCheck(addr int64, chk ir.Check, write bool) {
 					t.tid, site.LValue, site.Pos.File, site.Pos.Line))
 		}
 	case ir.CheckElided:
-		// The static pass removed the runtime work but left the site, so
+		// Static discharge removed the runtime work but left the site, so
 		// the avoided check is still attributable in the profile.
 		t.nElided++
 		if t.rt.tel != nil {
@@ -213,10 +213,11 @@ func (t *thread) observe(addr int64, write bool, site int) {
 // of memory accesses to dynamic objects" is over globals and heap.
 //
 // Shared (non-stack) accesses are also the anchor for cooperative
-// scheduling points: check elision blanks a Load/Store's check but never
-// removes the access itself, so the decision sequence stays aligned across
-// elision configs — which is what lets a trace recorded unelided replay
-// exactly under -elide (the soundness oracle).
+// scheduling points: discharge and the check cache skip a Load/Store's
+// check but never the access itself, so the decision sequence stays
+// aligned across configs — which is what lets a trace recorded on the
+// checked build replay exactly under -discharge/-cache (the soundness
+// oracle).
 func (t *thread) countAccess(addr int64) {
 	if addr < t.rt.stackBase || addr >= t.rt.heapBase {
 		t.nAccess++
@@ -322,7 +323,7 @@ func (t *thread) scastAt(addr int64, e *ir.Scast) int64 {
 		t.store(addr, 0, e.ChkW, e.Barrier, e.Pos)
 		return 0 // casting NULL is trivially safe
 	}
-	// Attribute the oneref check to the cast's read site (elision keeps
+	// Attribute the oneref check to the cast's read site (discharge keeps
 	// the site index alive even when the access check itself is blanked).
 	scSite := -1
 	if e.ChkR.Kind != ir.CheckNone {

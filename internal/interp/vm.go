@@ -56,7 +56,7 @@ dispatch:
 		in := &code[pc]
 		pc++
 		switch in.Op {
-		case ir.FNop, ir.FKill:
+		case ir.FNop:
 
 		case ir.FConst:
 			regs[in.A] = in.Imm

@@ -1,8 +1,8 @@
 // Flat (linear) form of the IR: a dense, array-encoded instruction stream
 // over frame-relative virtual registers. internal/compile lowers every
 // function's statement tree into this form (the linearize pass), the pass
-// pipeline rewrites it (barrier stripping, check elision as instruction
-// rewriting, access fusion, register cleanup), and the register VM in
+// pipeline rewrites it (barrier stripping, access fusion, register
+// cleanup), and the register VM in
 // internal/interp dispatches over it. OpRegs describes each opcode's
 // register operands once, for the verifier and for passes that track
 // registers.
@@ -13,12 +13,11 @@
 // FYield (bounds check + access count + scheduler yield point), FChk*
 // (the sharing-mode check), FBarrier (the reference-counting write
 // barrier), and FLoad/FStore (the observed raw memory operation) — so
-// passes can move or delete checks without consulting the tree.
+// passes can move or fuse them without consulting the tree.
 //
-// Side tables (Checks, Calls, Builtins, Scasts, Kills) keep the parts of
-// an instruction that do not fit three int32 operands; FlatCheck.Orig
-// points at the tree's own Check node, so a pass that rewrites a check
-// decision updates the tree and flat forms at once.
+// Side tables (Checks, Calls, Builtins, Scasts) keep the parts of an
+// instruction that do not fit three int32 operands; FlatCheck.Orig points
+// at the tree's own Check node.
 package ir
 
 import (
@@ -79,10 +78,9 @@ const (
 	// deterministic scheduler its yield point; Imm indexes PosTab for the
 	// failure report. The FChk* group applies check B (index into Checks)
 	// to the address in A; FChkElided keeps the site attribution of a
-	// check deleted by the elision pass. FLoad/FStore perform the observed
-	// raw memory operation; C is the access's report-site index and
-	// FStore.Imm indexes Kills (-1 none) for the elision pass's
-	// write-invalidation. FBarrier is the explicit reference-counting
+	// check static discharge proved unnecessary. FLoad/FStore perform the
+	// observed raw memory operation; C is the access's report-site index.
+	// FBarrier is the explicit reference-counting
 	// write barrier (old value at [A] is decremented, new value B
 	// incremented); the RC-site pass deletes it when the program tracks no
 	// casts.
@@ -90,9 +88,9 @@ const (
 	FChkRead   // dynamic read check
 	FChkWrite  // dynamic write check
 	FChkLock   // locked-mode check
-	FChkElided // statically elided check (telemetry attribution only)
+	FChkElided // statically discharged check (telemetry attribution only)
 	FLoad      // A <- mem[B], site C
-	FStore     // mem[A] <- B, site C, kill Imm
+	FStore     // mem[A] <- B, site C
 	FBarrier   // RC barrier for mem[A] <- B
 
 	// Compound operations that keep their tree node in a side table: the
@@ -111,14 +109,6 @@ const (
 	// instead: the value of the most recently completed call in this
 	// activation, 0 if none.
 	FRet
-
-	// FKill is a metadata-only write-invalidation marker: register
-	// promotion replaces a frame store with a register move, but the
-	// elision pass must still see the write (a store to promoted slot s
-	// invalidates availability keys whose address computation reads s).
-	// Imm indexes Kills; the VM treats it as a no-op and the fuse pass
-	// strips it.
-	FKill
 
 	// Fused access superinstructions (the fuse pass): the linear access
 	// protocol FYield + [FChk*] + FLoad/FStore collapsed into one dispatch
@@ -146,7 +136,7 @@ var opNames = [...]string{
 	FChkLock: "chklock", FChkElided: "chkelided",
 	FLoad: "load", FStore: "store", FBarrier: "rcbarrier",
 	FScast: "scast", FCall: "call", FBuiltin: "builtin", FCString: "cstring",
-	FRet: "ret", FKill: "kill",
+	FRet:     "ret",
 	FLoadAcc: "loadacc", FLoadChk: "loadchk",
 	FStoreAcc: "storeacc", FStoreChk: "storechk",
 }
@@ -263,20 +253,12 @@ type Instr struct {
 
 // FlatCheck is the side-table entry behind an FChk* instruction.
 type FlatCheck struct {
-	// Orig points at the check node shared with the tree form, so a pass
-	// that rewrites the decision (elision) updates the tree and flat forms
-	// at once.
+	// Orig points at the check node shared with the tree form.
 	Orig *Check
-	// Addr is the access's address expression in tree form; the elision
-	// pass derives its canonical availability keys from it.
-	Addr Expr
-	// Write distinguishes read from write checks for elision strength.
+	// Write marks the check of a store. FChkLock does not say which
+	// access it guards, so the VM and absint read it here.
 	Write bool
 }
-
-// KillInfo is the side-table entry behind FStore.Imm: the address
-// expression whose write invalidates elision availability.
-type KillInfo struct{ Addr Expr }
 
 // CallInfo is the side-table entry behind FCall.
 type CallInfo struct {
@@ -292,39 +274,15 @@ type BuiltinInfo struct {
 	Args []int32 // registers holding argument values, in order
 }
 
-// EventOp is an elision-driver event attached between instructions. The
-// flat elision pass replays the tree pass's control-flow bookkeeping
-// (availability snapshots at joins, kills at loop back-edges) from this
-// stream while scanning instructions linearly.
-type EventOp uint8
-
-const (
-	EvKillAll    EventOp = iota // drop all availability
-	EvSnap                      // push a snapshot of availability
-	EvSwapSnap                  // swap availability with the top snapshot
-	EvIntersect                 // availability <- intersect(pop, availability)
-	EvRestore                   // availability <- pop (loop condition state)
-	EvStartEmpty                // availability <- fresh empty (switch arm)
-)
-
-// ElideEvent anchors an EventOp immediately before the instruction at PC
-// (PC == len(Code) anchors after the last instruction).
-type ElideEvent struct {
-	PC int32
-	Op EventOp
-}
-
 // FlatFunc is one function in flat form.
 type FlatFunc struct {
 	Code    []Instr
 	NumRegs int // virtual registers used by Code
 
 	Checks   []FlatCheck
-	Kills    []KillInfo
 	Calls    []CallInfo
 	Builtins []BuiltinInfo
 	Scasts   []*Scast
-	Events   []ElideEvent
 
 	// PosTab interns source positions referenced by Instr.Imm on FYield
 	// and arithmetic opcodes. Index 0 is always the zero position.
@@ -420,7 +378,7 @@ func (ff *FlatFunc) verify(p *Program, fn *Func) error {
 		switch in.Op {
 		case FNop, FConst, FMove, FNeg, FNot, FBitNot, FSetNZ,
 			FAdd, FSub, FMul, FAnd, FOr, FXor, FShl, FShr,
-			FEq, FNe, FLt, FLe, FGt, FGe, FLoad, FBarrier, FRet:
+			FEq, FNe, FLt, FLe, FGt, FGe, FLoad, FStore, FBarrier, FRet:
 		case FStr:
 			if in.B < 0 || int(in.B) >= len(p.Strings) {
 				err = fmt.Errorf("pc %d: string index %d out of range", pc, in.B)
@@ -443,10 +401,6 @@ func (ff *FlatFunc) verify(p *Program, fn *Func) error {
 			err = pos(pc, in.Imm)
 		case FChkRead, FChkWrite, FChkLock, FChkElided:
 			err = check(pc, in.B)
-		case FStore:
-			if in.Imm >= 0 && int(in.Imm) >= len(ff.Kills) {
-				err = fmt.Errorf("pc %d: kill index %d out of range", pc, in.Imm)
-			}
 		case FScast:
 			if in.C < 0 || int(in.C) >= len(ff.Scasts) {
 				err = fmt.Errorf("pc %d: scast index %d out of range", pc, in.C)
@@ -469,10 +423,6 @@ func (ff *FlatFunc) verify(p *Program, fn *Func) error {
 			} else if bi := &ff.Builtins[in.B]; bi.E == nil ||
 				in.C < 0 || int(in.C) >= len(bi.E.ArgChecks) {
 				err = fmt.Errorf("pc %d: cstring arg index %d out of range", pc, in.C)
-			}
-		case FKill:
-			if in.Imm < 0 || int(in.Imm) >= len(ff.Kills) {
-				err = fmt.Errorf("pc %d: kill index %d out of range", pc, in.Imm)
 			}
 		case FLoadAcc, FStoreAcc:
 			// Site 0 is the CheckNone default and is legal even in a
@@ -533,14 +483,6 @@ func (ff *FlatFunc) verify(p *Program, fn *Func) error {
 			}
 		}
 	}
-	for _, ev := range ff.Events {
-		if ev.PC < 0 || ev.PC > n {
-			return fmt.Errorf("elide event pc %d out of range [0,%d]", ev.PC, n)
-		}
-		if ev.Op > EvStartEmpty {
-			return fmt.Errorf("unknown elide event op %d", int(ev.Op))
-		}
-	}
 	return nil
 }
 
@@ -593,13 +535,12 @@ func badLockNode(e Expr) Expr {
 
 // The binary form serializes the executable skeleton of a flat program:
 // code, register counts, position tables, and the check/call/builtin/scast
-// side tables reduced to their engine-visible fields. Lock expressions,
-// elision keys (Addr/Kills), and elide events are compile-time-only and
-// are not encoded; a decoded program runs checks whose locked entries are
+// side tables reduced to their engine-visible fields. Lock expressions are
+// compile-time-only and are not encoded; a decoded program runs checks whose locked entries are
 // inert, so the encoding serves caching, inspection, and golden tests
 // rather than re-running the pass pipeline.
 
-const flatMagic = "shcF1\n"
+const flatMagic = "shcF2\n"
 
 type flatEncoder struct{ buf []byte }
 
@@ -770,8 +711,8 @@ func (d *flatDecoder) check() Check {
 }
 
 // DecodeFlat parses the binary form produced by EncodeFlat. The result
-// carries standalone Check nodes (no tree sharing) and no elision side
-// state; locked checks decode without their lock expressions.
+// carries standalone Check nodes (no tree sharing); locked checks decode
+// without their lock expressions.
 func DecodeFlat(data []byte) (*FlatProgram, error) {
 	if len(data) < len(flatMagic) || string(data[:len(flatMagic)]) != flatMagic {
 		return nil, fmt.Errorf("flat decode: bad magic")

@@ -22,7 +22,7 @@ const (
 	CheckNone    CheckKind = iota
 	CheckDynamic           // reader/writer-set check in shadow memory
 	CheckLocked            // required lock must be in the thread's lock log
-	CheckElided            // check removed by the static elision pass; the
+	CheckElided            // check static discharge proved unnecessary; the
 	// site index survives so telemetry can attribute the avoided work
 )
 
@@ -288,18 +288,14 @@ type GlobalInit struct {
 	Val  Expr // Const or StrAddr
 }
 
-// ElisionStats summarizes static check elimination: how many dynamic and
-// locked check sites the program carried before the intra-procedural
-// elision pass, how many that pass proved redundant and removed, and how
-// many the whole-program vet analysis discharged outright at lowering time
-// (those never become dynamic or locked checks at all, so they are counted
-// separately and are not part of TotalDynamic/TotalLocked). Zero-valued
-// when neither mechanism ran.
+// ElisionStats summarizes static check removal: how many dynamic and
+// locked check sites the lowering compiled, and how many the whole-program
+// vet analysis discharged outright at lowering time (those never become
+// dynamic or locked checks at all, so they are counted separately and are
+// not part of TotalDynamic/TotalLocked).
 type ElisionStats struct {
-	TotalDynamic  int // dynamic check sites before elision
-	TotalLocked   int // locked check sites before elision
-	ElidedDynamic int // dynamic checks removed as dominated
-	ElidedLocked  int // locked checks removed as dominated
+	TotalDynamic int // dynamic check sites compiled
+	TotalLocked  int // locked check sites compiled
 
 	// DischargedDynamic/DischargedLocked count check sites proven safe by
 	// the whole-program points-to + lockset analysis (internal/vet) and
@@ -314,25 +310,22 @@ type ElisionStats struct {
 	DischargedAbsint int
 }
 
-// Elided returns the total number of checks the elision pass removed.
-func (s ElisionStats) Elided() int { return s.ElidedDynamic + s.ElidedLocked }
-
 // Discharged returns the total number of checks vet discharged statically,
 // across all provenance tiers (lockset/points-to and absint).
 func (s ElisionStats) Discharged() int {
 	return s.DischargedDynamic + s.DischargedLocked + s.DischargedAbsint
 }
 
-// AvoidedFraction is the fraction of would-be checks removed statically by
-// either mechanism: (elided + discharged) / (total + discharged). The
-// denominator adds the discharged sites back because discharged checks are
-// excluded from TotalDynamic/TotalLocked.
+// AvoidedFraction is the fraction of would-be checks discharged
+// statically: discharged / (total + discharged). The denominator adds the
+// discharged sites back because discharged checks are excluded from
+// TotalDynamic/TotalLocked.
 func (s ElisionStats) AvoidedFraction() float64 {
 	den := s.TotalDynamic + s.TotalLocked + s.Discharged()
 	if den == 0 {
 		return 0
 	}
-	return float64(s.Elided()+s.Discharged()) / float64(den)
+	return float64(s.Discharged()) / float64(den)
 }
 
 // DischargeSet is the output of the whole-program vet analysis consumed by
@@ -384,7 +377,7 @@ type Program struct {
 	// barriers are needed at all.
 	RCTracked bool
 
-	// Elision is filled by the static check-elision pass when it runs.
+	// Elision holds the lowering's check-site counts.
 	Elision ElisionStats
 
 	// Flat is the linear instruction form of Funcs, attached by the

@@ -66,7 +66,7 @@ func flatFixture() (*Program, *FlatProgram) {
 			{Op: FYield, A: 0, Imm: 0},
 			{Op: FChkRead, A: 0, B: 0},
 			{Op: FLoad, A: 1, B: 0, C: 0},
-			{Op: FStore, A: 0, B: 1, C: 0, Imm: -1},
+			{Op: FStore, A: 0, B: 1, C: 0},
 			{Op: FBarrier, A: 0, B: 1},
 			{Op: FScast, A: 1, B: 0, C: 0},
 			{Op: FCall, A: 1, B: 0},
@@ -178,9 +178,6 @@ func TestFlatVerifyRejects(t *testing.T) {
 		{"check site out of range", func(p *Program, fp *FlatProgram) {
 			fp.Funcs[0].Checks[0].Orig = &Check{Kind: CheckDynamic, Site: 5}
 		}, "check site"},
-		{"store kill out of range", func(p *Program, fp *FlatProgram) {
-			fp.Funcs[0].Code[12].Imm = 0 // Kills table is empty
-		}, "kill index"},
 		{"scast index out of range", func(p *Program, fp *FlatProgram) {
 			fp.Funcs[0].Code[14].C = 1
 		}, "scast index"},
@@ -207,9 +204,6 @@ func TestFlatVerifyRejects(t *testing.T) {
 		{"cstring arg index out of range", func(p *Program, fp *FlatProgram) {
 			fp.Funcs[0].Code[16].C = 1
 		}, "cstring arg index"},
-		{"kill marker out of range", func(p *Program, fp *FlatProgram) {
-			fp.Funcs[1].Code[0] = Instr{Op: FKill, Imm: 0} // Kills table is empty
-		}, "kill index"},
 		{"fused load check out of range", func(p *Program, fp *FlatProgram) {
 			fp.Funcs[1].Code[1] = Instr{Op: FLoadChk, A: 1, B: 0, C: 3}
 		}, "check index"},
@@ -222,12 +216,6 @@ func TestFlatVerifyRejects(t *testing.T) {
 		{"fused store check nil Orig", func(p *Program, fp *FlatProgram) {
 			fp.Funcs[1].Checks[0].Orig = nil
 		}, "nil Orig"},
-		{"event pc out of range", func(p *Program, fp *FlatProgram) {
-			fp.Funcs[0].Events = []ElideEvent{{PC: int32(len(fp.Funcs[0].Code)) + 1}}
-		}, "elide event pc"},
-		{"unknown event op", func(p *Program, fp *FlatProgram) {
-			fp.Funcs[0].Events = []ElideEvent{{PC: 0, Op: EvStartEmpty + 1}}
-		}, "unknown elide event"},
 		{"lock expression is a call", func(p *Program, fp *FlatProgram) {
 			fp.Funcs[0].Checks[0].Orig = &Check{Kind: CheckLocked, Site: 0, Lock: &Call{Target: 1}}
 		}, "lock expression node *ir.Call"},
@@ -257,8 +245,8 @@ func TestFlatVerifyRejects(t *testing.T) {
 }
 
 // TestFlatEncodeDecodeRoundTrip: the binary form reproduces the executable
-// skeleton exactly. The fixture carries only encoded state (no elision
-// keys, kills, or events), so structural equality is exact.
+// skeleton exactly. The fixture carries only encoded state (no lock
+// expressions), so structural equality is exact.
 func TestFlatEncodeDecodeRoundTrip(t *testing.T) {
 	_, fp := flatFixture()
 	data := EncodeFlat(fp)

@@ -28,11 +28,10 @@ import (
 )
 
 // progKey names the compiled artifact: the same source compiled with
-// different options (elision, vet discharge) is a different program with
-// different check sites, so options are part of the identity.
+// and without vet discharge is a different program with different check
+// sites, so the option is part of the identity.
 type progKey struct {
 	Name      string
-	Elide     bool
 	Discharge bool
 }
 
@@ -40,7 +39,7 @@ type progKey struct {
 // future change to key composition cannot alias old handles.
 func keyOf(k progKey, src string) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "sharc-serve-v1\x00name=%s\x00elide=%t\x00discharge=%t\x00", k.Name, k.Elide, k.Discharge)
+	fmt.Fprintf(h, "sharc-serve-v2\x00name=%s\x00discharge=%t\x00", k.Name, k.Discharge)
 	h.Write([]byte(src))
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -264,7 +263,6 @@ func compileProgram(k progKey, src string) (*ir.Program, error) {
 		return nil, err
 	}
 	opts := compile.DefaultOptions()
-	opts.Elide = k.Elide
 	if k.Discharge {
 		opts.Discharge = vet.Analyze(a.World, a.Inf).Discharge()
 	}

@@ -88,9 +88,8 @@ type runRequest struct {
 	// defaults to 1; a negative seed requests free-running (real Go
 	// scheduling, replies not deterministic).
 	Seed *int64 `json:"seed,omitempty"`
-	// Elide and Discharge select compile options and are part of the
+	// Discharge selects vet discharge at compile time and is part of the
 	// program identity (ignored when Handle names the program).
-	Elide     bool `json:"elide,omitempty"`
 	Discharge bool `json:"discharge,omitempty"`
 	// Metrics enables the per-site collector for this run; its results
 	// feed the server-side aggregate, not the reply.
@@ -446,7 +445,7 @@ func (s *Server) resolve(req *runRequest) (*entry, bool, int, string) {
 		if name == "" {
 			name = "prog.shc"
 		}
-		k := progKey{Name: name, Elide: req.Elide, Discharge: req.Discharge}
+		k := progKey{Name: name, Discharge: req.Discharge}
 		e, hit, err := s.cache.getOrCompile(k, req.Source)
 		if err != nil {
 			return nil, false, http.StatusBadRequest, err.Error()
@@ -657,7 +656,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		name = "prog.shc"
 	}
 	sp := or.StartSpan("resolve")
-	k := progKey{Name: name, Elide: req.Elide, Discharge: req.Discharge}
+	k := progKey{Name: name, Discharge: req.Discharge}
 	e, hit, err := s.cache.getOrCompile(k, req.Source)
 	sp.End()
 	if err != nil {

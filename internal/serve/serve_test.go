@@ -210,11 +210,10 @@ func TestOptionsArePartOfTheKey(t *testing.T) {
 		return c.Handle
 	}
 	plain := get(map[string]any{"source": banker})
-	elided := get(map[string]any{"source": banker, "elide": true})
 	discharged := get(map[string]any{"source": banker, "discharge": true})
 	renamed := get(map[string]any{"source": banker, "name": "other.shc"})
-	handles := map[string]bool{plain: true, elided: true, discharged: true, renamed: true}
-	if len(handles) != 4 {
+	handles := map[string]bool{plain: true, discharged: true, renamed: true}
+	if len(handles) != 3 {
 		t.Fatalf("option variants collided: %v", handles)
 	}
 	if again := get(map[string]any{"source": banker}); again != plain {
@@ -233,6 +232,7 @@ func TestBadRequests(t *testing.T) {
 		{"both source and handle", map[string]any{"source": "int main(void){return 0;}", "handle": "x"}, 400},
 		{"unknown handle", map[string]any{"handle": strings.Repeat("ab", 32)}, 404},
 		{"removed engine field", map[string]any{"source": "int main(void){return 0;}", "engine": "vm"}, 400},
+		{"removed elide field", map[string]any{"source": "int main(void){return 0;}", "elide": true}, 400},
 		{"compile error", map[string]any{"source": "int main(void{"}, 400},
 		{"check error", map[string]any{"source": "int racy *p; int main(void){ p = malloc(4); int private *q = p; return 0; }"}, 400},
 	}

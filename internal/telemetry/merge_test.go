@@ -37,7 +37,7 @@ func TestCollectorMerge(t *testing.T) {
 	b.DynamicCheck(2, 0, false, false, true) // reader tid 2, conflicting
 	b.DynamicCheck(3, 1, true, true, false)  // site 1 under lock
 	a.Merge(b)
-	snap := a.Snapshot(GlobalStats{}, Elision{})
+	snap := a.Snapshot(GlobalStats{})
 	s0 := snap.Sites[0]
 	if s0.Reads != 1 || s0.Writes != 1 || s0.Conflicts != 1 {
 		t.Errorf("site 0 = reads %d writes %d conflicts %d, want 1/1/1", s0.Reads, s0.Writes, s0.Conflicts)
@@ -131,9 +131,9 @@ func TestCollectorMergeEmptySides(t *testing.T) {
 	a, empty := NewCollector(info), NewCollector(info)
 	a.DynamicCheck(1, 0, true, false, false)
 	a.DynamicCheck(2, 1, false, true, false)
-	before := a.Snapshot(GlobalStats{}, Elision{})
+	before := a.Snapshot(GlobalStats{})
 	a.Merge(empty)
-	after := a.Snapshot(GlobalStats{}, Elision{})
+	after := a.Snapshot(GlobalStats{})
 	for i := range before.Sites {
 		if before.Sites[i] != after.Sites[i] {
 			t.Errorf("site %d changed by empty merge: %+v -> %+v", i, before.Sites[i], after.Sites[i])
@@ -143,7 +143,7 @@ func TestCollectorMergeEmptySides(t *testing.T) {
 	// Empty <- non-empty: a copy.
 	fresh := NewCollector(info)
 	fresh.Merge(a)
-	got := fresh.Snapshot(GlobalStats{}, Elision{})
+	got := fresh.Snapshot(GlobalStats{})
 	for i := range after.Sites {
 		if got.Sites[i] != after.Sites[i] {
 			t.Errorf("site %d after merge into fresh: %+v, want %+v", i, got.Sites[i], after.Sites[i])
@@ -155,7 +155,7 @@ func TestCollectorMergeEmptySides(t *testing.T) {
 	var nilC *Collector
 	nilC.Merge(a)
 	a.Merge(nil)
-	final := a.Snapshot(GlobalStats{}, Elision{})
+	final := a.Snapshot(GlobalStats{})
 	for i := range after.Sites {
 		if final.Sites[i] != after.Sites[i] {
 			t.Errorf("site %d changed by nil merge: %+v", i, final.Sites[i])

@@ -20,9 +20,9 @@ import (
 //     dynamic mode cannot express (the Eraser-style lockset reading);
 //   - any other violation: the site needs investigation before
 //     re-annotating;
-//   - every check statically elided: nothing to change — the elision pass
-//     proved the site dominated by an equivalent check (read/write mix is
-//     unknown for such sites, so no mode promotion is inferred);
+//   - every check statically elided: nothing to change — static discharge
+//     proved the check unnecessary (read/write mix is unknown for such
+//     sites, so no mode promotion is inferred);
 //   - one thread ever touched it: private (no checks needed at all);
 //   - several threads but never a write: readonly;
 //   - already locked mode, clean: keep locked;
@@ -105,10 +105,6 @@ func FormatProfileVet(snap *Snapshot, top int, verdicts map[string]string) strin
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "profile: %d accesses, %d dynamic checks, %d locked checks, %d threads peak\n",
 		g.TotalAccesses, g.DynamicChecks, g.LockChecks, g.MaxThreads)
-	if el := snap.Elision; el.ElidedDynamic+el.ElidedLocked > 0 {
-		fmt.Fprintf(&sb, "static elision: %d/%d dynamic and %d/%d locked check sites removed\n",
-			el.ElidedDynamic, el.TotalDynamic, el.ElidedLocked, el.TotalLocked)
-	}
 	fmt.Fprintf(&sb, "hot sites: top %d of %d (ranked by checks executed + elided)\n", shown, n)
 	if verdicts == nil {
 		fmt.Fprintf(&sb, "%4s %9s %8s %8s %8s %8s %7s %6s %4s  %-12s %s\n",

@@ -172,8 +172,8 @@ func (c *Collector) LockedCheck(tid, site int, violated bool) {
 	}
 }
 
-// ElidedCheck records the execution of an access whose check the static
-// elision pass removed (the site survives as ir.CheckElided).
+// ElidedCheck records the execution of an access whose check static
+// discharge removed (the site survives as ir.CheckElided).
 func (c *Collector) ElidedCheck(tid, site int) {
 	if s := c.site(site); s != nil {
 		s.elided.Add(1)
@@ -232,15 +232,6 @@ type GlobalStats struct {
 	PageMemoHits   int64 `json:"page_memo_hits"`
 	ShadowPages    int   `json:"shadow_pages"`
 	HeapPages      int   `json:"heap_pages"`
-}
-
-// Elision mirrors the static pass's counts (ir.ElisionStats) without
-// importing the IR package.
-type Elision struct {
-	TotalDynamic  int `json:"total_dynamic"`
-	TotalLocked   int `json:"total_locked"`
-	ElidedDynamic int `json:"elided_dynamic"`
-	ElidedLocked  int `json:"elided_locked"`
 }
 
 // SiteStats is one site's metrics in a snapshot.
@@ -303,10 +294,9 @@ type ModeStats struct {
 // Snapshot is the quiesced view of a run's telemetry: global counters,
 // active sites ranked hottest-first, and per-mode rollups.
 type Snapshot struct {
-	Global  GlobalStats `json:"global"`
-	Sites   []SiteStats `json:"sites"`
-	Modes   []ModeStats `json:"modes"`
-	Elision Elision     `json:"elision"`
+	Global GlobalStats `json:"global"`
+	Sites  []SiteStats `json:"sites"`
+	Modes  []ModeStats `json:"modes"`
 }
 
 func popcount(m uint64) int {
@@ -319,11 +309,11 @@ func popcount(m uint64) int {
 
 // Snapshot freezes the collector into plain data. Call it only after the
 // program has quiesced. Returns nil on a nil collector.
-func (c *Collector) Snapshot(g GlobalStats, el Elision) *Snapshot {
+func (c *Collector) Snapshot(g GlobalStats) *Snapshot {
 	if c == nil {
 		return nil
 	}
-	snap := &Snapshot{Global: g, Elision: el}
+	snap := &Snapshot{Global: g}
 	var dyn, lck, one ModeStats
 	dyn.Mode, lck.Mode, one.Mode = "dynamic", "locked", "oneref"
 	for i := range c.sites {

@@ -46,7 +46,7 @@ func TestNilSafety(t *testing.T) {
 	c.ElidedCheck(1, 0)
 	c.CacheLookup(1, 0, true)
 	c.Scast(1, 0, true)
-	if c.Snapshot(GlobalStats{}, Elision{}) != nil {
+	if c.Snapshot(GlobalStats{}) != nil {
 		t.Fatal("nil collector snapshot must be nil")
 	}
 
@@ -79,7 +79,7 @@ func TestCollectorOutOfRange(t *testing.T) {
 	c.DynamicCheck(0, 2, false, false, false)
 	c.LockedCheck(0, 99, false)
 	c.Scast(0, -1, true)
-	if snap := c.Snapshot(GlobalStats{}, Elision{}); len(snap.Sites) != 0 {
+	if snap := c.Snapshot(GlobalStats{}); len(snap.Sites) != 0 {
 		t.Fatalf("out-of-range updates produced %d sites", len(snap.Sites))
 	}
 }
@@ -101,7 +101,7 @@ func TestSnapshotRollups(t *testing.T) {
 	c.CacheLookup(1, 2, true)
 	// Site 3: untouched — must not appear.
 
-	snap := c.Snapshot(GlobalStats{DynamicChecks: 3}, Elision{TotalDynamic: 4, ElidedDynamic: 1})
+	snap := c.Snapshot(GlobalStats{DynamicChecks: 3})
 	if len(snap.Sites) != 3 {
 		t.Fatalf("got %d sites, want 3", len(snap.Sites))
 	}
@@ -127,9 +127,6 @@ func TestSnapshotRollups(t *testing.T) {
 	}
 	if m := modes["locked"]; m.Sites != 1 || m.Checks != 2 || m.Violations != 1 {
 		t.Fatalf("locked rollup: %+v", m)
-	}
-	if snap.Elision.ElidedDynamic != 1 {
-		t.Fatal("elision stats not carried into snapshot")
 	}
 	if !strings.Contains(FormatProfile(snap, 10), "a @ ") {
 		t.Fatal("profile table missing hottest site")
@@ -255,7 +252,7 @@ func TestCollectorConcurrent(t *testing.T) {
 		}(tid)
 	}
 	wg.Wait()
-	snap := c.Snapshot(GlobalStats{}, Elision{})
+	snap := c.Snapshot(GlobalStats{})
 	var total int64
 	for _, s := range snap.Sites {
 		total += s.Reads + s.Writes

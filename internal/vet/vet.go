@@ -16,8 +16,7 @@
 //
 // `safe` verdicts are not just reported: they become an ir.DischargeSet
 // that internal/compile consumes to mint CheckElided instead of a runtime
-// check, extending the intra-procedural elision pass into whole-program
-// check elimination. Soundness bar: a `must` finding must correspond to a
+// check: whole-program check elimination. Soundness bar: a `must` finding must correspond to a
 // real racy schedule (the corpus cross-check pins vet musts against
 // explore's dynamic conflicts), and a discharged check must never change
 // observable behavior (pinned by replay oracles). The analysis is

@@ -60,9 +60,6 @@ type Options struct {
 	// NaiveRC replaces the Levanoni–Petrank scheme with per-write atomic
 	// counting (the scheme the paper measured at >60% overhead).
 	NaiveRC bool
-	// ElideChecks runs the static redundant-check-elision pass after
-	// lowering (compile layer of check elision).
-	ElideChecks bool
 	// StaticDischarge runs the whole-program vet analysis (points-to +
 	// locksets, internal/vet) at build time and compiles its safe verdicts
 	// as already-elided checks: must-held locksets discharge locked checks
@@ -250,7 +247,6 @@ type Program struct {
 func (a *Analysis) Build(opts Options) (*Program, error) {
 	copts := compile.Options{
 		Checks:         opts.Checks,
-		Elide:          opts.ElideChecks,
 		RC:             opts.RefCounting,
 		RCSiteAnalysis: opts.RCSiteAnalysis,
 	}
@@ -274,8 +270,8 @@ func (a *Analysis) Vet() *VetReport {
 	return vet.Analyze(a.inner.World, a.inner.Inf)
 }
 
-// Elision returns the static check-elision counts (zero unless the program
-// was built with ElideChecks).
+// Elision returns the build's check-site counts: checks compiled and
+// checks discharged statically.
 func (p *Program) Elision() ir.ElisionStats { return p.ir.Elision }
 
 // Result is the outcome of executing a program.

@@ -14,18 +14,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// buildHotsites compiles the examples/profile program with telemetry on.
-func buildHotsites(t *testing.T, elide, cache bool) *Program {
-	t.Helper()
-	return buildHotsitesWith(t, func(opts *Options) {
-		opts.ElideChecks = elide
-		opts.CheckCache = cache
-	})
-}
-
-// buildHotsitesWith compiles the examples/profile program with telemetry on
-// and the options set edits.
-func buildHotsitesWith(t *testing.T, set func(*Options)) *Program {
+// buildHotsites compiles the examples/profile program with telemetry on,
+// optionally with static discharge.
+func buildHotsites(t *testing.T, discharge bool) *Program {
 	t.Helper()
 	src, err := os.ReadFile(filepath.Join("examples", "profile", "hotsites.shc"))
 	if err != nil {
@@ -41,7 +32,7 @@ func buildHotsitesWith(t *testing.T, set func(*Options)) *Program {
 	opts := DefaultOptions()
 	opts.Metrics = true
 	opts.TraceEvents = 1 << 13
-	set(&opts)
+	opts.StaticDischarge = discharge
 	p, err := a.Build(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +59,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 func TestTelemetryGoldenProfile(t *testing.T) {
-	p := buildHotsites(t, false, false)
+	p := buildHotsites(t, false)
 	res, err := p.RunSeeded(1)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -77,19 +68,10 @@ func TestTelemetryGoldenProfile(t *testing.T) {
 	checkGolden(t, "summary_hotsites.golden", []byte(telemetry.FormatSummary(res.Telemetry)))
 }
 
-func TestTelemetryGoldenProfileElided(t *testing.T) {
-	p := buildHotsites(t, true, true)
-	res, err := p.RunSeeded(1)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	checkGolden(t, "profile_hotsites_elided.golden", []byte(telemetry.FormatProfile(res.Telemetry, 10)))
-}
-
 // TestTelemetryGoldenProfileDischarged pins the profile of the build with
 // static discharge: the discharged q->done write shows as an "(elided)" row.
 func TestTelemetryGoldenProfileDischarged(t *testing.T) {
-	p := buildHotsitesWith(t, func(opts *Options) { opts.StaticDischarge = true })
+	p := buildHotsites(t, true)
 	res, err := p.RunSeeded(1)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -98,7 +80,7 @@ func TestTelemetryGoldenProfileDischarged(t *testing.T) {
 }
 
 func TestTelemetryGoldenTraces(t *testing.T) {
-	p := buildHotsites(t, false, false)
+	p := buildHotsites(t, false)
 	res, err := p.RunSeeded(1)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -126,7 +108,7 @@ func TestTelemetryGoldenTraces(t *testing.T) {
 // and a different seed still produces a well-formed (if different) table.
 func TestTelemetryDeterministic(t *testing.T) {
 	render := func(seed int64) string {
-		res, err := buildHotsites(t, false, false).RunSeeded(seed)
+		res, err := buildHotsites(t, false).RunSeeded(seed)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}

@@ -150,14 +150,13 @@ func TestVetDischargeReplayOracle(t *testing.T) {
 }
 
 // TestVetDischargeCountsSurface pins the accounting hand-off: discharged
-// sites appear in the build's elision stats and raise the avoided
+// sites appear in the build's check-site stats and raise the avoided
 // fraction on a program with a clean lock discipline.
 func TestVetDischargeCountsSurface(t *testing.T) {
 	path := filepath.Join("internal", "interp", "testdata", "bank.shc")
 	a := checkFile(t, path)
 
 	opts := DefaultOptions()
-	opts.ElideChecks = true
 	plain, err := a.Build(opts)
 	if err != nil {
 		t.Fatal(err)
