@@ -40,15 +40,15 @@ func TestCorpusElisionSound(t *testing.T) {
 	for _, tc := range corpusCases {
 		tc := tc
 		t.Run(tc.file, func(t *testing.T) {
-			src := readCorpus(t, tc.file)
+			compiled := buildCorpus(t, tc.file, compile.DefaultOptions())
+			discharged := buildDischarged(t, tc.file)
 
-			rtOff, exitOff, err := core.BuildAndRun(src, compile.DefaultOptions(), interp.DefaultConfig())
+			rtOff := interp.New(compiled, interp.DefaultConfig())
+			exitOff, err := rtOff.Run()
 			if err != nil {
 				t.Fatalf("full checks: %v", err)
 			}
 			baseReports := sortedReports(rtOff)
-			compiled := buildCorpus(t, tc.file, compile.DefaultOptions())
-			discharged := buildDischarged(t, tc.file)
 
 			for _, ec := range elisionConfigs {
 				prog := compiled
