@@ -12,6 +12,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/parser"
 	"repro/internal/qualinfer"
+	"repro/internal/token"
 	"repro/internal/types"
 )
 
@@ -119,5 +120,48 @@ int main(void) { return spin(); }
 	}
 	if eng.steps > 2000 {
 		t.Fatalf("steps = %d; widening should converge in a handful of passes", eng.steps)
+	}
+}
+
+// TestStepKnowsEveryOpcode: step's default havocs every register and frame
+// slot. That is the sound answer for decoded garbage, but an opcode the
+// engine was never taught lands there too and silently costs every proof
+// behind it, so each opcode below ir.NumOps must have its own transfer.
+func TestStepKnowsEveryOpcode(t *testing.T) {
+	ff := &ir.FlatFunc{
+		NumRegs:  1,
+		Code:     []ir.Instr{{}, {Op: ir.FRet}},
+		PosTab:   []token.Pos{{}},
+		Checks:   []ir.FlatCheck{{Orig: &ir.Check{}}},
+		Calls:    []ir.CallInfo{{Target: 0}},
+		Builtins: []ir.BuiltinInfo{{E: &ir.BuiltinCall{Name: "yield"}}},
+	}
+	prog := &ir.Program{
+		Funcs: []*ir.Func{{Name: "f", FrameSize: 1}},
+		Flat:  &ir.FlatProgram{Funcs: []*ir.FlatFunc{ff}},
+	}
+	// stepOnce runs op with every operand 0 (register 0, slot 0, side-table
+	// entry 0, jump target 0) from a state where slot 0 holds 5, and returns
+	// the engine and the states merged into successors.
+	stepOnce := func(op ir.Op) (*engine, []*aState) {
+		ff.Code[0] = ir.Instr{Op: op}
+		e := newEngine(prog, 0, nil, nil, nil, 1, defaultStepBudget)
+		st := e.initState()
+		e.write(st, e.numRegs, cst(5))
+		var out []*aState
+		e.step(0, st, func(_ int, ns *aState) { out = append(out, ns) })
+		return e, out
+	}
+	for op := ir.Op(0); int(op) < ir.NumOps; op++ {
+		if e, _ := stepOnce(op); e.unknownOps != 0 {
+			t.Errorf("opcode %v falls through to the havoc default", op)
+		}
+	}
+	e, out := stepOnce(ir.Op(ir.NumOps))
+	if e.unknownOps != 1 || len(out) != 1 {
+		t.Fatalf("garbage opcode: %d unknown steps, %d successors; want 1, 1", e.unknownOps, len(out))
+	}
+	if v := out[0].vals[e.numRegs]; !v.isTop() {
+		t.Errorf("garbage opcode kept slot 0 = %+v; want it havocked", v)
 	}
 }

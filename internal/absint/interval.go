@@ -400,6 +400,9 @@ type engine struct {
 	budget int
 	steps  int
 	gaveUp bool
+	// unknownOps counts steps of instructions whose opcode step does not
+	// know; every opcode below ir.NumOps must keep it at zero.
+	unknownOps int
 
 	states []*aState
 }
@@ -948,15 +951,8 @@ func widenState(e *engine, old, next *aState) *aState {
 func backEdgeTargets(code []ir.Instr) []bool {
 	w := make([]bool, len(code)+1)
 	for pc, in := range code {
-		switch in.Op {
-		case ir.FJmp:
-			if int(in.A) <= pc {
-				w[in.A] = true
-			}
-		case ir.FJmpZ, ir.FJmpNZ, ir.FJmpEqImm:
-			if int(in.B) <= pc {
-				w[in.B] = true
-			}
+		if t := in.Target(); t != nil && int(*t) <= pc {
+			w[*t] = true
 		}
 	}
 	return w
@@ -1053,6 +1049,10 @@ func (e *engine) step(pc int, st *aState, merge func(int, *aState)) {
 	case ir.FAdd:
 		e.binArith(st, in, func(a, b val) val { return addVal(a, b) })
 		next()
+	case ir.FAddImm:
+		// FConst t, Imm; FAdd A, B, t with t dead afterwards.
+		e.writeReg(st, in.A, addVal(e.readReg(st, in.B), cst(in.Imm)))
+		next()
 	case ir.FSub:
 		e.binArith(st, in, func(a, b val) val { return subVal(a, b) })
 		next()
@@ -1129,6 +1129,22 @@ func (e *engine) step(pc int, st *aState, merge func(int, *aState)) {
 		if e.refine(st, in.A, false) {
 			next()
 		}
+	case ir.FBrEq, ir.FBrNe, ir.FBrLt, ir.FBrLe, ir.FBrGt, ir.FBrGe:
+		// cmp t, A, B; FJmpNZ t, C with t dead afterwards (a jmpz fuses
+		// to the negated comparison, whose edges refine identically):
+		// the record the comparison would make, applied on both edges.
+		c := cmpRec{
+			op: in.Op.BranchCmp(),
+			l:  e.resolveForms(st, e.readReg(st, in.A)),
+			r:  e.resolveForms(st, e.readReg(st, in.B)),
+		}
+		taken := st.clone()
+		if e.applyCmp(taken, c, true) {
+			merge(int(in.C), taken)
+		}
+		if e.applyCmp(st, c, false) {
+			next()
+		}
 	case ir.FJmpEqImm:
 		taken := st.clone()
 		v := taken.vals[in.A]
@@ -1149,6 +1165,10 @@ func (e *engine) step(pc int, st *aState, merge func(int, *aState)) {
 		next()
 	case ir.FLoad, ir.FLoadAcc:
 		e.loadThrough(st, in.A, in.B, -1)
+		next()
+	case ir.FLoadFrame:
+		// FFrame t, B; FLoadAcc A, t: the load of a known frame slot.
+		e.writeReg(st, in.A, e.read(st, e.numRegs+int(in.B)))
 		next()
 	case ir.FLoadChk:
 		e.loadThrough(st, in.A, in.B, in.C)
@@ -1192,7 +1212,8 @@ func (e *engine) step(pc int, st *aState, merge func(int, *aState)) {
 	case ir.FRet:
 		// terminal
 	default:
-		// Unknown opcode: be safe, lose everything.
+		// Unknown opcode (decoded garbage): be safe, lose everything.
+		e.unknownOps++
 		e.havocSlots(st)
 		for r := 0; r < e.numRegs; r++ {
 			e.write(st, r, top())

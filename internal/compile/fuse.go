@@ -38,11 +38,8 @@ func fuseFunc(ff *ir.FlatFunc) {
 	// Jump-target set: a fused window must not be entered mid-way.
 	tgt := make([]bool, n+1)
 	for i := range ff.Code {
-		switch ff.Code[i].Op {
-		case ir.FJmp:
-			tgt[ff.Code[i].A] = true
-		case ir.FJmpZ, ir.FJmpNZ, ir.FJmpEqImm:
-			tgt[ff.Code[i].B] = true
+		if t := ff.Code[i].Target(); t != nil {
+			tgt[*t] = true
 		}
 	}
 	changed := false

@@ -1,0 +1,85 @@
+package compile_test
+
+import (
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/compile"
+	"repro/internal/core"
+	"repro/internal/ir"
+	"repro/internal/parser"
+	"repro/internal/vet"
+)
+
+// TestRegoptLeavesNoFusablePair is the fusion postcondition: after the
+// default pipeline, on every corpus program and every Table-1 model at both
+// scales, no pair regopt knows how to fuse survives with a dead
+// intermediate register.
+func TestRegoptLeavesNoFusablePair(t *testing.T) {
+	fused := map[ir.Op]int{}
+	for _, pr := range corpusAndModels(t) {
+		a, err := core.Analyze(parser.Source{Name: pr.name, Text: pr.src})
+		if err != nil {
+			t.Fatalf("%s: %v", pr.name, err)
+		}
+		p, err := a.Build(compile.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", pr.name, err)
+		}
+		for i, ff := range p.Flat.Funcs {
+			for _, pc := range compile.FusablePairs(ff) {
+				t.Errorf("%s %s pc %d: %v; %v survived regopt", pr.name, p.Funcs[i].Name, pc, ff.Code[pc-1], ff.Code[pc])
+			}
+			for _, in := range ff.Code {
+				fused[in.Op]++
+			}
+		}
+	}
+	// The postcondition is vacuous if nothing fuses: each kind of
+	// superinstruction shows up somewhere in the set.
+	for _, op := range []ir.Op{ir.FLoadFrame, ir.FAddImm, ir.FBrLt, ir.FBrGe} {
+		if fused[op] == 0 {
+			t.Errorf("no %v in any build", op)
+		}
+	}
+}
+
+// TestFusionKeepsDischargeAccounting pins the check accounting of the
+// discharged builds of aget and the hotsites example to the figures the
+// pipeline gave before regopt fused pairs: absint sees the fused opcodes
+// and must prove exactly what it proved on the unfused ones.
+func TestFusionKeepsDischargeAccounting(t *testing.T) {
+	hotsites, err := os.ReadFile(filepath.Join("..", "..", "examples", "profile", "hotsites.shc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	agetStats := ir.ElisionStats{DischargedLocked: 3, DischargedAbsint: 4}
+	for _, tc := range []struct {
+		name, src string
+		want      ir.ElisionStats
+		avoided   float64
+	}{
+		{"aget.quick", bench.AgetSource(bench.Quick), agetStats, 1},
+		{"aget.full", bench.AgetSource(bench.Full), agetStats, 1},
+		{"hotsites.shc", string(hotsites), ir.ElisionStats{TotalDynamic: 5, DischargedLocked: 3, DischargedAbsint: 1}, 4.0 / 9},
+	} {
+		a, err := core.Analyze(parser.Source{Name: tc.name, Text: tc.src})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		opts := compile.DefaultOptions()
+		opts.Discharge = vet.Analyze(a.World, a.Inf).Discharge()
+		p, err := a.Build(opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if p.Elision != tc.want {
+			t.Errorf("%s: stats %+v, want %+v", tc.name, p.Elision, tc.want)
+		}
+		if got := p.Elision.AvoidedFraction(); got != tc.avoided {
+			t.Errorf("%s: avoided fraction %v, want %v", tc.name, got, tc.avoided)
+		}
+	}
+}

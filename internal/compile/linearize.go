@@ -107,14 +107,7 @@ func (l *linz) emit(in ir.Instr) int32 {
 func (l *linz) here() int32 { return int32(len(l.ff.Code)) }
 
 // patch sets the jump target operand of the instruction at idx to t.
-func (l *linz) patch(idx, t int32) {
-	in := &l.ff.Code[idx]
-	if in.Op == ir.FJmp {
-		in.A = t
-	} else {
-		in.B = t
-	}
-}
+func (l *linz) patch(idx, t int32) { *l.ff.Code[idx].Target() = t }
 
 func (l *linz) pos(p token.Pos) int64 {
 	if idx, ok := l.posIdx[p]; ok {
@@ -629,11 +622,8 @@ func compactFlat(ff *ir.FlatFunc) {
 		if in.Op == ir.FNop {
 			continue
 		}
-		switch in.Op {
-		case ir.FJmp:
-			in.A = newPC[in.A]
-		case ir.FJmpZ, ir.FJmpNZ, ir.FJmpEqImm:
-			in.B = newPC[in.B]
+		if t := in.Target(); t != nil {
+			*t = newPC[*t]
 		}
 		out = append(out, in)
 	}

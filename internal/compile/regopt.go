@@ -15,16 +15,25 @@ package compile
 //     jump or ret);
 //   - liveness of every register at block boundaries, on uint64 bitsets;
 //   - one backward sweep per block that deletes pure instructions whose
-//     destination is dead, and rewrites "op t, ...; FMove r, t" into
-//     "op r, ..." when t is dead after the move and no jump targets it.
+//     destination is dead, rewrites "op t, ...; FMove r, t" into
+//     "op r, ..." when t is dead after the move and no jump targets it,
+//     and, under the same two conditions on the intermediate register,
+//     fuses the hot pairs left into superinstructions: a frame-slot load
+//     (FLoadFrame), an immediate add (FAddImm) and compare-and-branch
+//     (FBrEq..FBrGe).
 //
-// The pass only deletes instructions and renames register operands
-// (including CallInfo.Args/FnReg and BuiltinInfo.Args), so the VM, its
-// statistics and every observable of a run are unchanged. Only the pure
-// opcodes of ir.OpRegs are ever deleted; divide and modulo, which can
+// The pass only deletes instructions, renames register operands
+// (including CallInfo.Args/FnReg and BuiltinInfo.Args) and fuses pairs
+// into instructions whose VM handlers run both halves in order, so the
+// VM, its statistics and every observable of a run are unchanged. Only the
+// pure opcodes of ir.OpRegs are ever deleted; divide and modulo, which can
 // fail, are kept even when their result is dead.
 
-import "repro/internal/ir"
+import (
+	"math"
+
+	"repro/internal/ir"
+)
 
 // regopt runs the pass over every function of p, reusing one set of
 // scratch buffers.
@@ -93,14 +102,11 @@ func (s *regScratch) blocks() {
 	s.leader = grow(s.leader, n+1)
 	s.leader[0] = true
 	for pc := range code {
-		switch in := &code[pc]; in.Op {
-		case ir.FJmp:
-			s.leader[in.A] = true
+		in := &code[pc]
+		if t := in.Target(); t != nil {
+			s.leader[*t] = true
 			s.leader[pc+1] = true
-		case ir.FJmpZ, ir.FJmpNZ, ir.FJmpEqImm:
-			s.leader[in.B] = true
-			s.leader[pc+1] = true
-		case ir.FRet:
+		} else if in.Op == ir.FRet {
 			s.leader[pc+1] = true
 		}
 	}
@@ -211,14 +217,14 @@ func (s *regScratch) liveness() {
 // succs calls f with each successor block of block b.
 func (s *regScratch) succs(b int, f func(int)) {
 	last := &s.ff.Code[s.starts[b+1]-1]
-	switch last.Op {
-	case ir.FRet:
+	if last.Op == ir.FRet {
 		return
-	case ir.FJmp:
-		f(int(s.blockAt[last.A]))
-		return
-	case ir.FJmpZ, ir.FJmpNZ, ir.FJmpEqImm:
-		f(int(s.blockAt[last.B]))
+	}
+	if t := last.Target(); t != nil {
+		f(int(s.blockAt[*t]))
+		if last.Op == ir.FJmp {
+			return
+		}
 	}
 	if b+1 < len(s.starts)-1 {
 		f(b + 1)
@@ -226,8 +232,11 @@ func (s *regScratch) succs(b int, f func(int)) {
 }
 
 // sweep walks each block backward from its live-out set, deleting pure
-// instructions with a dead destination and folding "op t; move r, t"
-// into "op r" when t dies at the move.
+// instructions with a dead destination, folding "op t; move r, t" into
+// "op r" when t dies at the move, and fusing the pairs fuse knows. A pair
+// is formed when the walk reaches its first instruction: the second is
+// the next instruction the walk kept, so every instruction the walk
+// deleted between them is already gone.
 func (s *regScratch) sweep() {
 	ff := s.ff
 	code := ff.Code
@@ -235,6 +244,7 @@ func (s *regScratch) sweep() {
 	for b := 0; b < len(s.starts)-1; b++ {
 		copy(live, s.set(s.liveOut, b))
 		start := s.starts[b]
+		next, dead := int32(-1), uint8(0) // the last kept pc and its dying operands
 		for pc := s.starts[b+1] - 1; pc >= start; pc-- {
 			in := &code[pc]
 			if in.Op == ir.FNop {
@@ -254,12 +264,32 @@ func (s *regScratch) sweep() {
 					continue
 				}
 			}
-			if rs.A == ir.RegDef {
-				clearBit(live, in.A)
+			if next >= 0 && fuse(in, &code[next], dead) {
+				// A branch left reading x may pair again; x dies at it when
+				// it is t itself or is not live after it.
+				dead = 0
+				if nx := &code[next]; nx.Op == ir.FJmpZ || nx.Op == ir.FJmpNZ {
+					if nx.A == in.A || !hasBit(live, nx.A) {
+						dead = dyingA
+					}
+				}
+				s.transfer(in)
+				in.Op = ir.FNop
+				s.changed = true
+				continue
 			}
-			ff.VisitUses(in, func(r *int32) { setBit(live, *r) })
+			next, dead = pc, dyingOperands(in, live)
+			s.transfer(in)
 		}
 	}
+}
+
+// transfer steps the sweep's live set backward over in.
+func (s *regScratch) transfer(in *ir.Instr) {
+	if in.Op.Regs().A == ir.RegDef {
+		clearBit(s.live, in.A)
+	}
+	s.ff.VisitUses(in, func(r *int32) { setBit(s.live, *r) })
 }
 
 // foldable returns the pc of the instruction that defines t just before
@@ -276,4 +306,88 @@ func (s *regScratch) foldable(pc, start, t int32) int32 {
 		}
 	}
 	return -1
+}
+
+// Bits of dyingOperands: the register in operand A, B or C of the second
+// instruction of a candidate pair is dead after it, or it overwrites it.
+const (
+	dyingA uint8 = 1 << iota
+	dyingB
+	dyingC
+)
+
+// dyingOperands returns which operands of in that a fused pair could
+// consume die at in, given the registers live after it.
+func dyingOperands(in *ir.Instr, live []uint64) uint8 {
+	dies := func(r int32) bool {
+		return !hasBit(live, r) || in.Op.Regs().A == ir.RegDef && in.A == r
+	}
+	var m uint8
+	switch in.Op {
+	case ir.FLoadAcc:
+		if dies(in.B) {
+			m |= dyingB
+		}
+	case ir.FAdd:
+		if dies(in.B) {
+			m |= dyingB
+		}
+		if dies(in.C) {
+			m |= dyingC
+		}
+	case ir.FSub:
+		if dies(in.C) {
+			m |= dyingC
+		}
+	case ir.FJmpZ, ir.FJmpNZ:
+		if dies(in.A) {
+			m |= dyingA
+		}
+	}
+	return m
+}
+
+// fuse rewrites the pair "first; in" into one instruction in place of in
+// when first defines a temporary t that in consumes in an operand dead
+// lists as dying. The caller deletes first.
+//
+//   - FFrame t, s; FLoadAcc d, t          -> FLoadFrame d, slot s
+//   - FConst t, k; FAdd d, x, t (or t, x) -> FAddImm d, x, k
+//   - FConst t, k; FSub d, x, t           -> FAddImm d, x, -k
+//   - cmp t, x, y; FJmpZ/FJmpNZ t, L      -> branch on cmp (negated for jmpz)
+//   - FSetNZ t, x; FJmpZ/FJmpNZ t, L      -> FJmpZ/FJmpNZ x, L
+//
+// Every rewrite reads the same values as the pair and writes the same
+// destination, so only t, which nothing reads again, may differ
+// afterwards.
+func fuse(first, in *ir.Instr, dead uint8) bool {
+	if dead == 0 {
+		return false
+	}
+	t := first.A
+	switch {
+	case first.Op == ir.FFrame && in.Op == ir.FLoadAcc && in.B == t:
+		*in = ir.Instr{Op: ir.FLoadFrame, A: in.A, B: first.B, C: in.C, Imm: in.Imm}
+	case first.Op == ir.FConst && in.Op == ir.FAdd && in.C == t && in.B != t && dead&dyingC != 0:
+		*in = ir.Instr{Op: ir.FAddImm, A: in.A, B: in.B, Imm: first.Imm}
+	case first.Op == ir.FConst && in.Op == ir.FAdd && in.B == t && in.C != t && dead&dyingB != 0:
+		*in = ir.Instr{Op: ir.FAddImm, A: in.A, B: in.C, Imm: first.Imm}
+	case first.Op == ir.FConst && in.Op == ir.FSub && in.C == t && in.B != t &&
+		first.Imm != math.MinInt64 && first.Imm != math.MaxInt64:
+		// x - k == x + -k under wraparound for every k, but absint's
+		// intervals saturate at the two extremes, where its negation of
+		// k is not -k: those stay unfused.
+		*in = ir.Instr{Op: ir.FAddImm, A: in.A, B: in.B, Imm: -first.Imm}
+	case first.Op.IsCmp() && (in.Op == ir.FJmpZ || in.Op == ir.FJmpNZ) && in.A == t:
+		cmp := first.Op
+		if in.Op == ir.FJmpZ {
+			cmp = cmp.NegateCmp()
+		}
+		*in = ir.Instr{Op: cmp.Branch(), A: first.B, B: first.C, C: in.B}
+	case first.Op == ir.FSetNZ && (in.Op == ir.FJmpZ || in.Op == ir.FJmpNZ) && in.A == t:
+		in.A = first.B
+	default:
+		return false
+	}
+	return true
 }

@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -44,10 +45,10 @@ func TestRegoptCopyKilledBySourceRedefinition(t *testing.T) {
 		{Op: ir.FAdd, A: 2, B: 1, C: 0},
 		{Op: ir.FRet, A: 2},
 	}}
+	// The constant then dies at the add, and the pair fuses.
 	runRegopt(t, ff, []ir.Instr{
 		{Op: ir.FMove, A: 1, B: 0},
-		{Op: ir.FConst, A: 0, Imm: 5},
-		{Op: ir.FAdd, A: 2, B: 1, C: 0},
+		{Op: ir.FAddImm, A: 2, B: 1, Imm: 5},
 		{Op: ir.FRet, A: 2},
 	})
 }
@@ -59,9 +60,9 @@ func TestRegoptCopyKilledByDestinationRedefinition(t *testing.T) {
 		{Op: ir.FAdd, A: 2, B: 1, C: 0},
 		{Op: ir.FRet, A: 2},
 	}}
+	// r1 holds 7, not r0, at the add: the constant fuses into it.
 	runRegopt(t, ff, []ir.Instr{
-		{Op: ir.FConst, A: 1, Imm: 7},
-		{Op: ir.FAdd, A: 2, B: 1, C: 0},
+		{Op: ir.FAddImm, A: 2, B: 0, Imm: 7},
 		{Op: ir.FRet, A: 2},
 	})
 }
@@ -184,4 +185,65 @@ func TestRegoptLivenessAcrossLoop(t *testing.T) {
 		{Op: ir.FJmp, A: 1},
 		{Op: ir.FRet, A: 1},
 	})
+}
+
+func TestRegoptFusesPairs(t *testing.T) {
+	// Each pair's intermediate register r2 dies at the pair, or is the
+	// pair's own destination.
+	ff := &ir.FlatFunc{NumRegs: 4, Code: []ir.Instr{
+		{Op: ir.FFrame, A: 2, B: 3},
+		{Op: ir.FLoadAcc, A: 2, B: 2, C: 7, Imm: 1},
+		{Op: ir.FConst, A: 3, Imm: 4},
+		{Op: ir.FAdd, A: 1, B: 3, C: 2},
+		{Op: ir.FConst, A: 3, Imm: 9},
+		{Op: ir.FSub, A: 1, B: 1, C: 3},
+		{Op: ir.FLt, A: 2, B: 1, C: 0},
+		{Op: ir.FJmpZ, A: 2, B: 10},
+		{Op: ir.FEq, A: 2, B: 0, C: 1},
+		{Op: ir.FJmpNZ, A: 2, B: 0},
+		{Op: ir.FRet, A: 1},
+	}}
+	runRegopt(t, ff, []ir.Instr{
+		{Op: ir.FLoadFrame, A: 2, B: 3, C: 7, Imm: 1},
+		{Op: ir.FAddImm, A: 1, B: 2, Imm: 4},
+		{Op: ir.FAddImm, A: 1, B: 1, Imm: -9},
+		{Op: ir.FBrGe, A: 1, B: 0, C: 5},
+		{Op: ir.FBrEq, A: 0, B: 1, C: 0},
+		{Op: ir.FRet, A: 1},
+	})
+}
+
+func TestRegoptFusesSetNZIntoBranchChain(t *testing.T) {
+	// The setnz pair fuses first; the branch it leaves reads the compare
+	// result, which fuses in turn.
+	ff := &ir.FlatFunc{NumRegs: 4, Code: []ir.Instr{
+		{Op: ir.FGt, A: 2, B: 0, C: 1},
+		{Op: ir.FSetNZ, A: 3, B: 2},
+		{Op: ir.FJmpZ, A: 3, B: 0},
+		{Op: ir.FRet, A: 0},
+	}}
+	runRegopt(t, ff, []ir.Instr{
+		{Op: ir.FBrLe, A: 0, B: 1, C: 0},
+		{Op: ir.FRet, A: 0},
+	})
+}
+
+func TestRegoptKeepsUnfusablePairs(t *testing.T) {
+	// r2 is read after the add, the compare result is read after the
+	// branch, and the load after the frame address is a jump target; the
+	// subtraction of MinInt64 has no separate absint reading as -k.
+	code := []ir.Instr{
+		{Op: ir.FConst, A: 2, Imm: 1},
+		{Op: ir.FAdd, A: 1, B: 0, C: 2},
+		{Op: ir.FLt, A: 3, B: 1, C: 2},
+		{Op: ir.FJmpZ, A: 3, B: 5},
+		{Op: ir.FFrame, A: 2, B: 0},
+		{Op: ir.FLoadAcc, A: 2, B: 2},
+		{Op: ir.FConst, A: 2, Imm: math.MinInt64},
+		{Op: ir.FSub, A: 1, B: 1, C: 2},
+		{Op: ir.FAdd, A: 1, B: 1, C: 3},
+		{Op: ir.FRet, A: 1},
+	}
+	ff := &ir.FlatFunc{NumRegs: 4, Code: append([]ir.Instr(nil), code...)}
+	runRegopt(t, ff, code)
 }

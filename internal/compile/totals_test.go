@@ -12,13 +12,12 @@ import (
 	"repro/internal/vet"
 )
 
-// TestCheckTotalsAccountForEverySite pins the lowering's check-site
-// accounting on every corpus program and every Table-1 model at both
-// scales: each report site the lowering mints is counted once, as a
-// compiled check or as a discharged one, and discharge turns compiled
-// checks into discharged ones one for one.
-func TestCheckTotalsAccountForEverySite(t *testing.T) {
-	type prog struct{ name, src string }
+type prog struct{ name, src string }
+
+// corpusAndModels returns every corpus program and every Table-1 model at
+// both scales.
+func corpusAndModels(t *testing.T) []prog {
+	t.Helper()
 	var progs []prog
 	files, err := filepath.Glob(filepath.Join("..", "interp", "testdata", "*.shc"))
 	if err != nil || len(files) == 0 {
@@ -34,8 +33,17 @@ func TestCheckTotalsAccountForEverySite(t *testing.T) {
 	for _, b := range bench.Benchmarks {
 		progs = append(progs, prog{b.Name + ".quick", b.Source(bench.Quick)}, prog{b.Name + ".full", b.Source(bench.Full)})
 	}
+	return progs
+}
+
+// TestCheckTotalsAccountForEverySite pins the lowering's check-site
+// accounting on every corpus program and every Table-1 model at both
+// scales: each report site the lowering mints is counted once, as a
+// compiled check or as a discharged one, and discharge turns compiled
+// checks into discharged ones one for one.
+func TestCheckTotalsAccountForEverySite(t *testing.T) {
 	builds := 0
-	for _, pr := range progs {
+	for _, pr := range corpusAndModels(t) {
 		a, err := core.Analyze(parser.Source{Name: pr.name, Text: pr.src})
 		if err != nil {
 			t.Fatalf("%s: %v", pr.name, err)

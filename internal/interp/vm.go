@@ -71,6 +71,8 @@ dispatch:
 
 		case ir.FAdd:
 			regs[in.A] = regs[in.B] + regs[in.C]
+		case ir.FAddImm:
+			regs[in.A] = regs[in.B] + in.Imm
 		case ir.FSub:
 			regs[in.A] = regs[in.B] - regs[in.C]
 		case ir.FMul:
@@ -131,6 +133,30 @@ dispatch:
 			if regs[in.A] == in.Imm {
 				pc = int(in.B)
 			}
+		case ir.FBrEq:
+			if regs[in.A] == regs[in.B] {
+				pc = int(in.C)
+			}
+		case ir.FBrNe:
+			if regs[in.A] != regs[in.B] {
+				pc = int(in.C)
+			}
+		case ir.FBrLt:
+			if regs[in.A] < regs[in.B] {
+				pc = int(in.C)
+			}
+		case ir.FBrLe:
+			if regs[in.A] <= regs[in.B] {
+				pc = int(in.C)
+			}
+		case ir.FBrGt:
+			if regs[in.A] > regs[in.B] {
+				pc = int(in.C)
+			}
+		case ir.FBrGe:
+			if regs[in.A] >= regs[in.B] {
+				pc = int(in.C)
+			}
 
 		case ir.FYield:
 			t.checkAddr(regs[in.A], ff.PosTab[in.Imm])
@@ -165,6 +191,20 @@ dispatch:
 		// methods so failure messages and side effects stay identical.
 		case ir.FLoadAcc:
 			addr := regs[in.B]
+			if addr <= 0 || addr >= memLen {
+				t.checkAddr(addr, ff.PosTab[in.Imm])
+			}
+			if addr < stackBase || addr >= heapBase {
+				t.nAccess++
+				t.schedPoint(sched.PointCheck)
+			}
+			if obs != nil {
+				obs.Access(t.tid, addr, false, t.locks, int(in.C))
+			}
+			regs[in.A] = mem.Load(addr)
+		case ir.FLoadFrame:
+			// FLoadAcc on the address of frame slot B.
+			addr := t.frame + int64(in.B)
 			if addr <= 0 || addr >= memLen {
 				t.checkAddr(addr, ff.PosTab[in.Imm])
 			}

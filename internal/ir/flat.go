@@ -121,8 +121,28 @@ const (
 	FStoreAcc // mem[A] <- B, site C, pos Imm
 	FStoreChk // mem[A] <- B, check Checks[C], pos Imm
 
+	// Superinstructions the regopt pass forms from adjacent pairs whose
+	// intermediate register dies at the pair. FLoadFrame is FFrame +
+	// FLoadAcc: the access protocol of FLoadAcc on the address of frame
+	// slot B. FAddImm is FConst + FAdd (or FSub, with Imm negated).
+	FLoadFrame // A <- mem[frame+B], site C, pos Imm
+	FAddImm    // A <- B + Imm
+
+	// Compare-and-branch: if A op B holds, pc <- C. The block is
+	// dense and parallel to FEq..FGe, so a comparison maps to its branch
+	// as FBrEq + (op - FEq).
+	FBrEq // if A == B: pc <- C
+	FBrNe // if A != B: pc <- C
+	FBrLt // if A < B: pc <- C
+	FBrLe // if A <= B: pc <- C
+	FBrGt // if A > B: pc <- C
+	FBrGe // if A >= B: pc <- C
+
 	opCount // sentinel
 )
+
+// NumOps is the number of defined opcodes: every Op below it is known.
+const NumOps = int(opCount)
 
 var opNames = [...]string{
 	FNop: "nop", FConst: "const", FStr: "str", FFrame: "frame", FFunc: "func",
@@ -139,6 +159,8 @@ var opNames = [...]string{
 	FRet:     "ret",
 	FLoadAcc: "loadacc", FLoadChk: "loadchk",
 	FStoreAcc: "storeacc", FStoreChk: "storechk",
+	FLoadFrame: "loadframe", FAddImm: "addimm",
+	FBrEq: "breq", FBrNe: "brne", FBrLt: "brlt", FBrLe: "brle", FBrGt: "brgt", FBrGe: "brge",
 }
 
 func (o Op) String() string {
@@ -200,10 +222,55 @@ var opRegs = [opCount]OpRegs{
 	FCString: useA,
 	FRet:     useA,
 	FLoadAcc: defAuse, FLoadChk: defAuse, FStoreAcc: useAB, FStoreChk: useAB,
+	FLoadFrame: {A: RegDef}, FAddImm: pureUn,
+	FBrEq: useAB, FBrNe: useAB, FBrLt: useAB, FBrLe: useAB, FBrGt: useAB, FBrGe: useAB,
 }
 
 // Regs returns the register operands of opcode o, which must be known.
 func (o Op) Regs() OpRegs { return opRegs[o] }
+
+// IsCmp reports whether o is one of the comparisons FEq..FGe.
+func (o Op) IsCmp() bool { return o >= FEq && o <= FGe }
+
+// Branch returns the compare-and-branch opcode that jumps when comparison
+// o holds; o must satisfy IsCmp.
+func (o Op) Branch() Op { return FBrEq + (o - FEq) }
+
+// BranchCmp returns the comparison a compare-and-branch opcode tests.
+func (o Op) BranchCmp() Op { return FEq + (o - FBrEq) }
+
+// NegateCmp returns the comparison that holds exactly when comparison o
+// does not.
+func (o Op) NegateCmp() Op {
+	switch o {
+	case FEq:
+		return FNe
+	case FNe:
+		return FEq
+	case FLt:
+		return FGe
+	case FLe:
+		return FGt
+	case FGt:
+		return FLe
+	}
+	return FLt // FGe
+}
+
+// Target returns a pointer to the jump target operand of in, or nil when in
+// does not jump. It is the one list of branch opcodes: passes that mark
+// block leaders or remap targets go through it.
+func (in *Instr) Target() *int32 {
+	switch in.Op {
+	case FJmp:
+		return &in.A
+	case FJmpZ, FJmpNZ, FJmpEqImm:
+		return &in.B
+	case FBrEq, FBrNe, FBrLt, FBrLe, FBrGt, FBrGe:
+		return &in.C
+	}
+	return nil
+}
 
 // VisitUses calls f with a pointer to every register operand in reads, its
 // side-table argument registers included, so a pass can rename them in
@@ -375,8 +442,14 @@ func (ff *FlatFunc) verify(p *Program, fn *Func) error {
 			return regErr(pc, in.C)
 		}
 		var err error
+		if t := in.Target(); t != nil {
+			if err = target(pc, *t); err != nil {
+				return err
+			}
+			continue // a branch has no other index operand
+		}
 		switch in.Op {
-		case FNop, FConst, FMove, FNeg, FNot, FBitNot, FSetNZ,
+		case FNop, FConst, FMove, FNeg, FNot, FBitNot, FSetNZ, FAddImm,
 			FAdd, FSub, FMul, FAnd, FOr, FXor, FShl, FShr,
 			FEq, FNe, FLt, FLe, FGt, FGe, FLoad, FStore, FBarrier, FRet:
 		case FStr:
@@ -393,10 +466,6 @@ func (ff *FlatFunc) verify(p *Program, fn *Func) error {
 			}
 		case FDiv, FMod:
 			err = pos(pc, in.Imm)
-		case FJmp:
-			err = target(pc, in.A)
-		case FJmpZ, FJmpNZ, FJmpEqImm:
-			err = target(pc, in.B)
 		case FYield:
 			err = pos(pc, in.Imm)
 		case FChkRead, FChkWrite, FChkLock, FChkElided:
@@ -424,7 +493,11 @@ func (ff *FlatFunc) verify(p *Program, fn *Func) error {
 				in.C < 0 || int(in.C) >= len(bi.E.ArgChecks) {
 				err = fmt.Errorf("pc %d: cstring arg index %d out of range", pc, in.C)
 			}
-		case FLoadAcc, FStoreAcc:
+		case FLoadAcc, FStoreAcc, FLoadFrame:
+			if in.Op == FLoadFrame && (in.B < 0 || int(in.B) >= fn.FrameSize) {
+				err = fmt.Errorf("pc %d: frame slot %d out of range [0,%d)", pc, in.B, fn.FrameSize)
+				break
+			}
 			// Site 0 is the CheckNone default and is legal even in a
 			// program with no interned sites (checks off).
 			if in.C != 0 {

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -72,6 +73,14 @@ func flatFixture() (*Program, *FlatProgram) {
 			{Op: FCall, A: 1, B: 0},
 			{Op: FCString, A: 0, B: 0, C: 0},
 			{Op: FBuiltin, A: 1, B: 0},
+			{Op: FLoadFrame, A: 1, B: 1, C: 0, Imm: 1},
+			{Op: FAddImm, A: 2, B: 0, Imm: -3},
+			{Op: FBrEq, A: 0, B: 1, C: 9},
+			{Op: FBrNe, A: 0, B: 1, C: 26},
+			{Op: FBrLt, A: 0, B: 1, C: 0},
+			{Op: FBrLe, A: 2, B: 2, C: 18},
+			{Op: FBrGt, A: 1, B: 0, C: 9},
+			{Op: FBrGe, A: 1, B: 2, C: 26},
 			{Op: FRet, A: 1},
 		},
 		PosTab: []token.Pos{{}, pos},
@@ -216,6 +225,27 @@ func TestFlatVerifyRejects(t *testing.T) {
 		{"fused store check nil Orig", func(p *Program, fp *FlatProgram) {
 			fp.Funcs[1].Checks[0].Orig = nil
 		}, "nil Orig"},
+		{"loadframe slot out of range", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Code[18].B = 2
+		}, "frame slot 2 out of range"},
+		{"loadframe negative slot", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Code[18].B = -1
+		}, "frame slot -1 out of range"},
+		{"loadframe site out of range", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Code[18].C = 4
+		}, "check site"},
+		{"loadframe position out of range", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Code[18].Imm = 2
+		}, "position index"},
+		{"loadframe dest register out of range", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Code[18].A = 3
+		}, "register 3 out of range"},
+		{"addimm source register out of range", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Code[19].B = 3
+		}, "register 3 out of range"},
+		{"compare-and-branch operand out of range", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Code[20].B = -1
+		}, "register -1 out of range"},
 		{"lock expression is a call", func(p *Program, fp *FlatProgram) {
 			fp.Funcs[0].Checks[0].Orig = &Check{Kind: CheckLocked, Site: 0, Lock: &Call{Target: 1}}
 		}, "lock expression node *ir.Call"},
@@ -228,6 +258,19 @@ func TestFlatVerifyRejects(t *testing.T) {
 		{"locked check without lock", func(p *Program, fp *FlatProgram) {
 			fp.Funcs[1].Checks[0].Orig = &Check{Kind: CheckLocked, Site: 0}
 		}, "no lock expression"},
+	}
+	// Every compare-and-branch opcode range-checks its target, past the
+	// end and below zero.
+	for pc := int32(20); pc <= 25; pc++ {
+		for _, tgt := range []int32{27, -1} {
+			cases = append(cases, struct {
+				name string
+				mut  func(p *Program, fp *FlatProgram)
+				want string
+			}{fmt.Sprintf("%v target %d", FBrEq+Op(pc-20), tgt), func(p *Program, fp *FlatProgram) {
+				fp.Funcs[0].Code[pc].C = tgt
+			}, fmt.Sprintf("pc %d: jump target %d out of range", pc, tgt)})
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -249,6 +292,13 @@ func TestFlatVerifyRejects(t *testing.T) {
 // expressions), so structural equality is exact.
 func TestFlatEncodeDecodeRoundTrip(t *testing.T) {
 	_, fp := flatFixture()
+	// A third function carries every opcode once, with operands of both
+	// signs and a wide immediate; the codec does not verify.
+	every := &FlatFunc{NumRegs: 1, PosTab: []token.Pos{{}}}
+	for op := FNop; op < opCount; op++ {
+		every.Code = append(every.Code, Instr{Op: op, A: int32(op), B: -int32(op), C: 1 << 20, Imm: -int64(op) << 40})
+	}
+	fp.Funcs = append(fp.Funcs, every)
 	data := EncodeFlat(fp)
 	got, err := DecodeFlat(data)
 	if err != nil {

@@ -144,9 +144,11 @@ type Shadow struct {
 	epoch  atomic.Uint64
 	sink   CheckSink
 
-	// pages tracks which 4096-byte pages of the logical 1-byte-per-granule
-	// shadow area have been touched, for the paper's minor-pagefault metric.
-	pages sync.Map // page index -> struct{}
+	// pages marks which 4096-byte pages of the logical 1-byte-per-granule
+	// shadow area have been touched, for the paper's minor-pagefault
+	// metric; nPages counts the marked pages.
+	pages  paged.Bits
+	nPages atomic.Int64
 }
 
 // New returns a shadow for a memory of the given number of cells, using
@@ -168,6 +170,7 @@ func NewWithOptions(cells int, o Options) *Shadow {
 		last:     paged.NewTable[atomic.Uint64](int64(n)),
 		siteIDs:  make(map[Site]uint32),
 		sink:     o.Sink,
+		pages:    paged.NewBits(int64(n/shadowPage + 1)),
 	}
 	if o.CheckCache {
 		s.caches = make([]threadCache, MaxThreads+1)
@@ -216,13 +219,16 @@ func (s *Shadow) site(id uint32) Site {
 
 func granuleOf(cell int64) int { return int(cell) / GranuleCells }
 
-// touchPage records the shadow page backing granule g as mapped (1 logical
-// shadow byte per granule, 4096-byte pages). With the check cache enabled,
-// a per-thread memo of the last page recorded skips the sync.Map round
-// trip for runs of accesses on the same page; the page set is append-only,
-// so the memo never suppresses a first touch.
+// shadowPage is the number of granules one 4096-byte page of the logical
+// shadow area covers, at one shadow byte per granule.
+const shadowPage = 4096
+
+// touchPage records the shadow page backing granule g as mapped. With the
+// check cache enabled, a per-thread memo of the last page recorded skips
+// the bitmap for runs of accesses on the same page; the page set is
+// append-only, so the memo never suppresses a first touch.
 func (s *Shadow) touchPage(tid, g int) {
-	p := g / 4096
+	p := g / shadowPage
 	if c := s.cacheFor(tid); c != nil {
 		if c.lastPage == int64(p)+1 {
 			c.pageHits++
@@ -230,16 +236,14 @@ func (s *Shadow) touchPage(tid, g int) {
 		}
 		c.lastPage = int64(p) + 1
 	}
-	s.pages.LoadOrStore(p, struct{}{})
+	if s.pages.Set(int64(p)) {
+		s.nPages.Add(1)
+	}
 }
 
 // PagesTouched returns the number of distinct logical shadow pages touched,
 // the reproduction's stand-in for the paper's minor-pagefault overhead.
-func (s *Shadow) PagesTouched() int {
-	n := 0
-	s.pages.Range(func(_, _ any) bool { n++; return true })
-	return n
-}
+func (s *Shadow) PagesTouched() int { return int(s.nPages.Load()) }
 
 func (s *Shadow) logFirstAccess(tid, g int) {
 	if tid >= 0 && tid <= MaxThreads {
