@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build bench-build fmt-check vet test race verify bench explore explore-smoke portfolio-smoke portfolio-race portfolio profile-smoke vet-smoke vet2-smoke obs vet-bench ablation serve-smoke serve-bench obs-smoke
+.PHONY: all build bench-build fmt-check vet test race fuzz-smoke verify bench explore explore-smoke portfolio-smoke portfolio-race portfolio profile-smoke vet-smoke vet2-smoke obs vet-bench ablation serve-smoke serve-bench obs-smoke
 
 all: verify
 
@@ -29,11 +29,19 @@ test:
 race:
 	$(GO) test -race ./internal/paged ./internal/shadow ./internal/interp ./internal/refcount ./internal/sched ./internal/telemetry ./internal/portfolio ./internal/serve ./internal/obsrv ./internal/absint
 
+# fuzz-smoke fuzzes the shadow runtime against its reference model (the
+# n-readers-xor-1-writer rule over plain maps) for 10 seconds. New
+# coverage is minimized for at most 1s, so the smoke spends its time
+# executing inputs rather than shrinking them.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzShadowDiscipline$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/shadow
+
 # verify is the gate for every change: build, the benchmark module, gofmt,
 # go vet, the full test suite, the race detector over the
-# concurrency-bearing packages, and the exploration, portfolio, profile,
-# static-analysis, and execution-service smokes.
-verify: build bench-build fmt-check vet test race explore-smoke portfolio-smoke profile-smoke vet-smoke vet2-smoke serve-smoke obs-smoke
+# concurrency-bearing packages, the shadow fuzz smoke, and the
+# exploration, portfolio, profile, static-analysis, and execution-service
+# smokes.
+verify: build bench-build fmt-check vet test race fuzz-smoke explore-smoke portfolio-smoke profile-smoke vet-smoke vet2-smoke serve-smoke obs-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -18,7 +18,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/parser"
-	"repro/internal/shadow"
 )
 
 // buildBench compiles one Table-1 program with the given instrumentation.
@@ -163,49 +162,6 @@ func BenchmarkDetectors(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkCheckCache measures the per-thread granule check cache on every
-// Table-1 row: full checks without the cache (Off) and with it (Cache).
-func BenchmarkCheckCache(b *testing.B) {
-	run := func(b *testing.B, prog *ir.Program, cache bool) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			cfg := interp.DefaultConfig()
-			cfg.CheckCache = cache
-			rt := interp.New(prog, cfg)
-			if _, err := rt.Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	for _, name := range []string{"pfscan", "aget", "pbzip2", "dillo", "fftw", "stunnel"} {
-		prog := buildBench(b, name, compile.DefaultOptions())
-		b.Run(name+"/Off", func(b *testing.B) { run(b, prog, false) })
-		b.Run(name+"/Cache", func(b *testing.B) { run(b, prog, true) })
-	}
-}
-
-// BenchmarkShadowEncoding ablates the reader/writer-set representation:
-// the paper's per-thread bit sets vs the compact state-machine encoding it
-// names as future work (unbounded thread ids, approximate clearing).
-func BenchmarkShadowEncoding(b *testing.B) {
-	prog := buildBench(b, "pfscan", compile.DefaultOptions())
-	run := func(b *testing.B, enc shadow.Encoding) {
-		for i := 0; i < b.N; i++ {
-			cfg := interp.DefaultConfig()
-			cfg.ShadowEncoding = enc
-			rt := interp.New(prog, cfg)
-			if _, err := rt.Run(); err != nil {
-				b.Fatal(err)
-			}
-			if n := len(rt.ReportsOfKind(interp.ReportRace)); n != 0 {
-				b.Fatalf("pfscan must stay clean under either encoding: %d races", n)
-			}
-		}
-	}
-	b.Run("Bitset", func(b *testing.B) { run(b, shadow.EncodingBitset) })
-	b.Run("StateMachine", func(b *testing.B) { run(b, shadow.EncodingState) })
 }
 
 // BenchmarkAnalysis measures the static half: parse + resolve + inference +

@@ -26,8 +26,8 @@
 //	                           additionally record the schedule to a trace
 //	sharc run -replay t.json ...
 //	                           re-execute a recorded schedule exactly (also
-//	                           across -cache/-discharge configs: the
-//	                           check-removal soundness oracle)
+//	                           on the -discharge build: the check-removal
+//	                           soundness oracle)
 //	sharc explore file.shc...  run many controlled schedules (PCT, random,
 //	                           round-robin sweep) and summarize the distinct
 //	                           violations found and which schedule first
@@ -35,7 +35,7 @@
 //	sharc profile file.shc...  execute under a fixed seed with per-site
 //	                           telemetry and print the hot-site report: the
 //	                           checks each site executed, how many were
-//	                           avoided (discharge + cache), the threads that
+//	                           avoided by -discharge, the threads that
 //	                           touched it, the sharing mode the §4.1
 //	                           heuristics would suggest, and the static vet
 //	                           verdict for the site (mismatches flagged !)
@@ -156,7 +156,6 @@ type cliFlags struct {
 	drainGraceMS int
 	// shared between execution subcommands
 	seed        int64
-	cache       bool
 	discharge   bool
 	metrics     bool
 	jsonOut     string
@@ -445,7 +444,6 @@ func main() {
 	fs.SetOutput(os.Stderr)
 	var f cliFlags
 	elisionFlags := func() {
-		fs.BoolVar(&f.cache, "cache", false, "enable the runtime check cache")
 		fs.BoolVar(&f.discharge, "discharge", false, "statically discharge checks the vet analysis proves safe")
 	}
 	traceCapFlag := func() {
@@ -837,7 +835,6 @@ func buildOpts(f *cliFlags, stdout io.Writer) sharc.Options {
 	if f.unchecked {
 		opts = sharc.Options{}
 	}
-	opts.CheckCache = f.cache
 	opts.StaticDischarge = f.discharge
 	opts.Stdout = stdout
 	return opts

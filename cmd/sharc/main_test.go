@@ -159,6 +159,7 @@ func TestCLIValidation(t *testing.T) {
 		{"no args", nil, 2, "usage"},
 		{"unknown subcommand", []string{"frobnicate", "x.shc"}, 2, "unknown subcommand"},
 		{"unknown flag", []string{"run", "-bogus", "x.shc"}, 2, "flag provided but not defined"},
+		{"removed check-cache flag", []string{"run", "-cache", "x.shc"}, 2, "flag provided but not defined"},
 		{"no files", []string{"run", "-seed", "1"}, 2, "usage"},
 		{"explore unknown flag", []string{"explore", "-unchecked", "x.shc"}, 2, "flag provided but not defined"},
 		{"record+replay", []string{"run", "-record", "a.json", "-replay", "b.json", "x.shc"}, 3, "mutually exclusive"},

@@ -66,10 +66,9 @@ func oraclePrograms(t *testing.T) []oracleProgram {
 // oracleRun renders what one run of prog fixes. seed 0 runs free and
 // renders exit and error; any other seed runs under a recorded random
 // schedule and renders every observable.
-func oracleRun(t *testing.T, prog *ir.Program, cache bool, seed int64) string {
+func oracleRun(t *testing.T, prog *ir.Program, seed int64) string {
 	t.Helper()
 	cfg := interp.DefaultConfig()
-	cfg.CheckCache = cache
 	var ctl *sched.Controller
 	if seed != 0 {
 		ctl = sched.New(sched.NewRandom(seed), sched.Options{Record: true})
@@ -103,11 +102,10 @@ func TestRegoptOracle(t *testing.T) {
 		name      string
 		opts      compile.Options
 		discharge bool
-		cache     bool
 	}{
-		{"default", compile.DefaultOptions(), false, false},
-		{"discharge+cache", compile.DefaultOptions(), true, true},
-		{"orig", compile.Options{}, false, false},
+		{"default", compile.DefaultOptions(), false},
+		{"discharge", compile.DefaultOptions(), true},
+		{"orig", compile.Options{}, false},
 	}
 	ran, before, after := 0, 0, 0
 	for _, op := range oraclePrograms(t) {
@@ -141,8 +139,8 @@ func TestRegoptOracle(t *testing.T) {
 				if seed == 0 && !op.free {
 					continue
 				}
-				want := oracleRun(t, without, oc.cache, seed)
-				got := oracleRun(t, with, oc.cache, seed)
+				want := oracleRun(t, without, seed)
+				got := oracleRun(t, with, seed)
 				if got != want {
 					t.Fatalf("%s %s seed=%d: regopt changed the run\n--- without regopt\n%s--- with regopt\n%s",
 						op.name, oc.name, seed, want, got)

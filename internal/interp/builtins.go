@@ -396,9 +396,6 @@ func (t *thread) doSpawn(fnVal, arg int64, pos token.Pos) int64 {
 	} else {
 		tid = <-rt.tidPool
 	}
-	// New concurrency: drop every thread's cached check validations so the
-	// fresh thread's accesses are re-validated against current bits.
-	rt.shadow.Invalidate()
 	handle := rt.nextHandle.Add(1)
 	th := &threadHandle{tid: tid, done: make(chan struct{})}
 	if rt.ctl != nil {

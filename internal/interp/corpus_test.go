@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/parser"
-	"repro/internal/shadow"
 )
 
 // corpusCase is one testdata program with its expected exit value.
@@ -37,10 +36,9 @@ func readCorpus(t *testing.T, name string) string {
 	return string(data)
 }
 
-// TestCorpus runs every testdata program three ways — unchecked, checked
-// with the bit-set shadow, checked with the state-machine shadow — and
-// demands identical exit values, the expected result, and zero violation
-// reports from the fully annotated sources.
+// TestCorpus runs every testdata program unchecked and checked and demands
+// identical exit values, the expected result, and zero violation reports
+// from the fully annotated sources.
 func TestCorpus(t *testing.T) {
 	for _, tc := range corpusCases {
 		tc := tc
@@ -66,19 +64,6 @@ func TestCorpus(t *testing.T) {
 			}
 			for _, r := range rtC.Reports() {
 				t.Errorf("report: %s", r)
-			}
-
-			cfgState := cfg
-			cfgState.ShadowEncoding = shadow.EncodingState
-			rtS, exitS, err := core.BuildAndRun(src, compile.DefaultOptions(), cfgState)
-			if err != nil {
-				t.Fatalf("state encoding: %v", err)
-			}
-			if exitS != exitC {
-				t.Fatalf("state-encoding exit mismatch: %d vs %d", exitS, exitC)
-			}
-			for _, r := range rtS.Reports() {
-				t.Errorf("state-encoding report: %s", r)
 			}
 		})
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/interp"
-	"repro/internal/shadow"
 )
 
 func TestCondBroadcastWakesAll(t *testing.T) {
@@ -226,45 +225,6 @@ int main(void) {
 	_, ret, _ := exec(t, src)
 	if ret != 1 {
 		t.Fatalf("ran = %d", ret)
-	}
-}
-
-func TestShadowEncodingStateEndToEnd(t *testing.T) {
-	// The alternative encoding finds the same deterministic race.
-	src := `
-int racy phase;
-void *writerA(void *d) {
-	int *p = d;
-	p[0] = 1;
-	phase = 1;
-	while (phase < 2) yield();
-	return NULL;
-}
-void *writerB(void *d) {
-	int *p = d;
-	while (phase < 1) yield();
-	p[0] = 2;
-	phase = 2;
-	return NULL;
-}
-int main(void) {
-	int *buf = malloc(sizeof(int));
-	int dynamic *shared = SCAST(int dynamic *, buf);
-	int t1 = spawn(writerA, shared);
-	int t2 = spawn(writerB, shared);
-	join(t1);
-	join(t2);
-	return 0;
-}
-`
-	cfg := interp.DefaultConfig()
-	cfg.ShadowEncoding = shadow.EncodingState
-	rt, _, err := core.BuildAndRun(src, compile.DefaultOptions(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rt.ReportsOfKind(interp.ReportRace)) == 0 {
-		t.Fatal("state encoding must detect the race")
 	}
 }
 

@@ -5,23 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/compile"
-	"repro/internal/core"
 	"repro/internal/interp"
-	"repro/internal/shadow"
 )
-
-// elisionConfigs is the check-removal matrix: every corpus program must
-// behave identically under every combination of static discharge and the
-// runtime cache.
-var elisionConfigs = []struct {
-	name      string
-	discharge bool
-	cache     bool
-}{
-	{"discharge", true, false},
-	{"cache", false, true},
-	{"discharge+cache", true, true},
-}
 
 func sortedReports(rt *interp.Runtime) []string {
 	var msgs []string
@@ -33,9 +18,9 @@ func sortedReports(rt *interp.Runtime) []string {
 }
 
 // TestCorpusElisionSound runs every testdata program with full checks and
-// under each check-removal configuration, demanding identical exit values and
+// on its discharged build, demanding identical exit values and
 // byte-identical conflict reports. The corpus is annotation-clean, so the
-// strong form of the property is that every configuration reports nothing.
+// strong form of the property is that neither build reports anything.
 func TestCorpusElisionSound(t *testing.T) {
 	for _, tc := range corpusCases {
 		tc := tc
@@ -50,60 +35,24 @@ func TestCorpusElisionSound(t *testing.T) {
 			}
 			baseReports := sortedReports(rtOff)
 
-			for _, ec := range elisionConfigs {
-				prog := compiled
-				if ec.discharge {
-					prog = discharged
-				}
-				cfg := interp.DefaultConfig()
-				cfg.CheckCache = ec.cache
-
-				rt := interp.New(prog, cfg)
-				exit, err := rt.Run()
-				if err != nil {
-					t.Fatalf("%s: %v", ec.name, err)
-				}
-				if exit != exitOff {
-					t.Errorf("%s: exit = %d, full checks = %d", ec.name, exit, exitOff)
-				}
-				got := sortedReports(rt)
-				if len(got) != len(baseReports) {
-					t.Errorf("%s: %d reports, full checks had %d:\n got  %q\n want %q",
-						ec.name, len(got), len(baseReports), got, baseReports)
-					continue
-				}
-				for i := range got {
-					if got[i] != baseReports[i] {
-						t.Errorf("%s: report %d differs:\n got  %q\n want %q",
-							ec.name, i, got[i], baseReports[i])
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestCorpusElisionStateEncoding runs the cache under the state-machine
-// shadow encoding: the cache fast path must compose with either encoding.
-func TestCorpusElisionStateEncoding(t *testing.T) {
-	for _, tc := range corpusCases {
-		tc := tc
-		t.Run(tc.file, func(t *testing.T) {
-			src := readCorpus(t, tc.file)
-
-			cfg := interp.DefaultConfig()
-			cfg.ShadowEncoding = shadow.EncodingState
-			cfg.CheckCache = true
-
-			rt, exit, err := core.BuildAndRun(src, compile.DefaultOptions(), cfg)
+			rt := interp.New(discharged, interp.DefaultConfig())
+			exit, err := rt.Run()
 			if err != nil {
-				t.Fatalf("state+cache: %v", err)
+				t.Fatalf("discharge: %v", err)
 			}
-			if tc.exit >= 0 && exit != tc.exit {
-				t.Errorf("exit = %d, want %d", exit, tc.exit)
+			if exit != exitOff {
+				t.Errorf("discharge: exit = %d, full checks = %d", exit, exitOff)
 			}
-			for _, r := range rt.Reports() {
-				t.Errorf("report: %s", r)
+			got := sortedReports(rt)
+			if len(got) != len(baseReports) {
+				t.Fatalf("discharge: %d reports, full checks had %d:\n got  %q\n want %q",
+					len(got), len(baseReports), got, baseReports)
+			}
+			for i := range got {
+				if got[i] != baseReports[i] {
+					t.Errorf("discharge: report %d differs:\n got  %q\n want %q",
+						i, got[i], baseReports[i])
+				}
 			}
 		})
 	}

@@ -2,13 +2,12 @@ package interp_test
 
 // Golden-output oracle for the execution engine. Every corpus program, and
 // every checker-passing program from the seed-2008 fuzz generator, runs
-// under fixed cooperative schedules with and without the runtime check
-// cache. The
-// observables of each run -- exit value, error text, reports, statistics,
-// and the sha256 of the recorded schedule trace -- must match the files in
-// testdata/golden byte for byte. The files were recorded while a
-// recursive tree walker still ran beside the register VM and both matched
-// them, so they pin the evaluation order the linearize pass promises.
+// under fixed cooperative schedules. The observables of each run -- exit
+// value, error text, reports, statistics, and the sha256 of the recorded
+// schedule trace -- must match the files in testdata/golden byte for byte.
+// The files were recorded while a recursive tree walker still ran beside
+// the register VM and both matched them, so they pin the evaluation order
+// the linearize pass promises.
 //
 // Regenerate, only for an intended change of observable behaviour, with
 // UPDATE_GOLDEN=1 go test -run TestEngineDifferential ./internal/interp
@@ -44,11 +43,10 @@ var allCorpusFiles = []string{
 
 // engineRun executes prog under a seeded cooperative schedule and renders
 // everything observable from the run as one golden block headed by label.
-func engineRun(t *testing.T, label string, prog *ir.Program, cache bool, seed int64) string {
+func engineRun(t *testing.T, label string, prog *ir.Program, seed int64) string {
 	t.Helper()
 	ctl := sched.New(sched.NewRandom(seed), sched.Options{Record: true})
 	cfg := interp.DefaultConfig()
-	cfg.CheckCache = cache
 	cfg.Sched = ctl
 	rt := interp.New(prog, cfg)
 	exit, err := rt.Run()
@@ -108,19 +106,16 @@ func checkEngineGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestEngineDifferentialCorpus runs every corpus program under fixed seeds,
-// with and without the check cache, and compares the observables with the
-// program's golden file.
+// TestEngineDifferentialCorpus runs every corpus program under fixed seeds
+// and compares the observables with the program's golden file.
 func TestEngineDifferentialCorpus(t *testing.T) {
 	for _, file := range allCorpusFiles {
 		file := file
 		t.Run(file, func(t *testing.T) {
 			var sb strings.Builder
 			prog := buildCorpus(t, file, compile.DefaultOptions())
-			for _, cc := range cacheConfigs {
-				for _, seed := range []int64{1, 12} {
-					sb.WriteString(engineRun(t, fmt.Sprintf("%s seed=%d", cc.name, seed), prog, cc.cache, seed))
-				}
+			for _, seed := range []int64{1, 12} {
+				sb.WriteString(engineRun(t, fmt.Sprintf("plain seed=%d", seed), prog, seed))
 			}
 			checkEngineGolden(t, strings.TrimSuffix(file, ".shc")+".golden", sb.String())
 		})
@@ -132,12 +127,12 @@ func TestEngineDifferentialCorpus(t *testing.T) {
 
 // TestEngineDifferentialFuzz is the fuzz oracle: random well-typed
 // core-language programs are rendered to ShC, and every one that passes the
-// static checker runs under fixed seeds with and without the check cache, its
-// observables compared with testdata/golden/fuzz.golden. Programs the
-// static checker rejects (the renderer maps the core language onto a
-// stricter surface syntax) are skipped; the test demands a minimum yield so
-// the oracle cannot silently degenerate, and the golden file pins which
-// programs ran and the digest of each one's source.
+// static checker runs under fixed seeds, its observables compared with
+// testdata/golden/fuzz.golden. Programs the static checker rejects (the
+// renderer maps the core language onto a stricter surface syntax) are
+// skipped; the test demands a minimum yield so the oracle cannot silently
+// degenerate, and the golden file pins which programs ran and the digest
+// of each one's source.
 func TestEngineDifferentialFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(2008))
 	ran := 0
@@ -154,15 +149,10 @@ func TestEngineDifferentialFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatalf("program %d: build: %v", i, err)
 		}
-		// The plain sections keep the label they were recorded under,
+		// The sections keep the label they were recorded under,
 		// "elide=false", so the recorded file never changes.
-		for _, cc := range []struct {
-			name  string
-			cache bool
-		}{{"elide=false", false}, {"cache", true}} {
-			for _, seed := range []int64{1, 7} {
-				sb.WriteString(engineRun(t, fmt.Sprintf("program %d %s seed=%d", i, cc.name, seed), prog, cc.cache, seed))
-			}
+		for _, seed := range []int64{1, 7} {
+			sb.WriteString(engineRun(t, fmt.Sprintf("program %d elide=false seed=%d", i, seed), prog, seed))
 		}
 	}
 	if ran < 15 {
@@ -179,8 +169,7 @@ func TestEngineDifferentialFuzz(t *testing.T) {
 // values and reports recorded on the tree walker before it was retired: the
 // VM must record the byte-identical trace under the same seed, and that
 // trace must replay without divergence on the checked build and on the
-// discharged build with and without the check cache (off, discharge,
-// discharge+cache), with identical exit values and reports.
+// discharged build, with identical exit values and reports.
 func TestSchedCrossEngineReplay(t *testing.T) {
 	for _, file := range []string{"bank.shc", "barrier.shc", "racy_handoff.shc", "racy_reader.shc"} {
 		file := file
@@ -189,13 +178,11 @@ func TestSchedCrossEngineReplay(t *testing.T) {
 			discharged := buildDischarged(t, file)
 
 			cells := []struct {
-				name  string
-				prog  *ir.Program
-				cache bool
+				name string
+				prog *ir.Program
 			}{
-				{"off", plain, false},
-				{"discharge", discharged, false},
-				{"discharge+cache", discharged, true},
+				{"off", plain},
+				{"discharge", discharged},
 			}
 
 			var sb strings.Builder
@@ -215,9 +202,7 @@ func TestSchedCrossEngineReplay(t *testing.T) {
 				for _, cell := range cells {
 					label := fmt.Sprintf("seed=%d %s", seed, cell.name)
 					rep := sched.NewReplay(tr)
-					cfg := interp.DefaultConfig()
-					cfg.CheckCache = cell.cache
-					got := schedRun(t, cell.prog, cfg, rep)
+					got := schedRun(t, cell.prog, interp.DefaultConfig(), rep)
 					if rep.Diverged() {
 						t.Fatalf("%s: trace did not align", label)
 					}

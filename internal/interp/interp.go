@@ -78,14 +78,6 @@ type Config struct {
 	Observer   Observer
 	// SeedRand seeds the deterministic per-thread generators.
 	SeedRand int64
-	// ShadowEncoding selects the reader/writer-set representation: the
-	// paper's bit sets or the compact state machine (§4.2.1/§7 future
-	// work).
-	ShadowEncoding shadow.Encoding
-	// CheckCache enables the per-thread granule check cache and last-page
-	// memo in the shadow (the runtime half of check elision). Off by
-	// default.
-	CheckCache bool
 	// Sched, when non-nil, replaces free-running Go scheduling with the
 	// cooperative deterministic scheduler: threads hand off an execution
 	// token at every sync/check point and the controller's strategy picks
@@ -175,11 +167,6 @@ type Stats struct {
 	ShadowPages     int // distinct logical shadow pages touched
 	HeapPages       int // distinct heap pages touched
 	MaxThreads      int // peak concurrently live threads
-
-	// Check-cache fast-path counters (zero unless Config.CheckCache).
-	CheckCacheLookups int64
-	CheckCacheHits    int64
-	PageMemoHits      int64
 }
 
 // Runtime executes one program.
@@ -233,7 +220,6 @@ type Runtime struct {
 	counters    *telemetry.Counters
 	tel         *telemetry.Collector
 	tracer      *telemetry.Tracer
-	shadowRev   []int    // shadow site id -> program site (sink attribution)
 	skeyTids    sync.Map // scheduler key -> tid, for trace decision lanes
 	liveThreads atomic.Int32
 
@@ -307,40 +293,14 @@ func New(prog *ir.Program, cfg Config) *Runtime {
 	if rt.tracer == nil && cfg.TraceCapacity > 0 {
 		rt.tracer = telemetry.NewTracer(cfg.TraceCapacity, siteInfos(prog))
 	}
-	var sink shadow.CheckSink
-	if rt.tel != nil || rt.tracer != nil {
-		sink = &cacheSink{rt: rt}
-	}
-	rt.shadow = shadow.NewWithOptions(int(memCells), shadow.Options{
-		Encoding:   cfg.ShadowEncoding,
-		CheckCache: cfg.CheckCache,
-		Sink:       sink,
-	})
+	rt.shadow = shadow.New(int(memCells))
 	for t := 1; t <= shadow.MaxThreads; t++ {
 		rt.tidPool <- t
 	}
 	// Intern report sites into the shadow.
 	rt.siteIDs = make([]uint32, len(prog.Sites))
-	maxSID := uint32(0)
 	for i, s := range prog.Sites {
 		rt.siteIDs[i] = rt.shadow.InternSite(shadow.Site{LValue: s.LValue, Pos: s.Pos})
-		if rt.siteIDs[i] > maxSID {
-			maxSID = rt.siteIDs[i]
-		}
-	}
-	if sink != nil && len(prog.Sites) > 0 {
-		// The shadow interns sites with its own dedupe, so several program
-		// sites can share one shadow id; attribute cache outcomes to the
-		// first program site that produced the id.
-		rt.shadowRev = make([]int, maxSID+1)
-		for i := range rt.shadowRev {
-			rt.shadowRev[i] = -1
-		}
-		for i, id := range rt.siteIDs {
-			if rt.shadowRev[id] < 0 {
-				rt.shadowRev[id] = i
-			}
-		}
 	}
 	if rt.tracer != nil && rt.ctl != nil {
 		rt.ctl.SetObserver(schedObs{rt: rt})
@@ -580,10 +540,6 @@ func (rt *Runtime) Stats() Stats {
 		MaxThreads:      int(c.MaxThreads.Load()),
 	}
 	s.ShadowPages = rt.shadow.PagesTouched()
-	cs := rt.shadow.CacheStats()
-	s.CheckCacheLookups = cs.Lookups
-	s.CheckCacheHits = cs.Hits
-	s.PageMemoHits = cs.PageMemoHits
 	rt.heapMu.Lock()
 	s.HeapPages = len(rt.heapPages)
 	rt.heapMu.Unlock()

@@ -99,25 +99,23 @@ func TestSchedCorpusClean(t *testing.T) {
 	}
 }
 
-// cacheConfigs runs a build with the runtime check cache off and on.
-var cacheConfigs = []struct {
-	name  string
-	cache bool
-}{{"plain", false}, {"cache", true}}
-
 // TestSchedDeterminism: the same (program, seed) produces byte-identical
-// traces, reports, and exit values across 20 repeated runs, with and
-// without the check cache.
+// traces, reports, and exit values across 20 repeated runs, on the checked
+// and on the discharged build.
 func TestSchedDeterminism(t *testing.T) {
 	for _, file := range []string{"bank.shc", "barrier.shc", "racy_handoff.shc"} {
-		prog := buildCorpus(t, file, compile.DefaultOptions())
-		for _, cc := range cacheConfigs {
-			t.Run(file+"/"+cc.name, func(t *testing.T) {
-				cfg := interp.DefaultConfig()
-				cfg.CheckCache = cc.cache
+		builds := []struct {
+			name string
+			prog *ir.Program
+		}{
+			{"plain", buildCorpus(t, file, compile.DefaultOptions())},
+			{"discharge", buildDischarged(t, file)},
+		}
+		for _, b := range builds {
+			t.Run(file+"/"+b.name, func(t *testing.T) {
 				var first schedRunResult
 				for i := 0; i < 20; i++ {
-					r := schedRun(t, prog, cfg, sched.NewRandom(42))
+					r := schedRun(t, b.prog, interp.DefaultConfig(), sched.NewRandom(42))
 					if i == 0 {
 						first = r
 						continue
@@ -158,10 +156,9 @@ func TestSchedRecordReplay(t *testing.T) {
 
 // TestSchedCrossElisionReplay is the check-removal soundness oracle: a
 // schedule recorded on the checked build replays without divergence on the
-// discharged build, with and without the check cache (scheduling points
-// anchor to memory accesses, which neither removes), and the discharged
-// build must produce the same reports and exit value under that fixed
-// schedule.
+// discharged build (scheduling points anchor to memory accesses, which
+// discharge never removes), and the discharged build must produce the same
+// reports and exit value under that fixed schedule.
 func TestSchedCrossElisionReplay(t *testing.T) {
 	for _, file := range allCorpusFiles {
 		t.Run(file, func(t *testing.T) {
@@ -174,21 +171,17 @@ func TestSchedCrossElisionReplay(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, cache := range []bool{false, true} {
-					rep := sched.NewReplay(tr)
-					cfg := interp.DefaultConfig()
-					cfg.CheckCache = cache
-					got := schedRun(t, discharged, cfg, rep)
-					if rep.Diverged() {
-						t.Fatalf("seed %d cache=%v: trace did not align on the discharged build", seed, cache)
-					}
-					if got.exit != rec.exit {
-						t.Fatalf("seed %d cache=%v: exit %d discharged, %d checked", seed, cache, got.exit, rec.exit)
-					}
-					if got.reports != rec.reports {
-						t.Fatalf("seed %d cache=%v: discharge changed reports under a fixed schedule:\nchecked:\n%s---\ndischarged:\n%s",
-							seed, cache, rec.reports, got.reports)
-					}
+				rep := sched.NewReplay(tr)
+				got := schedRun(t, discharged, interp.DefaultConfig(), rep)
+				if rep.Diverged() {
+					t.Fatalf("seed %d: trace did not align on the discharged build", seed)
+				}
+				if got.exit != rec.exit {
+					t.Fatalf("seed %d: exit %d discharged, %d checked", seed, got.exit, rec.exit)
+				}
+				if got.reports != rec.reports {
+					t.Fatalf("seed %d: discharge changed reports under a fixed schedule:\nchecked:\n%s---\ndischarged:\n%s",
+						seed, rec.reports, got.reports)
 				}
 			}
 		})

@@ -20,24 +20,6 @@ func siteInfos(prog *ir.Program) []telemetry.SiteInfo {
 	return info
 }
 
-// cacheSink receives check-cache outcomes from the shadow and attributes
-// them to program sites (the shadow interns sites separately, so ids are
-// translated through shadowRev). Installed only when the collector or
-// tracer is live.
-type cacheSink struct{ rt *Runtime }
-
-func (s *cacheSink) CacheLookup(tid int, siteID uint32, hit bool) {
-	rt := s.rt
-	site := -1
-	if int(siteID) < len(rt.shadowRev) {
-		site = rt.shadowRev[siteID]
-	}
-	rt.tel.CacheLookup(tid, site, hit)
-	if hit {
-		rt.tracer.Append(telemetry.KindCacheHit, tid, site, 0, 0)
-	}
-}
-
 // schedObs forwards scheduler decisions and blocking edges into the
 // tracer. It is called with the controller's lock held and must not call
 // back into the scheduler; it only stamps the tracer.
@@ -113,9 +95,6 @@ func (rt *Runtime) globalStats() telemetry.GlobalStats {
 		OnerefFailures: c.OnerefFailures.Load(),
 		MaxThreads:     int64(s.MaxThreads),
 		MaxLocksHeld:   c.MaxLocksHeld.Load(),
-		CacheLookups:   s.CheckCacheLookups,
-		CacheHits:      s.CheckCacheHits,
-		PageMemoHits:   s.PageMemoHits,
 		ShadowPages:    s.ShadowPages,
 		HeapPages:      s.HeapPages,
 	}

@@ -213,11 +213,10 @@ func (t *thread) observe(addr int64, write bool, site int) {
 // of memory accesses to dynamic objects" is over globals and heap.
 //
 // Shared (non-stack) accesses are also the anchor for cooperative
-// scheduling points: discharge and the check cache skip a Load/Store's
-// check but never the access itself, so the decision sequence stays
-// aligned across configs — which is what lets a trace recorded on the
-// checked build replay exactly under -discharge/-cache (the soundness
-// oracle).
+// scheduling points: discharge skips a Load/Store's check but never the
+// access itself, so the decision sequence stays aligned across builds —
+// which is what lets a trace recorded on the checked build replay exactly
+// on the -discharge build (the soundness oracle).
 func (t *thread) countAccess(addr int64) {
 	if addr < t.rt.stackBase || addr >= t.rt.heapBase {
 		t.nAccess++

@@ -21,7 +21,6 @@
 package ir
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/token"
@@ -601,265 +600,4 @@ func badLockNode(e Expr) Expr {
 		return badLockNode(e.R)
 	}
 	return e
-}
-
-// ---------------------------------------------------------------------------
-// binary encoding
-
-// The binary form serializes the executable skeleton of a flat program:
-// code, register counts, position tables, and the check/call/builtin/scast
-// side tables reduced to their engine-visible fields. Lock expressions are
-// compile-time-only and are not encoded; a decoded program runs checks whose locked entries are
-// inert, so the encoding serves caching, inspection, and golden tests
-// rather than re-running the pass pipeline.
-
-const flatMagic = "shcF2\n"
-
-type flatEncoder struct{ buf []byte }
-
-func (e *flatEncoder) u64(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *flatEncoder) i64(v int64)  { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *flatEncoder) int(v int)    { e.i64(int64(v)) }
-func (e *flatEncoder) str(s string) { e.u64(uint64(len(s))); e.buf = append(e.buf, s...) }
-func (e *flatEncoder) pos(p token.Pos) {
-	e.str(p.File)
-	e.int(p.Line)
-	e.int(p.Col)
-}
-func (e *flatEncoder) check(c *Check) {
-	e.int(int(c.Kind))
-	e.int(c.Site)
-}
-
-// EncodeFlat serializes fp to the binary form.
-func EncodeFlat(fp *FlatProgram) []byte {
-	e := &flatEncoder{buf: []byte(flatMagic)}
-	e.int(len(fp.Funcs))
-	for _, ff := range fp.Funcs {
-		e.int(ff.NumRegs)
-		e.int(len(ff.Code))
-		for i := range ff.Code {
-			in := &ff.Code[i]
-			e.u64(uint64(in.Op))
-			e.i64(int64(in.A))
-			e.i64(int64(in.B))
-			e.i64(int64(in.C))
-			e.i64(in.Imm)
-		}
-		e.int(len(ff.PosTab))
-		for _, p := range ff.PosTab {
-			e.pos(p)
-		}
-		e.int(len(ff.Checks))
-		for i := range ff.Checks {
-			fc := &ff.Checks[i]
-			e.check(fc.Orig)
-			if fc.Write {
-				e.u64(1)
-			} else {
-				e.u64(0)
-			}
-		}
-		e.int(len(ff.Calls))
-		for i := range ff.Calls {
-			ci := &ff.Calls[i]
-			e.int(ci.Target)
-			e.i64(int64(ci.FnReg))
-			e.int(len(ci.Args))
-			for _, r := range ci.Args {
-				e.i64(int64(r))
-			}
-			e.pos(ci.Pos)
-		}
-		e.int(len(ff.Builtins))
-		for i := range ff.Builtins {
-			bi := &ff.Builtins[i]
-			e.str(bi.E.Name)
-			e.pos(bi.E.Pos)
-			e.int(len(bi.E.ArgChecks))
-			for j := range bi.E.ArgChecks {
-				e.check(&bi.E.ArgChecks[j])
-			}
-			e.int(len(bi.E.ArgAccess))
-			for _, a := range bi.E.ArgAccess {
-				e.int(int(a))
-			}
-			e.int(len(bi.Args))
-			for _, r := range bi.Args {
-				e.i64(int64(r))
-			}
-		}
-		e.int(len(ff.Scasts))
-		for _, sc := range ff.Scasts {
-			e.check(&sc.ChkR)
-			e.check(&sc.ChkW)
-			if sc.Barrier {
-				e.u64(1)
-			} else {
-				e.u64(0)
-			}
-			e.pos(sc.Pos)
-			e.str(sc.TargetDesc)
-		}
-	}
-	return e.buf
-}
-
-type flatDecoder struct {
-	buf []byte
-	err error
-}
-
-func (d *flatDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *flatDecoder) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.fail("truncated uvarint")
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *flatDecoder) i64() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		d.fail("truncated varint")
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-// intn decodes a non-negative count bounded by the remaining input so a
-// corrupt length cannot drive allocation.
-func (d *flatDecoder) intn() int {
-	v := d.i64()
-	if d.err == nil && (v < 0 || v > int64(len(d.buf))+1) {
-		d.fail("implausible count %d", v)
-	}
-	return int(v)
-}
-
-func (d *flatDecoder) str() string {
-	n := d.u64()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.buf)) {
-		d.fail("truncated string")
-		return ""
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s
-}
-
-func (d *flatDecoder) pos() token.Pos {
-	var p token.Pos
-	p.File = d.str()
-	p.Line = int(d.i64())
-	p.Col = int(d.i64())
-	return p
-}
-
-func (d *flatDecoder) check() Check {
-	k := d.i64()
-	site := d.i64()
-	if d.err == nil && (k < int64(CheckNone) || k > int64(CheckElided)) {
-		d.fail("invalid check kind %d", k)
-	}
-	return Check{Kind: CheckKind(k), Site: int(site)}
-}
-
-// DecodeFlat parses the binary form produced by EncodeFlat. The result
-// carries standalone Check nodes (no tree sharing); locked checks decode
-// without their lock expressions.
-func DecodeFlat(data []byte) (*FlatProgram, error) {
-	if len(data) < len(flatMagic) || string(data[:len(flatMagic)]) != flatMagic {
-		return nil, fmt.Errorf("flat decode: bad magic")
-	}
-	d := &flatDecoder{buf: data[len(flatMagic):]}
-	nf := d.intn()
-	fp := &FlatProgram{}
-	for f := 0; f < nf && d.err == nil; f++ {
-		ff := &FlatFunc{NumRegs: int(d.i64())}
-		ni := d.intn()
-		for i := 0; i < ni && d.err == nil; i++ {
-			op := d.u64()
-			if op >= uint64(opCount) {
-				d.fail("instr %d: unknown opcode %d", i, op)
-				break
-			}
-			ff.Code = append(ff.Code, Instr{
-				Op: Op(op), A: int32(d.i64()), B: int32(d.i64()),
-				C: int32(d.i64()), Imm: d.i64(),
-			})
-		}
-		np := d.intn()
-		for i := 0; i < np && d.err == nil; i++ {
-			ff.PosTab = append(ff.PosTab, d.pos())
-		}
-		nc := d.intn()
-		for i := 0; i < nc && d.err == nil; i++ {
-			c := d.check()
-			w := d.u64() != 0
-			ff.Checks = append(ff.Checks, FlatCheck{Orig: &c, Write: w})
-		}
-		ncall := d.intn()
-		for i := 0; i < ncall && d.err == nil; i++ {
-			ci := CallInfo{Target: int(d.i64()), FnReg: int32(d.i64())}
-			na := d.intn()
-			for j := 0; j < na && d.err == nil; j++ {
-				ci.Args = append(ci.Args, int32(d.i64()))
-			}
-			ci.Pos = d.pos()
-			ff.Calls = append(ff.Calls, ci)
-		}
-		nb := d.intn()
-		for i := 0; i < nb && d.err == nil; i++ {
-			bc := &BuiltinCall{Name: d.str()}
-			bc.Pos = d.pos()
-			nac := d.intn()
-			for j := 0; j < nac && d.err == nil; j++ {
-				bc.ArgChecks = append(bc.ArgChecks, d.check())
-			}
-			naa := d.intn()
-			for j := 0; j < naa && d.err == nil; j++ {
-				bc.ArgAccess = append(bc.ArgAccess, Access(d.i64()))
-			}
-			bi := BuiltinInfo{E: bc}
-			nr := d.intn()
-			for j := 0; j < nr && d.err == nil; j++ {
-				bi.Args = append(bi.Args, int32(d.i64()))
-			}
-			ff.Builtins = append(ff.Builtins, bi)
-		}
-		ns := d.intn()
-		for i := 0; i < ns && d.err == nil; i++ {
-			sc := &Scast{ChkR: d.check(), ChkW: d.check(), Barrier: d.u64() != 0}
-			sc.Pos = d.pos()
-			sc.TargetDesc = d.str()
-			ff.Scasts = append(ff.Scasts, sc)
-		}
-		fp.Funcs = append(fp.Funcs, ff)
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("flat decode: %v", d.err)
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("flat decode: %d trailing bytes", len(d.buf))
-	}
-	return fp, nil
 }

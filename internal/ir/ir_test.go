@@ -2,7 +2,6 @@ package ir
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -282,66 +281,6 @@ func TestFlatVerifyRejects(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("diagnostic %q does not mention %q", err, tc.want)
-			}
-		})
-	}
-}
-
-// TestFlatEncodeDecodeRoundTrip: the binary form reproduces the executable
-// skeleton exactly. The fixture carries only encoded state (no lock
-// expressions), so structural equality is exact.
-func TestFlatEncodeDecodeRoundTrip(t *testing.T) {
-	_, fp := flatFixture()
-	// A third function carries every opcode once, with operands of both
-	// signs and a wide immediate; the codec does not verify.
-	every := &FlatFunc{NumRegs: 1, PosTab: []token.Pos{{}}}
-	for op := FNop; op < opCount; op++ {
-		every.Code = append(every.Code, Instr{Op: op, A: int32(op), B: -int32(op), C: 1 << 20, Imm: -int64(op) << 40})
-	}
-	fp.Funcs = append(fp.Funcs, every)
-	data := EncodeFlat(fp)
-	got, err := DecodeFlat(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fp, got) {
-		t.Fatalf("round trip diverged:\nencoded: %+v\ndecoded: %+v", fp, got)
-	}
-	// Re-encoding the decoded program is byte-identical (canonical form).
-	if again := EncodeFlat(got); string(again) != string(data) {
-		t.Fatal("re-encoding the decoded program produced different bytes")
-	}
-}
-
-// TestFlatDecodeRejectsCorrupt: corrupt inputs fail with an error instead
-// of a panic or a silently wrong program.
-func TestFlatDecodeRejectsCorrupt(t *testing.T) {
-	_, fp := flatFixture()
-	good := EncodeFlat(fp)
-
-	cases := []struct {
-		name string
-		data []byte
-	}{
-		{"empty", nil},
-		{"bad magic", []byte("not a flat program")},
-		{"truncated", good[:len(good)/2]},
-		{"trailing bytes", append(append([]byte{}, good...), 0x00)},
-	}
-	// Unknown opcode: the first instruction's opcode byte follows the
-	// magic, func count, NumRegs, and code length varints.
-	bad := append([]byte{}, good...)
-	badOp := len(flatMagic) + 3
-	bad[badOp] = byte(opCount) + 1
-	cases = append(cases, struct {
-		name string
-		data []byte
-	}{"unknown opcode", bad})
-
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := DecodeFlat(tc.data); err == nil {
-				t.Fatal("decoder accepted corrupt input")
 			}
 		})
 	}

@@ -14,10 +14,6 @@
 // first access so its bits can be cleared cheaply when it exits; free()
 // clears a granule range outright (two threads whose lifetimes do not
 // overlap do not race).
-//
-// An optional per-thread fast path (Options.CheckCache) remembers recently
-// validated granules and answers repeat checks without touching the shared
-// shadow words; see cache.go.
 package shadow
 
 import (
@@ -95,31 +91,12 @@ type threadLog struct {
 	gs []int32
 }
 
-// CheckSink receives check-cache fast-path outcomes for telemetry
-// attribution. Implementations must be safe for concurrent use; the site
-// id is the interned shadow site of the check being answered.
-type CheckSink interface {
-	CacheLookup(tid int, siteID uint32, hit bool)
-}
-
-// Options configures a Shadow beyond its size.
-type Options struct {
-	// Encoding selects the reader/writer-set representation.
-	Encoding Encoding
-	// CheckCache enables the per-thread direct-mapped granule cache and the
-	// per-thread last-page memo (the runtime half of check elision).
-	CheckCache bool
-	// Sink, when non-nil, observes cache lookups (telemetry).
-	Sink CheckSink
-}
-
 // Shadow tracks reader/writer sets for a fixed-size cell memory. The
 // per-granule state is demand-paged (internal/paged): programs use a small
 // fraction of the address space, and eager full-size arrays would dominate
 // runtime startup.
 type Shadow struct {
 	granules int
-	enc      Encoding
 	words    paged.Table[atomic.Uint32] // reader/writer bit sets
 	// last is best-effort metadata for reports: the last checked access per
 	// granule, packed as tid<<33 | kind<<32 | siteID.
@@ -130,19 +107,8 @@ type Shadow struct {
 	sites   []Site
 	siteIDs map[Site]uint32
 
-	// logs[tid] is the preallocated first-access log for the thread ids the
-	// bitset encoding admits; extraLogs is the locked slow path for
-	// state-encoding thread ids beyond MaxThreads.
-	logs      [MaxThreads + 1]threadLog
-	extraMu   sync.Mutex
-	extraLogs map[int][]int32
-
-	// caches holds the per-thread check caches when Options.CheckCache is
-	// set (nil otherwise); epoch invalidates all of them at once. sink,
-	// when non-nil, observes every cache lookup.
-	caches []threadCache
-	epoch  atomic.Uint64
-	sink   CheckSink
+	// logs[tid] is thread tid's first-access log.
+	logs [MaxThreads + 1]threadLog
 
 	// pages marks which 4096-byte pages of the logical 1-byte-per-granule
 	// shadow area have been touched, for the paper's minor-pagefault
@@ -151,32 +117,16 @@ type Shadow struct {
 	nPages atomic.Int64
 }
 
-// New returns a shadow for a memory of the given number of cells, using
-// the paper's bit-set encoding.
-func New(cells int) *Shadow { return NewWithOptions(cells, Options{}) }
-
-// NewWithEncoding selects the reader/writer-set representation.
-func NewWithEncoding(cells int, enc Encoding) *Shadow {
-	return NewWithOptions(cells, Options{Encoding: enc})
-}
-
-// NewWithOptions returns a shadow configured by o.
-func NewWithOptions(cells int, o Options) *Shadow {
+// New returns a shadow for a memory of the given number of cells.
+func New(cells int) *Shadow {
 	n := (cells+GranuleCells-1)/GranuleCells + 1
-	s := &Shadow{
+	return &Shadow{
 		granules: n,
-		enc:      o.Encoding,
 		words:    paged.NewTable[atomic.Uint32](int64(n)),
 		last:     paged.NewTable[atomic.Uint64](int64(n)),
 		siteIDs:  make(map[Site]uint32),
-		sink:     o.Sink,
 		pages:    paged.NewBits(int64(n/shadowPage + 1)),
 	}
-	if o.CheckCache {
-		s.caches = make([]threadCache, MaxThreads+1)
-		s.epoch.Store(1)
-	}
-	return s
 }
 
 // NumGranules returns the number of granules covered.
@@ -223,20 +173,9 @@ func granuleOf(cell int64) int { return int(cell) / GranuleCells }
 // shadow area covers, at one shadow byte per granule.
 const shadowPage = 4096
 
-// touchPage records the shadow page backing granule g as mapped. With the
-// check cache enabled, a per-thread memo of the last page recorded skips
-// the bitmap for runs of accesses on the same page; the page set is
-// append-only, so the memo never suppresses a first touch.
-func (s *Shadow) touchPage(tid, g int) {
-	p := g / shadowPage
-	if c := s.cacheFor(tid); c != nil {
-		if c.lastPage == int64(p)+1 {
-			c.pageHits++
-			return
-		}
-		c.lastPage = int64(p) + 1
-	}
-	if s.pages.Set(int64(p)) {
+// touchPage records the shadow page backing granule g as mapped.
+func (s *Shadow) touchPage(g int) {
+	if s.pages.Set(int64(g / shadowPage)) {
 		s.nPages.Add(1)
 	}
 }
@@ -246,36 +185,19 @@ func (s *Shadow) touchPage(tid, g int) {
 func (s *Shadow) PagesTouched() int { return int(s.nPages.Load()) }
 
 func (s *Shadow) logFirstAccess(tid, g int) {
-	if tid >= 0 && tid <= MaxThreads {
-		l := &s.logs[tid]
-		l.mu.Lock()
-		l.gs = append(l.gs, int32(g))
-		l.mu.Unlock()
-		return
-	}
-	// The state encoding admits thread ids beyond MaxThreads.
-	s.extraMu.Lock()
-	if s.extraLogs == nil {
-		s.extraLogs = make(map[int][]int32)
-	}
-	s.extraLogs[tid] = append(s.extraLogs[tid], int32(g))
-	s.extraMu.Unlock()
+	l := &s.logs[tid]
+	l.mu.Lock()
+	l.gs = append(l.gs, int32(g))
+	l.mu.Unlock()
 }
 
 // takeLog detaches and returns tid's first-access log.
 func (s *Shadow) takeLog(tid int) []int32 {
-	if tid >= 0 && tid <= MaxThreads {
-		l := &s.logs[tid]
-		l.mu.Lock()
-		log := l.gs
-		l.gs = nil
-		l.mu.Unlock()
-		return log
-	}
-	s.extraMu.Lock()
-	log := s.extraLogs[tid]
-	delete(s.extraLogs, tid)
-	s.extraMu.Unlock()
+	l := &s.logs[tid]
+	l.mu.Lock()
+	log := l.gs
+	l.gs = nil
+	l.mu.Unlock()
 	return log
 }
 
@@ -299,38 +221,11 @@ func (s *Shadow) lastAccess(g int) Access {
 // It returns a conflict when another thread writes the granule, updating
 // the reader set otherwise.
 func (s *Shadow) ChkRead(tid int, cell int64, siteID uint32) *Conflict {
-	if c := s.cacheFor(tid); c != nil {
-		g := granuleOf(cell)
-		c.lookups++
-		epoch := s.epoch.Load()
-		if c.get(g, strengthRead, epoch) {
-			c.hits++
-			if s.sink != nil {
-				s.sink.CacheLookup(tid, siteID, true)
-			}
-			return nil
-		}
-		conf := s.chkReadSlow(tid, cell, siteID)
-		if conf == nil && g < s.granules {
-			c.put(g, strengthRead, epoch)
-		}
-		if s.sink != nil {
-			s.sink.CacheLookup(tid, siteID, false)
-		}
-		return conf
-	}
-	return s.chkReadSlow(tid, cell, siteID)
-}
-
-func (s *Shadow) chkReadSlow(tid int, cell int64, siteID uint32) *Conflict {
-	if s.enc == EncodingState {
-		return s.chkReadState(tid, cell, siteID)
-	}
 	g := granuleOf(cell)
 	if g >= s.granules {
 		return nil
 	}
-	s.touchPage(tid, g)
+	s.touchPage(g)
 	wp := s.word(g)
 	me := uint32(1) << uint(tid)
 	for {
@@ -356,38 +251,11 @@ func (s *Shadow) chkReadSlow(tid int, cell int64, siteID uint32) *Conflict {
 // cell. It returns a conflict when any other thread reads or writes the
 // granule, updating the writer marking otherwise.
 func (s *Shadow) ChkWrite(tid int, cell int64, siteID uint32) *Conflict {
-	if c := s.cacheFor(tid); c != nil {
-		g := granuleOf(cell)
-		c.lookups++
-		epoch := s.epoch.Load()
-		if c.get(g, strengthWrite, epoch) {
-			c.hits++
-			if s.sink != nil {
-				s.sink.CacheLookup(tid, siteID, true)
-			}
-			return nil
-		}
-		conf := s.chkWriteSlow(tid, cell, siteID)
-		if conf == nil && g < s.granules {
-			c.put(g, strengthWrite, epoch)
-		}
-		if s.sink != nil {
-			s.sink.CacheLookup(tid, siteID, false)
-		}
-		return conf
-	}
-	return s.chkWriteSlow(tid, cell, siteID)
-}
-
-func (s *Shadow) chkWriteSlow(tid int, cell int64, siteID uint32) *Conflict {
-	if s.enc == EncodingState {
-		return s.chkWriteState(tid, cell, siteID)
-	}
 	g := granuleOf(cell)
 	if g >= s.granules {
 		return nil
 	}
-	s.touchPage(tid, g)
+	s.touchPage(g)
 	wp := s.word(g)
 	me := uint32(1) << uint(tid)
 	for {
@@ -422,14 +290,8 @@ func (s *Shadow) conflict(cell int64, g, tid int, kind AccessKind, siteID uint32
 // ClearThread removes tid's bits from every granule it touched: SharC does
 // not consider accesses by threads whose lifetimes do not overlap to race.
 func (s *Shadow) ClearThread(tid int) {
-	s.Invalidate()
-	log := s.takeLog(tid)
-	if s.enc == EncodingState {
-		s.clearThreadState(tid, log)
-		return
-	}
 	me := uint32(1) << uint(tid)
-	for _, g32 := range log {
+	for _, g32 := range s.takeLog(tid) {
 		wp := s.word(int(g32))
 		for {
 			w := wp.Load()
@@ -451,7 +313,6 @@ func (s *Shadow) ClearRange(cell, n int64) {
 	if n <= 0 {
 		return
 	}
-	s.Invalidate()
 	g0 := granuleOf(cell)
 	g1 := granuleOf(cell + n - 1)
 	for g := g0; g <= g1 && g < s.granules; g++ {

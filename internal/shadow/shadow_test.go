@@ -132,34 +132,56 @@ func TestWriterThenSameThreadRead(t *testing.T) {
 }
 
 func TestConcurrentDisjointAccess(t *testing.T) {
-	// Threads hammering disjoint granules never conflict.
-	s := New(4096)
-	var wg sync.WaitGroup
-	errs := make(chan *Conflict, 16)
-	for tid := 1; tid <= 8; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			id := site(s, "buf", tid)
-			base := int64(tid * 256)
-			for i := 0; i < 1000; i++ {
-				cell := base + int64(i%128)
-				if c := s.ChkWrite(tid, cell, id); c != nil {
-					errs <- c
-					return
-				}
-				if c := s.ChkRead(tid, cell, id); c != nil {
-					errs <- c
-					return
-				}
+	// Threads hammering disjoint granules never conflict, also while
+	// ClearRange and ClearThread run against the same words: clears only
+	// remove bits, so they race the check CAS loops without ever making
+	// one fail.
+	for _, tc := range []struct {
+		name   string
+		clears bool
+	}{{"checks", false}, {"with-clears", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const threads = 8
+			s := New(4096)
+			var wg sync.WaitGroup
+			errs := make(chan *Conflict, threads)
+			for tid := 1; tid <= threads; tid++ {
+				wg.Add(1)
+				go func(tid int) {
+					defer wg.Done()
+					id := site(s, "buf", tid)
+					base := int64(tid * 256)
+					neighbour := int64((tid%threads + 1) * 256)
+					for i := 0; i < 1000; i++ {
+						cell := base + int64(i%128)
+						if c := s.ChkWrite(tid, cell, id); c != nil {
+							errs <- c
+							return
+						}
+						if c := s.ChkRead(tid, cell, id); c != nil {
+							errs <- c
+							return
+						}
+						if !tc.clears {
+							continue
+						}
+						switch i % 97 {
+						case 13:
+							s.ClearRange(neighbour, 128)
+						case 51:
+							s.ClearThread(tid)
+						}
+					}
+					s.ClearThread(tid)
+				}(tid)
 			}
-		}(tid)
-	}
-	wg.Wait()
-	select {
-	case c := <-errs:
-		t.Fatalf("unexpected conflict: %v", c)
-	default:
+			wg.Wait()
+			select {
+			case c := <-errs:
+				t.Fatalf("unexpected conflict: %v", c)
+			default:
+			}
+		})
 	}
 }
 

@@ -7,7 +7,7 @@ package telemetry
 // result is a pure function of the per-schedule contributions, independent
 // of worker count and completion order:
 //
-//   - event counters (checks, barriers, lock ops, cache lookups, ...) sum;
+//   - event counters (checks, barriers, lock ops, ...) sum;
 //   - high-water gauges (peak threads, peak locks held, pages touched)
 //     take the maximum, i.e. the largest single-run footprint;
 //   - per-site counters sum and thread masks OR;
@@ -56,8 +56,6 @@ func (c *Collector) Merge(src *Collector) {
 		d.writes.Add(s.writes.Load())
 		d.locked.Add(s.locked.Load())
 		d.elided.Add(s.elided.Load())
-		d.cacheLookups.Add(s.cacheLookups.Load())
-		d.cacheHits.Add(s.cacheHits.Load())
 		d.underLock.Add(s.underLock.Load())
 		d.conflicts.Add(s.conflicts.Load())
 		d.lockViolations.Add(s.lockViolations.Load())
@@ -108,9 +106,6 @@ func MergeGlobalStats(parts ...GlobalStats) GlobalStats {
 		g.Conflicts += p.Conflicts
 		g.LockViolations += p.LockViolations
 		g.OnerefFailures += p.OnerefFailures
-		g.CacheLookups += p.CacheLookups
-		g.CacheHits += p.CacheHits
-		g.PageMemoHits += p.PageMemoHits
 		g.MaxThreads = max(g.MaxThreads, p.MaxThreads)
 		g.MaxLocksHeld = max(g.MaxLocksHeld, p.MaxLocksHeld)
 		g.ShadowPages = maxi(g.ShadowPages, p.ShadowPages)

@@ -59,16 +59,15 @@ func FormatSummary(snap *Snapshot) string {
 	}
 	g := snap.Global
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "telemetry: accesses=%d dynamic=%d locked=%d elided=%d cachehits=%d/%d conflicts=%d lockviol=%d oneref=%d threads=%d\n",
+	fmt.Fprintf(&sb, "telemetry: accesses=%d dynamic=%d locked=%d elided=%d conflicts=%d lockviol=%d oneref=%d threads=%d\n",
 		g.TotalAccesses, g.DynamicChecks, g.LockChecks, g.ElidedChecks,
-		g.CacheHits, g.CacheLookups, g.Conflicts, g.LockViolations,
-		g.OnerefFailures, g.MaxThreads)
+		g.Conflicts, g.LockViolations, g.OnerefFailures, g.MaxThreads)
 	if len(snap.Modes) > 0 {
-		fmt.Fprintf(&sb, "%-8s %6s %10s %10s %10s %10s\n",
-			"mode", "sites", "checks", "elided", "cachehits", "violations")
+		fmt.Fprintf(&sb, "%-8s %6s %10s %10s %10s\n",
+			"mode", "sites", "checks", "elided", "violations")
 		for _, m := range snap.Modes {
-			fmt.Fprintf(&sb, "%-8s %6d %10d %10d %10d %10d\n",
-				m.Mode, m.Sites, m.Checks, m.Elided, m.CacheHits, m.Violations)
+			fmt.Fprintf(&sb, "%-8s %6d %10d %10d %10d\n",
+				m.Mode, m.Sites, m.Checks, m.Elided, m.Violations)
 		}
 	}
 	return sb.String()
@@ -76,7 +75,7 @@ func FormatSummary(snap *Snapshot) string {
 
 // FormatProfile renders the hot-site table: the top sites by activity
 // (executed plus elided checks), each with its check mix, the fraction of
-// checks avoided by elision and the cache, violation count, thread
+// checks avoided by static discharge, violation count, thread
 // footprint, and the suggested annotation.
 func FormatProfile(snap *Snapshot, top int) string {
 	return FormatProfileVet(snap, top, nil)

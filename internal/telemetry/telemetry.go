@@ -1,7 +1,7 @@
 // Package telemetry is the runtime's observability spine: per-site atomic
 // counters for every dynamic event the instrumented runtime performs
 // (reader/writer-set checks, locked-mode checks, oneref checks, lock
-// operations, shadow-cache lookups, elided checks, conflicts), an optional
+// operations, elided checks, conflicts), an optional
 // ring-buffered structured event tracer (trace.go), and the hot-site
 // profile report (report.go).
 //
@@ -81,8 +81,6 @@ type siteCounters struct {
 	writes         atomic.Int64 // executed dynamic write checks
 	locked         atomic.Int64 // executed locked-mode checks
 	elided         atomic.Int64 // executions whose check was statically elided
-	cacheLookups   atomic.Int64 // check-cache consultations
-	cacheHits      atomic.Int64 // checks answered on the cache fast path
 	underLock      atomic.Int64 // dynamic checks issued while >=1 lock held
 	conflicts      atomic.Int64 // dynamic-mode violations at this site
 	lockViolations atomic.Int64 // locked-mode violations at this site
@@ -181,18 +179,6 @@ func (c *Collector) ElidedCheck(tid, site int) {
 	}
 }
 
-// CacheLookup records one check-cache consultation at the site.
-func (c *Collector) CacheLookup(tid, site int, hit bool) {
-	s := c.site(site)
-	if s == nil {
-		return
-	}
-	s.cacheLookups.Add(1)
-	if hit {
-		s.cacheHits.Add(1)
-	}
-}
-
 // Scast records a sharing cast whose source-slot check names the site.
 func (c *Collector) Scast(tid, site int, failed bool) {
 	s := c.site(site)
@@ -209,8 +195,8 @@ func (c *Collector) Scast(tid, site int, failed bool) {
 // snapshots
 
 // GlobalStats is the plain-data copy of the global tier, filled by the
-// interpreter from Counters plus the runtime's own gauges (pages, cache
-// counters, collections).
+// interpreter from Counters plus the runtime's own gauges (pages,
+// collections).
 type GlobalStats struct {
 	TotalAccesses  int64 `json:"total_accesses"`
 	DynamicChecks  int64 `json:"dynamic_checks"`
@@ -227,9 +213,6 @@ type GlobalStats struct {
 	OnerefFailures int64 `json:"oneref_failures"`
 	MaxThreads     int64 `json:"max_threads"`
 	MaxLocksHeld   int64 `json:"max_locks_held"`
-	CacheLookups   int64 `json:"cache_lookups"`
-	CacheHits      int64 `json:"cache_hits"`
-	PageMemoHits   int64 `json:"page_memo_hits"`
 	ShadowPages    int   `json:"shadow_pages"`
 	HeapPages      int   `json:"heap_pages"`
 }
@@ -243,8 +226,6 @@ type SiteStats struct {
 	Writes         int64  `json:"writes"`
 	Locked         int64  `json:"locked"`
 	Elided         int64  `json:"elided"`
-	CacheLookups   int64  `json:"cache_lookups"`
-	CacheHits      int64  `json:"cache_hits"`
 	UnderLock      int64  `json:"under_lock"`
 	Conflicts      int64  `json:"conflicts"`
 	LockViolations int64  `json:"lock_violations"`
@@ -271,14 +252,14 @@ func (s *SiteStats) Violations() int64 { return s.Conflicts + s.LockViolations +
 // Threads returns the number of distinct threads that touched the site.
 func (s *SiteStats) Threads() int { return s.ReadThreads + s.WriteThreads - s.bothThreads }
 
-// AvoidedPct is the fraction of would-be slow-path checks answered without
-// the shared shadow words: statically elided plus cache fast-path hits.
+// AvoidedPct is the fraction of would-be checks static discharge removed:
+// elided executions over executed plus elided ones.
 func (s *SiteStats) AvoidedPct() float64 {
 	total := s.Checks() + s.Elided
 	if total == 0 {
 		return 0
 	}
-	return 100 * float64(s.Elided+s.CacheHits) / float64(total)
+	return 100 * float64(s.Elided) / float64(total)
 }
 
 // ModeStats is the per-sharing-mode rollup of a snapshot.
@@ -287,7 +268,6 @@ type ModeStats struct {
 	Sites      int    `json:"sites"`
 	Checks     int64  `json:"checks"`
 	Elided     int64  `json:"elided"`
-	CacheHits  int64  `json:"cache_hits"`
 	Violations int64  `json:"violations"`
 }
 
@@ -327,8 +307,6 @@ func (c *Collector) Snapshot(g GlobalStats) *Snapshot {
 			Writes:         sc.writes.Load(),
 			Locked:         sc.locked.Load(),
 			Elided:         sc.elided.Load(),
-			CacheLookups:   sc.cacheLookups.Load(),
-			CacheHits:      sc.cacheHits.Load(),
 			UnderLock:      sc.underLock.Load(),
 			Conflicts:      sc.conflicts.Load(),
 			LockViolations: sc.lockViolations.Load(),
@@ -346,7 +324,6 @@ func (c *Collector) Snapshot(g GlobalStats) *Snapshot {
 			dyn.Sites++
 			dyn.Checks += ss.Reads + ss.Writes
 			dyn.Elided += ss.Elided
-			dyn.CacheHits += ss.CacheHits
 			dyn.Violations += ss.Conflicts
 		}
 		if ss.Locked > 0 {

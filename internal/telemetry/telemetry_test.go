@@ -44,7 +44,6 @@ func TestNilSafety(t *testing.T) {
 	c.DynamicCheck(1, 0, true, true, true)
 	c.LockedCheck(1, 0, true)
 	c.ElidedCheck(1, 0)
-	c.CacheLookup(1, 0, true)
 	c.Scast(1, 0, true)
 	if c.Snapshot(GlobalStats{}) != nil {
 		t.Fatal("nil collector snapshot must be nil")
@@ -95,10 +94,9 @@ func TestSnapshotRollups(t *testing.T) {
 	// Site 1: locked checks, one violated.
 	c.LockedCheck(1, 1, false)
 	c.LockedCheck(2, 1, true)
-	// Site 2: elided executions and a cache hit.
+	// Site 2: elided executions only.
 	c.ElidedCheck(1, 2)
 	c.ElidedCheck(1, 2)
-	c.CacheLookup(1, 2, true)
 	// Site 3: untouched — must not appear.
 
 	snap := c.Snapshot(GlobalStats{DynamicChecks: 3})
@@ -122,7 +120,7 @@ func TestSnapshotRollups(t *testing.T) {
 	for _, m := range snap.Modes {
 		modes[m.Mode] = m
 	}
-	if m := modes["dynamic"]; m.Sites != 2 || m.Checks != 3 || m.Elided != 2 || m.CacheHits != 1 {
+	if m := modes["dynamic"]; m.Sites != 2 || m.Checks != 3 || m.Elided != 2 {
 		t.Fatalf("dynamic rollup: %+v", m)
 	}
 	if m := modes["locked"]; m.Sites != 1 || m.Checks != 2 || m.Violations != 1 {

@@ -1,7 +1,7 @@
 package telemetry
 
 // The structured event tracer: an optional fixed-capacity ring buffer of
-// runtime events (checks, cache hits, lock operations, thread lifecycle,
+// runtime events (checks, lock operations, thread lifecycle,
 // scheduler decisions and blocking edges), each stamped with a logical
 // sequence number and the scheduler's decision index at emission. No wall
 // clock is consulted anywhere, so a seeded deterministic run produces a
@@ -30,7 +30,6 @@ const (
 	KindChkWrite                  // dynamic write check
 	KindLockedCheck               // locked-mode check (aux = 1 on violation)
 	KindElidedCheck               // access whose check was statically elided
-	KindCacheHit                  // check answered on the cache fast path
 	KindConflict                  // dynamic-mode violation detected
 	KindLockViolation             // locked-mode violation detected
 	KindScast                     // sharing cast (addr = source slot)
@@ -51,7 +50,6 @@ var kindNames = [...]string{
 	KindChkWrite:      "chkwrite",
 	KindLockedCheck:   "chklock",
 	KindElidedCheck:   "elided",
-	KindCacheHit:      "cachehit",
 	KindConflict:      "conflict",
 	KindLockViolation: "lockviol",
 	KindScast:         "scast",

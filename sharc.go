@@ -66,9 +66,6 @@ type Options struct {
 	// across calls and single-thread heap objects discharge dynamic
 	// checks. Counted in Elision().DischargedDynamic/DischargedLocked.
 	StaticDischarge bool
-	// CheckCache enables the per-thread granule check cache in the shadow
-	// runtime (runtime layer of check elision).
-	CheckCache bool
 	// Stdout receives program output (io.Discard if nil).
 	Stdout io.Writer
 	// Observer taps accesses and synchronization for external detectors.
@@ -323,7 +320,6 @@ func (p *Program) baseConfig() interp.Config {
 	cfg := interp.DefaultConfig()
 	cfg.Stdout = p.opts.Stdout
 	cfg.Observer = p.opts.Observer
-	cfg.CheckCache = p.opts.CheckCache
 	cfg.Metrics = p.opts.Metrics
 	cfg.TraceCapacity = p.opts.TraceEvents
 	if !p.opts.RefCounting {
