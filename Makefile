@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build bench-build fmt-check vet test race fuzz-smoke verify bench explore explore-smoke portfolio-smoke portfolio-race portfolio profile-smoke vet-smoke vet2-smoke obs vet-bench ablation serve-smoke serve-bench obs-smoke
+.PHONY: all build bench-build bench-test fmt-check vet test race fuzz-smoke verify bench explore explore-smoke portfolio-smoke portfolio-race portfolio profile-smoke vet-smoke vet2-smoke obs vet-bench ablation serve-smoke serve-bench obs-smoke
 
 all: verify
 
@@ -13,6 +13,13 @@ build:
 # would otherwise break it silently.
 bench-build:
 	cd benchmark && $(GO) vet ./...
+
+# bench-test runs the benchmark module's tests: they check every pinned
+# exit on the uninstrumented build and run each workload, whose table1
+# operations check the checked build's exits too, so a change to what
+# either build executes shows here.
+bench-test:
+	cd benchmark && $(GO) test ./...
 
 # fmt-check fails when any Go file in the tree is not gofmt-formatted.
 fmt-check:
@@ -36,12 +43,12 @@ race:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzShadowDiscipline$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/shadow
 
-# verify is the gate for every change: build, the benchmark module, gofmt,
-# go vet, the full test suite, the race detector over the
-# concurrency-bearing packages, the shadow fuzz smoke, and the
+# verify is the gate for every change: build, the benchmark module's vet
+# and tests, gofmt, go vet, the full test suite, the race detector over
+# the concurrency-bearing packages, the shadow fuzz smoke, and the
 # exploration, portfolio, profile, static-analysis, and execution-service
 # smokes.
-verify: build bench-build fmt-check vet test race fuzz-smoke explore-smoke portfolio-smoke profile-smoke vet-smoke vet2-smoke serve-smoke obs-smoke
+verify: build bench-build bench-test fmt-check vet test race fuzz-smoke explore-smoke portfolio-smoke profile-smoke vet-smoke vet2-smoke serve-smoke obs-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -389,9 +389,10 @@ type engine struct {
 	ff   *ir.FlatFunc
 	prog *ir.Program
 
-	numRegs   int
-	frameSize int
-	numSeeds  int
+	numRegs    int
+	frameSize  int
+	paramSlots []int // frame slot of each parameter
+	numSeeds   int
 
 	ctx      map[int]val   // frame slot -> initial value (parameter bindings)
 	tauSeeds map[int32]int // check index -> seed cell: fresh value per load
@@ -410,15 +411,16 @@ type engine struct {
 func newEngine(prog *ir.Program, fnIdx int, ctx map[int]val, tauSeeds map[int32]int, piSeeds map[int32]Sym, numSeeds, budget int) *engine {
 	ff := prog.Flat.Funcs[fnIdx]
 	return &engine{
-		ff:        ff,
-		prog:      prog,
-		numRegs:   ff.NumRegs,
-		frameSize: prog.Funcs[fnIdx].FrameSize,
-		numSeeds:  numSeeds,
-		ctx:       ctx,
-		tauSeeds:  tauSeeds,
-		piSeeds:   piSeeds,
-		budget:    budget,
+		ff:         ff,
+		prog:       prog,
+		numRegs:    ff.NumRegs,
+		frameSize:  prog.Funcs[fnIdx].FrameSize,
+		paramSlots: prog.Funcs[fnIdx].ParamSlots,
+		numSeeds:   numSeeds,
+		ctx:        ctx,
+		tauSeeds:   tauSeeds,
+		piSeeds:    piSeeds,
+		budget:     budget,
 	}
 }
 
@@ -455,6 +457,13 @@ func (e *engine) initState() *aState {
 	for slot, v := range e.ctx {
 		if slot >= 0 && slot < e.frameSize {
 			st.vals[e.numRegs+slot] = v.clone()
+		}
+	}
+	// A promoted parameter is read from its register, which the VM seeds
+	// with the argument: it carries the same binding as the slot.
+	for i, r := range e.ff.ParamRegs {
+		if v, ok := e.ctx[e.paramSlots[i]]; ok && r >= 0 {
+			st.vals[r] = v.clone()
 		}
 	}
 	return st

@@ -20,6 +20,13 @@ func CompileWithout(w *types.World, inf *qualinfer.Result, opts Options, pass st
 	return compileWith(w, inf, opts, passes)
 }
 
+// PromotedSlots returns the frame slots of fn that linearize keeps in
+// dedicated registers.
+func PromotedSlots(fn *ir.Func) []int {
+	var p promScan
+	return p.slots(fn)
+}
+
 // walkLive solves register liveness over ff from scratch and calls visit
 // for every instruction, each block walked backward, with the set of
 // registers live after it and whether it starts its block.
@@ -99,4 +106,94 @@ func FusablePairs(ff *ir.FlatFunc) []int32 {
 		}
 	})
 	return pairs
+}
+
+// UnpinnedFrameReads returns the pcs of ff's FLoadFrame instructions whose
+// slot nothing in the final code keeps in memory. It reads the flat form
+// only, not the tree the promotion scan works on. A slot is pinned to its
+// frame cell when:
+//   - a lock expression or sharing-cast check names it;
+//   - an FFrame of it is used other than as the address of FYield, a load,
+//     a store or a barrier, or is still live at the end of its block;
+//   - an access through it is checked (FChk*, FLoadChk, FStoreChk);
+//   - it carries a barrier but is not RC-tracked, or is RC-tracked and one
+//     FFrame of it is both loaded and stored (a read-modify-write).
+func UnpinnedFrameReads(fn *ir.Func, ff *ir.FlatFunc) []int32 {
+	pinned := make([]bool, fn.FrameSize)
+	var lockSlots func(e ir.Expr)
+	lockSlots = func(e ir.Expr) {
+		switch v := e.(type) {
+		case *ir.FrameAddr:
+			pinned[v.Slot] = true
+		case *ir.Load:
+			lockSlots(v.Addr)
+			lockSlots(v.Chk.Lock)
+		case *ir.Bin:
+			lockSlots(v.L)
+			lockSlots(v.R)
+		}
+	}
+	for _, c := range ff.Checks {
+		lockSlots(c.Orig.Lock)
+	}
+	for _, b := range ff.Builtins {
+		for _, c := range b.E.ArgChecks {
+			lockSlots(c.Lock)
+		}
+	}
+	for _, sc := range ff.Scasts {
+		lockSlots(sc.ChkR.Lock)
+		lockSlots(sc.ChkW.Lock)
+	}
+
+	n := len(ff.Code)
+	leader := make([]bool, n)
+	liveAfter := make([][]uint64, n)
+	walkLive(ff, func(pc int32, first bool, live []uint64) {
+		leader[pc] = first
+		liveAfter[pc] = append([]uint64(nil), live...)
+	})
+	for pc, in := range ff.Code {
+		if in.Op != ir.FFrame {
+			continue
+		}
+		t, s := in.A, in.B
+		var load, store, barrier, escape bool
+		q := pc + 1
+		for ; q < n && !leader[q]; q++ {
+			u := &ff.Code[q]
+			switch {
+			case u.Op == ir.FYield && u.A == t:
+			case (u.Op == ir.FLoad || u.Op == ir.FLoadAcc) && u.B == t:
+				load = true
+			case (u.Op == ir.FStore || u.Op == ir.FStoreAcc) && u.A == t && u.B != t:
+				store = true
+			case u.Op == ir.FBarrier && u.A == t && u.B != t:
+				barrier = true
+			default:
+				ff.VisitUses(u, func(r *int32) {
+					if *r == t {
+						escape = true
+					}
+				})
+			}
+			if u.Op.Regs().A == ir.RegDef && u.A == t || !hasBit(liveAfter[q], t) {
+				break
+			}
+		}
+		if q == n || leader[q] {
+			escape = escape || hasBit(liveAfter[q-1], t)
+		}
+		rc := fn.RCSlotSet[s]
+		if escape || barrier && !rc || load && store && rc {
+			pinned[s] = true
+		}
+	}
+	var out []int32
+	for pc, in := range ff.Code {
+		if in.Op == ir.FLoadFrame && !pinned[in.B] {
+			out = append(out, int32(pc))
+		}
+	}
+	return out
 }

@@ -27,8 +27,9 @@ import (
 // Linearize attaches the flat form of every function to p as p.Flat.
 func Linearize(p *ir.Program) {
 	fp := &ir.FlatProgram{Funcs: make([]*ir.FlatFunc, len(p.Funcs))}
+	var ps promScan
 	for i, fn := range p.Funcs {
-		fp.Funcs[i] = linearizeFunc(fn)
+		fp.Funcs[i] = linearizeFunc(fn, &ps)
 	}
 	p.Flat = fp
 }
@@ -51,25 +52,32 @@ type linz struct {
 	prom   []int32 // frame slot -> dedicated register, or -1
 }
 
-func linearizeFunc(fn *ir.Func) *ir.FlatFunc {
+func linearizeFunc(fn *ir.Func, ps *promScan) *ir.FlatFunc {
 	l := &linz{
 		fn:     fn,
 		ff:     &ir.FlatFunc{PosTab: []token.Pos{{}}},
 		posIdx: map[token.Pos]int64{{}: 0},
 	}
 	// Promoted slots occupy the low registers 0..P-1 for the whole
-	// function; expression temporaries stack above them. Both the frame
-	// slot and the register start zeroed (pushFrame zeroes the frame, the
-	// VM zeroes its window), so no initialization moves are needed.
+	// function; expression temporaries stack above them. A promoted local
+	// starts zeroed like its frame slot (pushFrame zeroes the frame, the VM
+	// zeroes its window), and the VM seeds a promoted parameter's register
+	// with the argument (ParamRegs), so no initialization moves are needed.
 	l.prom = make([]int32, fn.FrameSize)
 	for i := range l.prom {
 		l.prom[i] = -1
 	}
-	for i, s := range promotableSlots(fn) {
+	for i, s := range ps.slots(fn) {
 		l.prom[s] = int32(i)
 		l.next = int32(i) + 1
 	}
 	l.high = l.next
+	if fn.NumParams > 0 {
+		l.ff.ParamRegs = make([]int32, fn.NumParams)
+		for i, s := range fn.ParamSlots {
+			l.ff.ParamRegs[i] = l.prom[s]
+		}
+	}
 	l.stmts(fn.Body)
 	// Implicit return when the body falls off the end (dead but harmless
 	// after an explicit return; the verifier requires a terminating ret).
@@ -144,16 +152,18 @@ func (l *linz) chk(orig *ir.Check, write bool, addrReg int32) {
 }
 
 // promoted reports the dedicated register of a promoted direct-access
-// address. All accesses through a promoted slot are CheckNone and
-// barrier-free (promotableSlots guarantees it), so the callers can skip
-// the whole access protocol: stack accesses never count, yield, or check.
-func (l *linz) promoted(addr ir.Expr) (int32, bool) {
-	if fa, ok := addr.(*ir.FrameAddr); ok {
+// address, and whether the slot is RC-tracked and so written through. All
+// accesses through a promoted slot are CheckNone (promScan guarantees it),
+// so the callers skip the access protocol: stack accesses never count,
+// yield, or check. Only a write-through store keeps its frame sequence,
+// for the RC barrier.
+func (l *linz) promoted(addr ir.Expr) (r int32, writeThrough, ok bool) {
+	if fa, isFrame := addr.(*ir.FrameAddr); isFrame {
 		if r := l.prom[fa.Slot]; r >= 0 {
-			return r, true
+			return r, l.fn.RCSlotSet[fa.Slot], true
 		}
 	}
-	return 0, false
+	return 0, false, false
 }
 
 // storeSeq emits the store half of the access protocol for the address in
@@ -200,7 +210,7 @@ func (l *linz) expr(x ir.Expr) int32 {
 		l.emit(ir.Instr{Op: ir.FFunc, A: r, B: int32(v.Index)})
 		return r
 	case *ir.Load:
-		if pr, ok := l.promoted(v.Addr); ok {
+		if pr, _, ok := l.promoted(v.Addr); ok {
 			r := l.alloc()
 			l.emit(ir.Instr{Op: ir.FMove, A: r, B: pr})
 			return r
@@ -264,7 +274,8 @@ func (l *linz) expr(x ir.Expr) int32 {
 		l.patch(jend, l.here())
 		return rc
 	case *ir.Store:
-		if pr, ok := l.promoted(v.Addr); ok {
+		pr, writeThrough, ok := l.promoted(v.Addr)
+		if ok && !writeThrough {
 			rv := l.expr(v.Val)
 			l.emit(ir.Instr{Op: ir.FMove, A: pr, B: rv})
 			return rv
@@ -272,11 +283,16 @@ func (l *linz) expr(x ir.Expr) int32 {
 		ra := l.expr(v.Addr)
 		rv := l.expr(v.Val)
 		l.storeSeq(ra, rv, &v.Chk, v.Barrier, token.Pos{})
+		if ok {
+			// Write-through: the frame cell stays authoritative for the
+			// barrier, the collector and popFrame; reads use the register.
+			l.emit(ir.Instr{Op: ir.FMove, A: pr, B: rv})
+		}
 		l.emit(ir.Instr{Op: ir.FMove, A: ra, B: rv})
 		l.free(1)
 		return ra
 	case *ir.IncDec:
-		if pr, ok := l.promoted(v.Addr); ok {
+		if pr, _, ok := l.promoted(v.Addr); ok {
 			old := l.alloc()
 			l.emit(ir.Instr{Op: ir.FMove, A: old, B: pr})
 			nv := l.alloc()
@@ -304,7 +320,7 @@ func (l *linz) expr(x ir.Expr) int32 {
 		l.free(2)
 		return ra
 	case *ir.Compound:
-		if pr, ok := l.promoted(v.Addr); ok {
+		if pr, _, ok := l.promoted(v.Addr); ok {
 			// The old value is read before the RHS evaluates.
 			old := l.alloc()
 			l.emit(ir.Instr{Op: ir.FMove, A: old, B: pr})

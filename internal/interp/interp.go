@@ -47,6 +47,14 @@ const (
 // Observer receives access and synchronization events, letting baseline
 // race detectors (Eraser-style lockset, vector-clock happens-before) run
 // over the same executions.
+//
+// Access reports memory accesses only. A frame slot the compiler keeps in a
+// VM register (internal/compile/promote.go) is not memory: its reads are
+// not reported, and neither are the writes of a slot that lives only in
+// its register. A reference-counted pointer slot is written through to its
+// frame cell, so those writes are reported. Promotion thus only drops
+// events on a thread's own stack cells; TestObserverWarningsPinned checks
+// that the detectors' warnings on the corpus do not change.
 type Observer interface {
 	Access(tid int, addr int64, write bool, locks *locklog.Log, site int)
 	Acquire(tid int, lock int64)

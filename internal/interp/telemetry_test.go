@@ -44,10 +44,14 @@ int main(void) {
 	for (int i = 0; i < 4; i++) s->cells[i] = i;
 	mutexUnlock(s->m);
 	struct shared dynamic *sd = SCAST(struct shared dynamic *, s);
+	// Holding the lock across the spawns keeps every worker live until the
+	// last one is spawned, so the peak of five live threads is exact.
+	mutexLock(sd->m);
 	int t1 = spawn(worker, sd);
 	int t2 = spawn(worker, sd);
 	int t3 = spawn(worker, sd);
 	int t4 = spawn(worker, sd);
+	mutexUnlock(sd->m);
 	join(t1);
 	join(t2);
 	join(t3);

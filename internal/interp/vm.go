@@ -38,6 +38,13 @@ func (t *thread) runFlat(fnIdx int, args []int64) int64 {
 	for i := range regs {
 		regs[i] = 0
 	}
+	// A promoted parameter lives in its register; pushFrame has also
+	// written it to the frame slot.
+	for i, r := range ff.ParamRegs {
+		if r >= 0 {
+			regs[r] = args[i]
+		}
+	}
 
 	code := ff.Code
 	// Hoisted runtime state for the fused access handlers. rt.mem's page

@@ -345,6 +345,11 @@ type FlatFunc struct {
 	Code    []Instr
 	NumRegs int // virtual registers used by Code
 
+	// ParamRegs[i] is the register parameter i lives in for the whole
+	// call, or -1 when the parameter stays in its frame slot. The VM
+	// seeds each such register with the argument on entry.
+	ParamRegs []int32
+
 	Checks   []FlatCheck
 	Calls    []CallInfo
 	Builtins []BuiltinInfo
@@ -366,8 +371,9 @@ type FlatProgram struct {
 
 // Verify checks the structural invariants of the flat program against its
 // owning Program: known opcodes, jump targets inside the function,
-// register operands inside the frame, side-table/site indexes in range,
-// and lock expressions the runtime can evaluate. The pass pipeline runs it after every pass so a miscompiled
+// register operands and parameter registers inside the frame,
+// side-table/site indexes in range, and lock expressions the runtime can
+// evaluate. The pass pipeline runs it after every pass so a miscompiled
 // rewrite fails at build time instead of as a VM fault.
 func (fp *FlatProgram) Verify(p *Program) error {
 	if len(fp.Funcs) != len(p.Funcs) {
@@ -388,6 +394,9 @@ func (ff *FlatFunc) verify(p *Program, fn *Func) error {
 	}
 	if ff.Code[n-1].Op != FRet {
 		return fmt.Errorf("code does not end in ret")
+	}
+	if err := ff.verifyParamRegs(fn); err != nil {
+		return err
 	}
 	// Registers compare unsigned, so a negative register is out of range.
 	nregs := uint32(ff.NumRegs)
@@ -552,6 +561,29 @@ func (ff *FlatFunc) verify(p *Program, fn *Func) error {
 		for _, c := range []*Check{&sc.ChkR, &sc.ChkW} {
 			if err := verifyLock(c); err != nil {
 				return fmt.Errorf("scast %d: %v", i, err)
+			}
+		}
+	}
+	return nil
+}
+
+// verifyParamRegs checks the parameter register map: one entry per
+// parameter, each -1 or a register of the frame, no register shared by two
+// parameters.
+func (ff *FlatFunc) verifyParamRegs(fn *Func) error {
+	if len(ff.ParamRegs) != fn.NumParams {
+		return fmt.Errorf("%d parameter registers for %d parameters", len(ff.ParamRegs), fn.NumParams)
+	}
+	for i, r := range ff.ParamRegs {
+		if r == -1 {
+			continue
+		}
+		if r < 0 || int(r) >= ff.NumRegs {
+			return fmt.Errorf("parameter %d: register %d out of range [0,%d)", i, r, ff.NumRegs)
+		}
+		for j := range i {
+			if ff.ParamRegs[j] == r {
+				return fmt.Errorf("parameters %d and %d share register %d", j, i, r)
 			}
 		}
 	}

@@ -101,7 +101,8 @@ func flatFixture() (*Program, *FlatProgram) {
 		}},
 	}
 	callee := &FlatFunc{
-		NumRegs: 2,
+		NumRegs:   2,
+		ParamRegs: []int32{0},
 		Code: []Instr{
 			{Op: FConst, A: 0},
 			{Op: FLoadAcc, A: 1, B: 0, C: 0, Imm: 0},
@@ -257,6 +258,23 @@ func TestFlatVerifyRejects(t *testing.T) {
 		{"locked check without lock", func(p *Program, fp *FlatProgram) {
 			fp.Funcs[1].Checks[0].Orig = &Check{Kind: CheckLocked, Site: 0}
 		}, "no lock expression"},
+		{"parameter registers missing", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[1].ParamRegs = nil
+		}, "0 parameter registers for 1 parameters"},
+		{"parameter registers for a parameterless func", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].ParamRegs = []int32{-1}
+		}, "1 parameter registers for 0 parameters"},
+		{"parameter register out of range", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[1].ParamRegs[0] = 2
+		}, "parameter 0: register 2 out of range [0,2)"},
+		{"parameter register below -1", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[1].ParamRegs[0] = -2
+		}, "parameter 0: register -2 out of range"},
+		{"parameters share a register", func(p *Program, fp *FlatProgram) {
+			p.Funcs[1].NumParams = 3
+			p.Funcs[1].FrameSize = 3
+			fp.Funcs[1].ParamRegs = []int32{1, -1, 1}
+		}, "parameters 0 and 2 share register 1"},
 	}
 	// Every compare-and-branch opcode range-checks its target, past the
 	// end and below zero.
