@@ -165,3 +165,87 @@ func TestStepKnowsEveryOpcode(t *testing.T) {
 		t.Errorf("garbage opcode kept slot 0 = %+v; want it havocked", v)
 	}
 }
+
+// TestFusedTransfersComposeHalves: each indexed-access and
+// constant-operand superinstruction leaves every register and frame slot
+// the fixpoint tracks exactly as the pair it replaces does, the pair's
+// dead temporary r4 aside. r0 is unknown, r1 = 1, r2 = &slot 0, r3 = 7,
+// r5 = 0 until the pair writes it, and slot 1 holds 5.
+func TestFusedTransfersComposeHalves(t *testing.T) {
+	prologue := []ir.Instr{
+		{Op: ir.FConst, A: 1, Imm: 1},
+		{Op: ir.FFrame, A: 2, B: 0},
+		{Op: ir.FConst, A: 3, Imm: 7},
+		{Op: ir.FStoreAcc, A: 2, B: 3},
+		{Op: ir.FConst, A: 5, Imm: 5},
+		{Op: ir.FFrame, A: 4, B: 1},
+		{Op: ir.FStoreAcc, A: 4, B: 5},
+		{Op: ir.FConst, A: 5, Imm: 0},
+	}
+	for _, tc := range []struct {
+		name        string
+		pair, fused []ir.Instr
+	}{
+		{"loadidx", []ir.Instr{
+			{Op: ir.FAdd, A: 4, B: 2, C: 1}, {Op: ir.FLoadAcc, A: 5, B: 4},
+		}, []ir.Instr{{Op: ir.FLoadIdx, A: 5, B: 2, C: 1}}},
+		{"loadchkidx", []ir.Instr{
+			{Op: ir.FAdd, A: 4, B: 1, C: 2}, {Op: ir.FLoadChk, A: 5, B: 4},
+		}, []ir.Instr{{Op: ir.FLoadChkIdx, A: 5, B: 1, C: 2}}},
+		{"storeidx", []ir.Instr{
+			{Op: ir.FAdd, A: 4, B: 2, C: 1}, {Op: ir.FStoreAcc, A: 4, B: 0},
+		}, []ir.Instr{{Op: ir.FStoreIdx, A: 2, B: 0, C: 1}}},
+		{"storeidx to an unknown address", []ir.Instr{
+			{Op: ir.FAdd, A: 4, B: 0, C: 2}, {Op: ir.FStoreAcc, A: 4, B: 3},
+		}, []ir.Instr{{Op: ir.FStoreIdx, A: 0, B: 3, C: 2}}},
+		{"mulimm", []ir.Instr{
+			{Op: ir.FConst, A: 4, Imm: -3}, {Op: ir.FMul, A: 5, B: 4, C: 3},
+		}, []ir.Instr{{Op: ir.FMulImm, A: 5, B: 3, Imm: -3}}},
+		{"mulimm of an unknown", []ir.Instr{
+			{Op: ir.FConst, A: 4, Imm: 4}, {Op: ir.FMul, A: 5, B: 0, C: 4},
+		}, []ir.Instr{{Op: ir.FMulImm, A: 5, B: 0, Imm: 4}}},
+		{"modimm", []ir.Instr{
+			{Op: ir.FConst, A: 4, Imm: 6}, {Op: ir.FMod, A: 5, B: 0, C: 4},
+		}, []ir.Instr{{Op: ir.FModImm, A: 5, B: 0, Imm: 6}}},
+		{"modimm of a non-negative", []ir.Instr{
+			{Op: ir.FConst, A: 4, Imm: 6}, {Op: ir.FMod, A: 5, B: 3, C: 4},
+		}, []ir.Instr{{Op: ir.FModImm, A: 5, B: 3, Imm: 6}}},
+		{"shrimm", []ir.Instr{
+			{Op: ir.FConst, A: 4, Imm: 2}, {Op: ir.FShr, A: 5, B: 3, C: 4},
+		}, []ir.Instr{{Op: ir.FShrImm, A: 5, B: 3, Imm: 2}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pair, pairRet := composeRun(prologue, tc.pair)
+			fused, fusedRet := composeRun(prologue, tc.fused)
+			for loc := 0; loc < pair.numLocs(); loc++ {
+				if loc == 4 {
+					continue
+				}
+				pv := pair.resolveExact(pairRet, pairRet.vals[loc])
+				fv := fused.resolveExact(fusedRet, fusedRet.vals[loc])
+				if !pv.equal(fv) {
+					t.Errorf("location %d: pair leaves %+v, fused %+v", loc, pv, fv)
+				}
+			}
+		})
+	}
+}
+
+// composeRun runs the engine over prologue+body+ret with two frame slots
+// and one check, and returns it with the state at the ret.
+func composeRun(prologue, body []ir.Instr) (*engine, *aState) {
+	code := append(append(append([]ir.Instr(nil), prologue...), body...), ir.Instr{Op: ir.FRet, A: 5})
+	ff := &ir.FlatFunc{
+		NumRegs: 6,
+		Code:    code,
+		PosTab:  []token.Pos{{}},
+		Checks:  []ir.FlatCheck{{Orig: &ir.Check{Kind: ir.CheckDynamic}}},
+	}
+	prog := &ir.Program{
+		Funcs: []*ir.Func{{Name: "f", FrameSize: 2}},
+		Flat:  &ir.FlatProgram{Funcs: []*ir.FlatFunc{ff}},
+	}
+	e := newEngine(prog, 0, nil, nil, nil, 1, defaultStepBudget)
+	e.run()
+	return e, e.states[len(code)-1]
+}

@@ -1068,23 +1068,19 @@ func (e *engine) step(pc int, st *aState, merge func(int, *aState)) {
 	case ir.FMul:
 		e.binArith(st, in, e.mulVal(st))
 		next()
-	case ir.FDiv, ir.FAnd, ir.FOr, ir.FXor, ir.FShl, ir.FShr, ir.FBitNot:
+	case ir.FMulImm:
+		// FConst t, Imm; FMul A, B, t with t dead afterwards.
+		e.writeReg(st, in.A, e.mulVal(st)(e.readReg(st, in.B), cst(in.Imm)))
+		next()
+	case ir.FDiv, ir.FAnd, ir.FOr, ir.FXor, ir.FShl, ir.FShr, ir.FShrImm, ir.FBitNot:
 		e.writeReg(st, in.A, top())
 		next()
 	case ir.FMod:
-		b := e.resolveExact(st, e.readReg(st, in.C))
-		out := top()
-		if len(b.f) == 0 && b.exact() && b.lo > 0 {
-			m := b.lo
-			a := e.resolveExact(st, e.readReg(st, in.B))
-			alo, _ := e.flatten(st, a, 8)
-			if alo >= 0 {
-				out = val{lo: 0, hi: m - 1}
-			} else {
-				out = val{lo: -(m - 1), hi: m - 1}
-			}
-		}
-		e.writeReg(st, in.A, out)
+		e.writeReg(st, in.A, e.modVal(st, e.readReg(st, in.B), e.readReg(st, in.C)))
+		next()
+	case ir.FModImm:
+		// FConst t, Imm; FMod A, B, t with t dead afterwards.
+		e.writeReg(st, in.A, e.modVal(st, e.readReg(st, in.B), cst(in.Imm)))
 		next()
 	case ir.FNeg:
 		e.writeReg(st, in.A, negVal(e.readReg(st, in.B)))
@@ -1173,17 +1169,29 @@ func (e *engine) step(pc int, st *aState, merge func(int, *aState)) {
 		ir.FChkLock, ir.FChkRead, ir.FChkWrite, ir.FCString:
 		next()
 	case ir.FLoad, ir.FLoadAcc:
-		e.loadThrough(st, in.A, in.B, -1)
+		e.loadThrough(st, in.A, e.readReg(st, in.B), -1)
 		next()
 	case ir.FLoadFrame:
 		// FFrame t, B; FLoadAcc A, t: the load of a known frame slot.
 		e.writeReg(st, in.A, e.read(st, e.numRegs+int(in.B)))
 		next()
 	case ir.FLoadChk:
-		e.loadThrough(st, in.A, in.B, in.C)
+		e.loadThrough(st, in.A, e.readReg(st, in.B), in.C)
+		next()
+	case ir.FLoadIdx, ir.FLoadChkIdx:
+		// FAdd t, B, C; FLoadAcc/FLoadChk A, t with t dead afterwards.
+		chk := int32(-1)
+		if ref, ok := in.CheckOf(); ok {
+			chk = ref.Check
+		}
+		e.loadThrough(st, in.A, e.idxAddr(st, in.B, in.C), chk)
 		next()
 	case ir.FStore, ir.FStoreAcc, ir.FStoreChk:
-		e.storeThrough(st, in.A, in.B)
+		e.storeThrough(st, e.readReg(st, in.A), in.B)
+		next()
+	case ir.FStoreIdx:
+		// FAdd t, A, C; FStoreAcc t, B with t dead afterwards.
+		e.storeThrough(st, e.idxAddr(st, in.A, in.C), in.B)
 		next()
 	case ir.FScast:
 		addr := e.resolveExact(st, e.readReg(st, in.B))
@@ -1266,12 +1274,34 @@ func (e *engine) mulVal(st *aState) func(a, b val) val {
 	}
 }
 
-// loadThrough models a memory load: frame slots read the tracked slot
-// value; a π-seeded check yields its stable context symbol; a τ-seeded
-// check yields its seed cell's symbol, fresh per execution — the cell is
-// rewritten first so stale references from earlier loop iterations widen
-// to the old interval; anything else is unknown.
-func (e *engine) loadThrough(st *aState, dst, addrReg int32, chkIdx int32) {
+// modVal handles modulo: a positive constant divisor m bounds the result
+// to [0, m-1] for a non-negative dividend and to [-(m-1), m-1] otherwise;
+// anything else is top.
+func (e *engine) modVal(st *aState, a, b val) val {
+	b = e.resolveExact(st, b)
+	if len(b.f) != 0 || !b.exact() || b.lo <= 0 {
+		return top()
+	}
+	m := b.lo
+	if alo, _ := e.flatten(st, e.resolveExact(st, a), 8); alo >= 0 {
+		return val{lo: 0, hi: m - 1}
+	}
+	return val{lo: -(m - 1), hi: m - 1}
+}
+
+// idxAddr is the address of an indexed access: the value the fused FAdd
+// would have written to its temporary.
+func (e *engine) idxAddr(st *aState, b, c int32) val {
+	return addVal(e.readReg(st, b), e.readReg(st, c))
+}
+
+// loadThrough models a memory load from address addr into dst: frame
+// slots read the tracked slot value; a π-seeded check yields its stable
+// context symbol; a τ-seeded check yields its seed cell's symbol, fresh
+// per execution — the cell is rewritten first so stale references from
+// earlier loop iterations widen to the old interval; anything else is
+// unknown.
+func (e *engine) loadThrough(st *aState, dst int32, addr val, chkIdx int32) {
 	if chkIdx >= 0 {
 		if s, ok := e.piSeeds[chkIdx]; ok {
 			e.writeReg(st, dst, symVal(s))
@@ -1284,7 +1314,7 @@ func (e *engine) loadThrough(st *aState, dst, addrReg int32, chkIdx int32) {
 			return
 		}
 	}
-	addr := e.resolveExact(st, e.readReg(st, addrReg))
+	addr = e.resolveExact(st, addr)
 	if slot, ok := e.slotOf(addr); ok {
 		e.writeReg(st, dst, e.read(st, e.numRegs+slot))
 		return
@@ -1292,11 +1322,12 @@ func (e *engine) loadThrough(st *aState, dst, addrReg int32, chkIdx int32) {
 	e.writeReg(st, dst, top())
 }
 
-// storeThrough models a memory store: an exact frame slot is a strong
-// update; any other frame-reaching or unknown address havocs the frame;
-// a provably non-frame address (heap/global) leaves locations untouched.
-func (e *engine) storeThrough(st *aState, addrReg, valReg int32) {
-	addr := e.resolveExact(st, e.readReg(st, addrReg))
+// storeThrough models a memory store of valReg to address addr: an exact
+// frame slot is a strong update; any other frame-reaching or unknown
+// address havocs the frame; a provably non-frame address (heap/global)
+// leaves locations untouched.
+func (e *engine) storeThrough(st *aState, addr val, valReg int32) {
+	addr = e.resolveExact(st, addr)
 	if slot, ok := e.slotOf(addr); ok {
 		e.write(st, e.numRegs+slot, e.readReg(st, valReg))
 		return
@@ -1321,22 +1352,16 @@ type chkAddr struct {
 	live  bool    // the check's pc was reached by the fixpoint
 }
 
-// checkAddrs resolves the address of every check instruction under the
-// converged states.
+// checkAddrs resolves the address of every check-bearing instruction
+// (ir.Instr.CheckOf) under the converged states.
 func (e *engine) checkAddrs() []chkAddr {
 	var out []chkAddr
-	for pc, in := range e.ff.Code {
-		var idx, addrReg int32
-		switch in.Op {
-		case ir.FChkRead, ir.FChkWrite, ir.FChkLock, ir.FChkElided:
-			idx, addrReg = in.B, in.A
-		case ir.FLoadChk:
-			idx, addrReg = in.C, in.B
-		case ir.FStoreChk:
-			idx, addrReg = in.C, in.A
-		default:
+	for pc := range e.ff.Code {
+		ref, ok := e.ff.Code[pc].CheckOf()
+		if !ok {
 			continue
 		}
+		idx := ref.Check
 		fc := e.ff.Checks[idx]
 		ca := chkAddr{pc: pc, idx: idx, kind: fc.Orig.Kind, write: fc.Write}
 		if fc.Orig.Kind != ir.CheckNone && fc.Orig.Site >= 0 && fc.Orig.Site < len(e.prog.Sites) {
@@ -1345,7 +1370,11 @@ func (e *engine) checkAddrs() []chkAddr {
 		if st := e.states[pc]; st != nil {
 			ca.live = true
 			ca.st = st
-			ca.v = e.resolveExact(st, e.read(st, int(addrReg)))
+			addr := e.readReg(st, ref.Addr)
+			if ref.Off >= 0 {
+				addr = e.idxAddr(st, ref.Addr, ref.Off)
+			}
+			ca.v = e.resolveExact(st, addr)
 		}
 		out = append(out, ca)
 	}

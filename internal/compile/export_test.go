@@ -97,6 +97,15 @@ func FusablePairs(ff *ir.FlatFunc) []int32 {
 			pair = (in.B == t) != (in.C == t)
 		case first.Op == ir.FConst && in.Op == ir.FSub:
 			pair = in.C == t && in.B != t && first.Imm != math.MinInt64 && first.Imm != math.MaxInt64
+		case first.Op == ir.FConst && in.Op == ir.FMul:
+			pair = (in.B == t) != (in.C == t)
+		case first.Op == ir.FConst && in.Op == ir.FMod:
+			pair = in.C == t && in.B != t && first.Imm != 0
+		case first.Op == ir.FConst && in.Op == ir.FShr:
+			pair = in.C == t && in.B != t
+		case first.Op == ir.FAdd:
+			load := in.Op == ir.FLoadAcc || in.Op == ir.FLoadChk
+			pair = load && in.B == t || in.Op == ir.FStoreAcc && in.A == t && in.B != t
 		case first.Op.IsCmp(), first.Op == ir.FSetNZ:
 			pair = branch && in.A == t
 		}
@@ -106,6 +115,31 @@ func FusablePairs(ff *ir.FlatFunc) []int32 {
 		}
 	})
 	return pairs
+}
+
+// ThreadableJumps returns the pcs of ff's FJmp instructions that the
+// thread pass rewrites: the jump's target is an FJmpZ, FJmpNZ or
+// compare-and-branch whose taken target is the instruction right after the
+// jump. Restated from the pass's documentation, like FusablePairs.
+func ThreadableJumps(ff *ir.FlatFunc) []int32 {
+	var out []int32
+	for pc, in := range ff.Code {
+		if in.Op != ir.FJmp {
+			continue
+		}
+		br := ff.Code[in.A]
+		taken := int32(-1)
+		switch br.Op {
+		case ir.FJmpZ, ir.FJmpNZ:
+			taken = br.B
+		case ir.FBrEq, ir.FBrNe, ir.FBrLt, ir.FBrLe, ir.FBrGt, ir.FBrGe:
+			taken = br.C
+		}
+		if taken == int32(pc+1) {
+			out = append(out, int32(pc))
+		}
+	}
+	return out
 }
 
 // UnpinnedFrameReads returns the pcs of ff's FLoadFrame instructions whose

@@ -13,36 +13,52 @@ import (
 	"repro/internal/vet"
 )
 
-// TestRegoptLeavesNoFusablePair is the fusion postcondition: after the
-// default pipeline, on every corpus program and every Table-1 model at both
-// scales, no pair regopt knows how to fuse survives with a dead
-// intermediate register.
+// TestRegoptLeavesNoFusablePair is the fusion and threading
+// postcondition: after the default pipeline, on every corpus program and
+// every Table-1 model at both scales, in the checked and the uninstrumented
+// build, no pair regopt knows how to fuse survives with a dead
+// intermediate register, and no jump the thread pass knows how to thread
+// survives.
 func TestRegoptLeavesNoFusablePair(t *testing.T) {
 	fused := map[ir.Op]int{}
+	backBranches := 0
 	for _, pr := range corpusAndModels(t) {
 		a, err := core.Analyze(parser.Source{Name: pr.name, Text: pr.src})
 		if err != nil {
 			t.Fatalf("%s: %v", pr.name, err)
 		}
-		p, err := a.Build(compile.DefaultOptions())
-		if err != nil {
-			t.Fatalf("%s: %v", pr.name, err)
-		}
-		for i, ff := range p.Flat.Funcs {
-			for _, pc := range compile.FusablePairs(ff) {
-				t.Errorf("%s %s pc %d: %v; %v survived regopt", pr.name, p.Funcs[i].Name, pc, ff.Code[pc-1], ff.Code[pc])
+		for _, opts := range []compile.Options{compile.DefaultOptions(), {}} {
+			p, err := a.Build(opts)
+			if err != nil {
+				t.Fatalf("%s: %v", pr.name, err)
 			}
-			for _, in := range ff.Code {
-				fused[in.Op]++
+			for i, ff := range p.Flat.Funcs {
+				for _, pc := range compile.FusablePairs(ff) {
+					t.Errorf("%s %s (checks=%v) pc %d: %v; %v survived regopt", pr.name, p.Funcs[i].Name, opts.Checks, pc, ff.Code[pc-1], ff.Code[pc])
+				}
+				for _, pc := range compile.ThreadableJumps(ff) {
+					t.Errorf("%s %s (checks=%v) pc %d: %v to %v survived thread", pr.name, p.Funcs[i].Name, opts.Checks, pc, ff.Code[pc], ff.Code[ff.Code[pc].A])
+				}
+				for pc, in := range ff.Code {
+					fused[in.Op]++
+					if tg := in.Target(); tg != nil && in.Op != ir.FJmp && int(*tg) <= pc {
+						backBranches++
+					}
+				}
 			}
 		}
 	}
 	// The postcondition is vacuous if nothing fuses: each kind of
-	// superinstruction shows up somewhere in the set.
-	for _, op := range []ir.Op{ir.FLoadFrame, ir.FAddImm, ir.FBrLt, ir.FBrGe} {
+	// superinstruction shows up somewhere in the set, and so do threaded
+	// back edges, which are conditional branches to an earlier pc.
+	for _, op := range []ir.Op{ir.FLoadFrame, ir.FAddImm, ir.FBrLt, ir.FBrGe,
+		ir.FLoadIdx, ir.FLoadChkIdx, ir.FStoreIdx, ir.FMulImm, ir.FModImm, ir.FShrImm} {
 		if fused[op] == 0 {
 			t.Errorf("no %v in any build", op)
 		}
+	}
+	if backBranches == 0 {
+		t.Error("no conditional back edge in any build")
 	}
 }
 

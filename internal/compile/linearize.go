@@ -575,15 +575,17 @@ type Pass struct {
 }
 
 // pipeline is the standard lowering sequence: linearize, the RC-site
-// barrier strip, access-window fusion into superinstructions, and finally
-// the register cleanup (copy propagation, dead-code deletion, move
-// folding; see regopt.go).
+// barrier strip, access-window fusion into superinstructions, the
+// register cleanup (copy propagation, dead-code deletion, move folding,
+// pair fusion; see regopt.go), and finally the threading of loop back-edge
+// jumps (thread.go).
 func pipeline() []Pass {
 	return []Pass{
 		{Name: "linearize", Run: Linearize},
 		{Name: "rcsite", Run: stripBarriers},
 		{Name: "fuse", Run: fuseAccesses},
 		{Name: "regopt", Run: regopt},
+		{Name: "thread", Run: threadJumps},
 	}
 }
 

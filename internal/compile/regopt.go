@@ -19,8 +19,11 @@ package compile
 //     "op r, ..." when t is dead after the move and no jump targets it,
 //     and, under the same two conditions on the intermediate register,
 //     fuses the hot pairs left into superinstructions: a frame-slot load
-//     (FLoadFrame), an immediate add (FAddImm) and compare-and-branch
-//     (FBrEq..FBrGe).
+//     (FLoadFrame), an immediate add (FAddImm), compare-and-branch
+//     (FBrEq..FBrGe), indexed loads and stores whose address is an add
+//     (FLoadIdx, FLoadChkIdx, FStoreIdx), and a constant multiplier,
+//     divisor or shift count (FMulImm, FModImm, FShrImm). fuse lists the
+//     pairs.
 //
 // The pass only deletes instructions, renames register operands
 // (including CallInfo.Args/FnReg and BuiltinInfo.Args) and fuses pairs
@@ -324,22 +327,22 @@ func dyingOperands(in *ir.Instr, live []uint64) uint8 {
 	}
 	var m uint8
 	switch in.Op {
-	case ir.FLoadAcc:
+	case ir.FLoadAcc, ir.FLoadChk:
 		if dies(in.B) {
 			m |= dyingB
 		}
-	case ir.FAdd:
+	case ir.FAdd, ir.FMul:
 		if dies(in.B) {
 			m |= dyingB
 		}
 		if dies(in.C) {
 			m |= dyingC
 		}
-	case ir.FSub:
+	case ir.FSub, ir.FMod, ir.FShr:
 		if dies(in.C) {
 			m |= dyingC
 		}
-	case ir.FJmpZ, ir.FJmpNZ:
+	case ir.FJmpZ, ir.FJmpNZ, ir.FStoreAcc:
 		if dies(in.A) {
 			m |= dyingA
 		}
@@ -356,28 +359,55 @@ func dyingOperands(in *ir.Instr, live []uint64) uint8 {
 //   - FConst t, k; FSub d, x, t           -> FAddImm d, x, -k
 //   - cmp t, x, y; FJmpZ/FJmpNZ t, L      -> branch on cmp (negated for jmpz)
 //   - FSetNZ t, x; FJmpZ/FJmpNZ t, L      -> FJmpZ/FJmpNZ x, L
+//   - FAdd t, x, y; FLoadAcc d, t         -> FLoadIdx d, x, y
+//   - FAdd t, x, y; FLoadChk d, t         -> FLoadChkIdx d, x, y
+//   - FAdd t, x, y; FStoreAcc t, v (v!=t) -> FStoreIdx x, v, y
+//   - FConst t, k; FMul d, x, t (or t, x) -> FMulImm d, x, k
+//   - FConst t, k; FMod d, x, t (k != 0)  -> FModImm d, x, k
+//   - FConst t, k; FShr d, x, t           -> FShrImm d, x, k&63
 //
 // Every rewrite reads the same values as the pair and writes the same
 // destination, so only t, which nothing reads again, may differ
-// afterwards.
+// afterwards. A modulo by a constant 0 stays, so it still fails.
 func fuse(first, in *ir.Instr, dead uint8) bool {
 	if dead == 0 {
 		return false
 	}
 	t := first.A
+	// kb (kc): first is FConst t, k, and t is in's dying operand B (C) and
+	// not also its other operand.
+	k := first.Imm
+	kb := first.Op == ir.FConst && in.B == t && in.C != t && dead&dyingB != 0
+	kc := first.Op == ir.FConst && in.C == t && in.B != t && dead&dyingC != 0
 	switch {
 	case first.Op == ir.FFrame && in.Op == ir.FLoadAcc && in.B == t:
 		*in = ir.Instr{Op: ir.FLoadFrame, A: in.A, B: first.B, C: in.C, Imm: in.Imm}
-	case first.Op == ir.FConst && in.Op == ir.FAdd && in.C == t && in.B != t && dead&dyingC != 0:
-		*in = ir.Instr{Op: ir.FAddImm, A: in.A, B: in.B, Imm: first.Imm}
-	case first.Op == ir.FConst && in.Op == ir.FAdd && in.B == t && in.C != t && dead&dyingB != 0:
-		*in = ir.Instr{Op: ir.FAddImm, A: in.A, B: in.C, Imm: first.Imm}
-	case first.Op == ir.FConst && in.Op == ir.FSub && in.C == t && in.B != t &&
-		first.Imm != math.MinInt64 && first.Imm != math.MaxInt64:
+	case first.Op == ir.FAdd && (in.Op == ir.FLoadAcc || in.Op == ir.FLoadChk) && in.B == t:
+		op := ir.FLoadIdx
+		if in.Op == ir.FLoadChk {
+			op = ir.FLoadChkIdx
+		}
+		*in = ir.Instr{Op: op, A: in.A, B: first.B, C: first.C, Imm: ir.PackImm(in.C, int32(in.Imm))}
+	case first.Op == ir.FAdd && in.Op == ir.FStoreAcc && in.A == t && in.B != t:
+		*in = ir.Instr{Op: ir.FStoreIdx, A: first.B, B: in.B, C: first.C, Imm: ir.PackImm(in.C, int32(in.Imm))}
+	case (kb || kc) && (in.Op == ir.FAdd || in.Op == ir.FMul):
+		op, x := ir.FAddImm, in.B
+		if in.Op == ir.FMul {
+			op = ir.FMulImm
+		}
+		if kb {
+			x = in.C
+		}
+		*in = ir.Instr{Op: op, A: in.A, B: x, Imm: k}
+	case kc && in.Op == ir.FSub && k != math.MinInt64 && k != math.MaxInt64:
 		// x - k == x + -k under wraparound for every k, but absint's
 		// intervals saturate at the two extremes, where its negation of
 		// k is not -k: those stay unfused.
-		*in = ir.Instr{Op: ir.FAddImm, A: in.A, B: in.B, Imm: -first.Imm}
+		*in = ir.Instr{Op: ir.FAddImm, A: in.A, B: in.B, Imm: -k}
+	case kc && in.Op == ir.FMod && k != 0:
+		*in = ir.Instr{Op: ir.FModImm, A: in.A, B: in.B, Imm: k}
+	case kc && in.Op == ir.FShr:
+		*in = ir.Instr{Op: ir.FShrImm, A: in.A, B: in.B, Imm: k & 63}
 	case first.Op.IsCmp() && (in.Op == ir.FJmpZ || in.Op == ir.FJmpNZ) && in.A == t:
 		cmp := first.Op
 		if in.Op == ir.FJmpZ {

@@ -178,3 +178,45 @@ func TestRegoptLeavesNoDeadMoves(t *testing.T) {
 		}
 	}
 }
+
+// TestThreadOracle is the same oracle for the thread pass: the build
+// without it must run indistinguishably, and the pass must thread some
+// jump in the set.
+func TestThreadOracle(t *testing.T) {
+	threaded := 0
+	for _, op := range oraclePrograms(t) {
+		a, err := core.Analyze(parser.Source{Name: op.name, Text: op.src})
+		if err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		if !a.Check.OK() {
+			continue // TestRegoptOracle reports the corpus programs that fail
+		}
+		for _, opts := range []compile.Options{compile.DefaultOptions(), {}} {
+			with, err := compile.Compile(a.World, a.Inf, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", op.name, err)
+			}
+			without, err := compile.CompileWithout(a.World, a.Inf, opts, "thread")
+			if err != nil {
+				t.Fatalf("%s without thread: %v", op.name, err)
+			}
+			for _, ff := range without.Flat.Funcs {
+				threaded += len(compile.ThreadableJumps(ff))
+			}
+			for _, seed := range []int64{0, 1, 7} {
+				if seed == 0 && !op.free {
+					continue
+				}
+				want := oracleRun(t, without, seed)
+				if got := oracleRun(t, with, seed); got != want {
+					t.Fatalf("%s checks=%v seed=%d: thread changed the run\n--- without thread\n%s--- with thread\n%s",
+						op.name, opts.Checks, seed, want, got)
+				}
+			}
+		}
+	}
+	if threaded == 0 {
+		t.Fatal("no jump to thread in any build")
+	}
+}

@@ -247,3 +247,82 @@ func TestRegoptKeepsUnfusablePairs(t *testing.T) {
 	ff := &ir.FlatFunc{NumRegs: 4, Code: append([]ir.Instr(nil), code...)}
 	runRegopt(t, ff, code)
 }
+
+func TestRegoptFusesIndexedAccessesAndImmediates(t *testing.T) {
+	// Each add's and constant's result r3 dies at the instruction that
+	// consumes it.
+	ff := &ir.FlatFunc{NumRegs: 4, Code: []ir.Instr{
+		{Op: ir.FAdd, A: 3, B: 0, C: 1},
+		{Op: ir.FLoadAcc, A: 2, B: 3, C: 4, Imm: 1},
+		{Op: ir.FAdd, A: 3, B: 1, C: 2},
+		{Op: ir.FLoadChk, A: 2, B: 3, C: 0, Imm: 2},
+		{Op: ir.FAdd, A: 3, B: 0, C: 2},
+		{Op: ir.FStoreAcc, A: 3, B: 1, C: 5, Imm: 3},
+		{Op: ir.FConst, A: 3, Imm: 6},
+		{Op: ir.FMul, A: 2, B: 3, C: 1},
+		{Op: ir.FConst, A: 3, Imm: -6},
+		{Op: ir.FMul, A: 2, B: 2, C: 3},
+		{Op: ir.FConst, A: 3, Imm: 7},
+		{Op: ir.FMod, A: 2, B: 2, C: 3, Imm: 1},
+		{Op: ir.FConst, A: 3, Imm: 65},
+		{Op: ir.FShr, A: 2, B: 2, C: 3},
+		{Op: ir.FRet, A: 2},
+	}}
+	runRegopt(t, ff, []ir.Instr{
+		{Op: ir.FLoadIdx, A: 2, B: 0, C: 1, Imm: ir.PackImm(4, 1)},
+		{Op: ir.FLoadChkIdx, A: 2, B: 1, C: 2, Imm: ir.PackImm(0, 2)},
+		{Op: ir.FStoreIdx, A: 0, B: 1, C: 2, Imm: ir.PackImm(5, 3)},
+		{Op: ir.FMulImm, A: 2, B: 1, Imm: 6},
+		{Op: ir.FMulImm, A: 2, B: 2, Imm: -6},
+		{Op: ir.FModImm, A: 2, B: 2, Imm: 7},
+		{Op: ir.FShrImm, A: 2, B: 2, Imm: 1},
+		{Op: ir.FRet, A: 2},
+	})
+}
+
+func TestRegoptKeepsUnfusableIndexedAndImmPairs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		code []ir.Instr
+	}{
+		{"modulo by a constant 0 still fails", []ir.Instr{
+			{Op: ir.FConst, A: 2, Imm: 0},
+			{Op: ir.FMod, A: 1, B: 0, C: 2, Imm: 0},
+			{Op: ir.FRet, A: 1},
+		}},
+		{"the address is read again", []ir.Instr{
+			{Op: ir.FAdd, A: 2, B: 0, C: 1},
+			{Op: ir.FLoadAcc, A: 1, B: 2},
+			{Op: ir.FAdd, A: 1, B: 1, C: 2},
+			{Op: ir.FRet, A: 1},
+		}},
+		{"the stored value is the address", []ir.Instr{
+			{Op: ir.FAdd, A: 2, B: 0, C: 1},
+			{Op: ir.FStoreAcc, A: 2, B: 2},
+			{Op: ir.FRet, A: 1},
+		}},
+		{"the constant is the dividend", []ir.Instr{
+			{Op: ir.FConst, A: 2, Imm: 9},
+			{Op: ir.FMod, A: 1, B: 2, C: 0, Imm: 0},
+			{Op: ir.FConst, A: 2, Imm: 3},
+			{Op: ir.FShr, A: 1, B: 2, C: 1},
+			{Op: ir.FRet, A: 1},
+		}},
+		{"the constant is both operands", []ir.Instr{
+			{Op: ir.FConst, A: 2, Imm: 3},
+			{Op: ir.FMul, A: 1, B: 2, C: 2},
+			{Op: ir.FRet, A: 1},
+		}},
+		{"the access is a jump target", []ir.Instr{
+			{Op: ir.FJmpZ, A: 0, B: 2},
+			{Op: ir.FAdd, A: 2, B: 0, C: 1},
+			{Op: ir.FLoadAcc, A: 1, B: 2},
+			{Op: ir.FRet, A: 1},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ff := &ir.FlatFunc{NumRegs: 3, Code: append([]ir.Instr(nil), tc.code...)}
+			runRegopt(t, ff, tc.code)
+		})
+	}
+}

@@ -84,6 +84,8 @@ dispatch:
 			regs[in.A] = regs[in.B] - regs[in.C]
 		case ir.FMul:
 			regs[in.A] = regs[in.B] * regs[in.C]
+		case ir.FMulImm:
+			regs[in.A] = regs[in.B] * in.Imm
 		case ir.FDiv:
 			if regs[in.C] == 0 {
 				t.fail(ff.PosTab[in.Imm], "division by zero")
@@ -94,6 +96,8 @@ dispatch:
 				t.fail(ff.PosTab[in.Imm], "modulo by zero")
 			}
 			regs[in.A] = regs[in.B] % regs[in.C]
+		case ir.FModImm:
+			regs[in.A] = regs[in.B] % in.Imm
 		case ir.FAnd:
 			regs[in.A] = regs[in.B] & regs[in.C]
 		case ir.FOr:
@@ -104,6 +108,8 @@ dispatch:
 			regs[in.A] = regs[in.B] << uint(regs[in.C]&63)
 		case ir.FShr:
 			regs[in.A] = regs[in.B] >> uint(regs[in.C]&63)
+		case ir.FShrImm:
+			regs[in.A] = regs[in.B] >> uint(in.Imm)
 		case ir.FEq:
 			regs[in.A] = boolVal(regs[in.B] == regs[in.C])
 		case ir.FNe:
@@ -264,6 +270,50 @@ dispatch:
 			t.applyCheck(addr, *fc.Orig, fc.Write)
 			if obs != nil {
 				obs.Access(t.tid, addr, true, t.locks, fc.Orig.Site)
+			}
+			mem.Store(addr, regs[in.B])
+		case ir.FLoadIdx:
+			// FLoadAcc on the address B+C; Imm packs site and position.
+			addr := regs[in.B] + regs[in.C]
+			if addr <= 0 || addr >= memLen {
+				t.checkAddr(addr, ff.PosTab[uint32(in.Imm)])
+			}
+			if addr < stackBase || addr >= heapBase {
+				t.nAccess++
+				t.schedPoint(sched.PointCheck)
+			}
+			if obs != nil {
+				obs.Access(t.tid, addr, false, t.locks, int(in.Imm>>32))
+			}
+			regs[in.A] = mem.Load(addr)
+		case ir.FLoadChkIdx:
+			// FLoadChk on the address B+C; Imm packs check and position.
+			addr := regs[in.B] + regs[in.C]
+			if addr <= 0 || addr >= memLen {
+				t.checkAddr(addr, ff.PosTab[uint32(in.Imm)])
+			}
+			if addr < stackBase || addr >= heapBase {
+				t.nAccess++
+				t.schedPoint(sched.PointCheck)
+			}
+			fc := &checks[in.Imm>>32]
+			t.applyCheck(addr, *fc.Orig, false)
+			if obs != nil {
+				obs.Access(t.tid, addr, false, t.locks, fc.Orig.Site)
+			}
+			regs[in.A] = mem.Load(addr)
+		case ir.FStoreIdx:
+			// FStoreAcc on the address A+C; Imm packs site and position.
+			addr := regs[in.A] + regs[in.C]
+			if addr <= 0 || addr >= memLen {
+				t.checkAddr(addr, ff.PosTab[uint32(in.Imm)])
+			}
+			if addr < stackBase || addr >= heapBase {
+				t.nAccess++
+				t.schedPoint(sched.PointCheck)
+			}
+			if obs != nil {
+				obs.Access(t.tid, addr, true, t.locks, int(in.Imm>>32))
 			}
 			mem.Store(addr, regs[in.B])
 

@@ -2,10 +2,11 @@
 // over frame-relative virtual registers. internal/compile lowers every
 // function's statement tree into this form (the linearize pass), the pass
 // pipeline rewrites it (barrier stripping, access fusion, register
-// cleanup), and the register VM in
+// cleanup with pair fusion, jump threading), and the register VM in
 // internal/interp dispatches over it. OpRegs describes each opcode's
 // register operands once, for the verifier and for passes that track
-// registers.
+// registers; Instr.Target lists every jump target and Instr.CheckOf every
+// check-bearing instruction.
 //
 // The linearize pass emits instructions in the runtime's evaluation order
 // (the contract is stated in internal/compile/linearize.go), and the
@@ -137,6 +138,20 @@ const (
 	FBrGt // if A > B: pc <- C
 	FBrGe // if A >= B: pc <- C
 
+	// Indexed accesses: FAdd t, x, y feeding the address of an FLoadAcc,
+	// FLoadChk or FStoreAcc, fused by regopt. The address is B+C (A+C for
+	// the store), and Imm packs two indexes (see PackImm): the report site
+	// or check index in the high 32 bits and the PosTab index in the low 32.
+	FLoadIdx    // A <- mem[B+C], site Imm.hi, pos Imm.lo
+	FLoadChkIdx // A <- mem[B+C], check Checks[Imm.hi], pos Imm.lo
+	FStoreIdx   // mem[A+C] <- B, site Imm.hi, pos Imm.lo
+
+	// Arithmetic with a constant operand: FConst t, k feeding FMul, FMod
+	// (as the divisor) or FShr (as the shift count), fused by regopt.
+	FMulImm // A <- B * Imm
+	FModImm // A <- B % Imm; Imm != 0, so it cannot fail
+	FShrImm // A <- B >> Imm; Imm is already masked to 0..63
+
 	opCount // sentinel
 )
 
@@ -160,6 +175,8 @@ var opNames = [...]string{
 	FStoreAcc: "storeacc", FStoreChk: "storechk",
 	FLoadFrame: "loadframe", FAddImm: "addimm",
 	FBrEq: "breq", FBrNe: "brne", FBrLt: "brlt", FBrLe: "brle", FBrGt: "brgt", FBrGe: "brge",
+	FLoadIdx: "loadidx", FLoadChkIdx: "loadchkidx", FStoreIdx: "storeidx",
+	FMulImm: "mulimm", FModImm: "modimm", FShrImm: "shrimm",
 }
 
 func (o Op) String() string {
@@ -223,6 +240,9 @@ var opRegs = [opCount]OpRegs{
 	FLoadAcc: defAuse, FLoadChk: defAuse, FStoreAcc: useAB, FStoreChk: useAB,
 	FLoadFrame: {A: RegDef}, FAddImm: pureUn,
 	FBrEq: useAB, FBrNe: useAB, FBrLt: useAB, FBrLe: useAB, FBrGt: useAB, FBrGe: useAB,
+	FLoadIdx: {A: RegDef, B: RegUse, C: RegUse}, FLoadChkIdx: {A: RegDef, B: RegUse, C: RegUse},
+	FStoreIdx: {A: RegUse, B: RegUse, C: RegUse},
+	FMulImm:   pureUn, FModImm: pureUn, FShrImm: pureUn,
 }
 
 // Regs returns the register operands of opcode o, which must be known.
@@ -270,6 +290,55 @@ func (in *Instr) Target() *int32 {
 	}
 	return nil
 }
+
+// NegateBranch returns the branch that jumps exactly when branch o falls
+// through: FJmpZ and FJmpNZ swap, and a compare-and-branch tests the negated
+// comparison. It reports false for any other opcode.
+func (o Op) NegateBranch() (Op, bool) {
+	switch {
+	case o == FJmpZ:
+		return FJmpNZ, true
+	case o == FJmpNZ:
+		return FJmpZ, true
+	case o >= FBrEq && o <= FBrGe:
+		return o.BranchCmp().NegateCmp().Branch(), true
+	}
+	return o, false
+}
+
+// CheckRef is what a check-bearing instruction checks: check Checks[Check]
+// on the address regs[Addr] + regs[Off], or regs[Addr] alone when Off is
+// -1.
+type CheckRef struct {
+	Check, Addr, Off int32
+}
+
+// CheckOf returns the check in applies, and false when in applies none. It
+// is the one list of check-bearing opcodes: the verifier and absint's
+// check certification both go through it, so an instruction that carries a
+// check cannot be missed by either.
+func (in *Instr) CheckOf() (CheckRef, bool) {
+	switch in.Op {
+	case FChkRead, FChkWrite, FChkLock, FChkElided:
+		return CheckRef{Check: in.B, Addr: in.A, Off: -1}, true
+	case FLoadChk:
+		return CheckRef{Check: in.C, Addr: in.B, Off: -1}, true
+	case FStoreChk:
+		return CheckRef{Check: in.C, Addr: in.A, Off: -1}, true
+	case FLoadChkIdx:
+		return CheckRef{Check: int32(in.Imm >> 32), Addr: in.B, Off: in.C}, true
+	}
+	return CheckRef{}, false
+}
+
+// PackImm packs an indexed access's site or check index and its PosTab
+// index into one immediate: idx in the high 32 bits, pos in the low 32.
+func PackImm(idx, pos int32) int64 { return int64(idx)<<32 | int64(uint32(pos)) }
+
+// UnpackImm splits an indexed access's immediate into the index in its
+// high 32 bits (negative when the immediate is) and the PosTab index in its
+// low 32.
+func UnpackImm(imm int64) (idx, pos int64) { return imm >> 32, int64(uint32(imm)) }
 
 // VisitUses calls f with a pointer to every register operand in reads, its
 // side-table argument registers included, so a pass can rename them in
@@ -456,8 +525,13 @@ func (ff *FlatFunc) verify(p *Program, fn *Func) error {
 			}
 			continue // a branch has no other index operand
 		}
+		if ref, ok := in.CheckOf(); ok {
+			if err = check(pc, ref.Check); err != nil {
+				return err
+			}
+		}
 		switch in.Op {
-		case FNop, FConst, FMove, FNeg, FNot, FBitNot, FSetNZ, FAddImm,
+		case FNop, FConst, FMove, FNeg, FNot, FBitNot, FSetNZ, FAddImm, FMulImm,
 			FAdd, FSub, FMul, FAnd, FOr, FXor, FShl, FShr,
 			FEq, FNe, FLt, FLe, FGt, FGe, FLoad, FStore, FBarrier, FRet:
 		case FStr:
@@ -477,7 +551,15 @@ func (ff *FlatFunc) verify(p *Program, fn *Func) error {
 		case FYield:
 			err = pos(pc, in.Imm)
 		case FChkRead, FChkWrite, FChkLock, FChkElided:
-			err = check(pc, in.B)
+			// CheckOf's check is all they carry.
+		case FModImm:
+			if in.Imm == 0 {
+				err = fmt.Errorf("pc %d: modulo by immediate 0", pc)
+			}
+		case FShrImm:
+			if in.Imm < 0 || in.Imm > 63 {
+				err = fmt.Errorf("pc %d: shift count %d out of range [0,63]", pc, in.Imm)
+			}
 		case FScast:
 			if in.C < 0 || int(in.C) >= len(ff.Scasts) {
 				err = fmt.Errorf("pc %d: scast index %d out of range", pc, in.C)
@@ -515,8 +597,14 @@ func (ff *FlatFunc) verify(p *Program, fn *Func) error {
 				err = pos(pc, in.Imm)
 			}
 		case FLoadChk, FStoreChk:
-			if err = check(pc, in.C); err == nil {
-				err = pos(pc, in.Imm)
+			err = pos(pc, in.Imm)
+		case FLoadIdx, FLoadChkIdx, FStoreIdx:
+			idx, p := UnpackImm(in.Imm)
+			if in.Op != FLoadChkIdx && idx != 0 {
+				err = checkSite(pc, int(idx))
+			}
+			if err == nil {
+				err = pos(pc, p)
 			}
 		default:
 			err = fmt.Errorf("pc %d: unhandled opcode %v", pc, in.Op)

@@ -81,6 +81,13 @@ func flatFixture() (*Program, *FlatProgram) {
 			{Op: FBrGt, A: 1, B: 0, C: 9},
 			{Op: FBrGe, A: 1, B: 2, C: 26},
 			{Op: FRet, A: 1},
+			{Op: FLoadIdx, A: 1, B: 0, C: 2, Imm: PackImm(0, 1)},
+			{Op: FLoadChkIdx, A: 2, B: 0, C: 1, Imm: PackImm(0, 1)},
+			{Op: FStoreIdx, A: 0, B: 1, C: 2, Imm: PackImm(0, 0)},
+			{Op: FMulImm, A: 1, B: 2, Imm: -7},
+			{Op: FModImm, A: 2, B: 1, Imm: -3},
+			{Op: FShrImm, A: 0, B: 1, Imm: 63},
+			{Op: FRet, A: 0},
 		},
 		PosTab: []token.Pos{{}, pos},
 		Checks: []FlatCheck{{Orig: &Check{Kind: CheckDynamic, Site: 0}}},
@@ -246,6 +253,51 @@ func TestFlatVerifyRejects(t *testing.T) {
 		{"compare-and-branch operand out of range", func(p *Program, fp *FlatProgram) {
 			fp.Funcs[0].Code[20].B = -1
 		}, "register -1 out of range"},
+		{"loadidx site out of range", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Code[27].Imm = PackImm(1, 1)
+		}, "pc 27: check site 1 out of range"},
+		{"loadidx position out of range", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Code[27].Imm = PackImm(0, 2)
+		}, "pc 27: position index 2 out of range"},
+		{"loadidx negative packed immediate", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Code[27].Imm = -1
+		}, "pc 27: check site -1 out of range"},
+		{"loadidx index register out of range", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Code[27].C = 3
+		}, "register 3 out of range"},
+		{"loadchkidx check out of range", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Code[28].Imm = PackImm(1, 1)
+		}, "pc 28: check index 1 out of range"},
+		{"loadchkidx position out of range", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Code[28].Imm = PackImm(0, 2)
+		}, "pc 28: position index 2 out of range"},
+		{"loadchkidx negative packed immediate", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Code[28].Imm = -1
+		}, "pc 28: check index -1 out of range"},
+		{"storeidx site out of range", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Code[29].Imm = PackImm(2, 0)
+		}, "pc 29: check site 2 out of range"},
+		{"storeidx position out of range", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Code[29].Imm = PackImm(0, 5)
+		}, "pc 29: position index 5 out of range"},
+		{"storeidx negative packed immediate", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Code[29].Imm = -1 << 32
+		}, "pc 29: check site -1 out of range"},
+		{"storeidx value register out of range", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Code[29].B = -1
+		}, "register -1 out of range"},
+		{"mulimm dest register out of range", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Code[30].A = 3
+		}, "register 3 out of range"},
+		{"modimm by zero", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Code[31].Imm = 0
+		}, "pc 31: modulo by immediate 0"},
+		{"shrimm count past 63", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Code[32].Imm = 64
+		}, "pc 32: shift count 64 out of range"},
+		{"shrimm negative count", func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Code[32].Imm = -1
+		}, "pc 32: shift count -1 out of range"},
 		{"lock expression is a call", func(p *Program, fp *FlatProgram) {
 			fp.Funcs[0].Checks[0].Orig = &Check{Kind: CheckLocked, Site: 0, Lock: &Call{Target: 1}}
 		}, "lock expression node *ir.Call"},
@@ -278,8 +330,10 @@ func TestFlatVerifyRejects(t *testing.T) {
 	}
 	// Every compare-and-branch opcode range-checks its target, past the
 	// end and below zero.
+	_, fix := flatFixture()
+	end := int32(len(fix.Funcs[0].Code))
 	for pc := int32(20); pc <= 25; pc++ {
-		for _, tgt := range []int32{27, -1} {
+		for _, tgt := range []int32{end, -1} {
 			cases = append(cases, struct {
 				name string
 				mut  func(p *Program, fp *FlatProgram)
@@ -314,5 +368,34 @@ func TestFlatOpStrings(t *testing.T) {
 	}
 	if s := opCount.String(); !strings.HasPrefix(s, "op(") {
 		t.Errorf("sentinel rendered as %q", s)
+	}
+}
+
+// TestNegateBranch: the negated branch tests the complementary condition,
+// and only the conditional jumps thread.
+func TestNegateBranch(t *testing.T) {
+	want := map[Op]Op{
+		FJmpZ: FJmpNZ, FJmpNZ: FJmpZ,
+		FBrEq: FBrNe, FBrNe: FBrEq, FBrLt: FBrGe, FBrGe: FBrLt, FBrLe: FBrGt, FBrGt: FBrLe,
+	}
+	for op := FNop; op < opCount; op++ {
+		got, ok := op.NegateBranch()
+		if w, has := want[op]; ok != has || has && got != w {
+			t.Errorf("%v.NegateBranch() = %v, %v; want %v, %v", op, got, ok, w, has)
+		}
+	}
+}
+
+// TestPackImmRoundTrip: both halves survive packing, and a negative
+// immediate unpacks to a negative index.
+func TestPackImmRoundTrip(t *testing.T) {
+	for _, c := range [][2]int32{{0, 0}, {1, 2}, {1<<31 - 1, 1<<31 - 1}, {7, 0}} {
+		idx, pos := UnpackImm(PackImm(c[0], c[1]))
+		if idx != int64(c[0]) || pos != int64(c[1]) {
+			t.Errorf("PackImm(%d, %d) unpacks to %d, %d", c[0], c[1], idx, pos)
+		}
+	}
+	if idx, _ := UnpackImm(-1); idx >= 0 {
+		t.Errorf("UnpackImm(-1) index %d, want negative", idx)
 	}
 }
