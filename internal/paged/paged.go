@@ -62,6 +62,17 @@ func (t *Table[T]) Slot(i int64) *T {
 	return &t.alloc(i >> pageShift)[i&pageMask]
 }
 
+// Allocated reports whether the page of any element in [lo, hi) has been
+// allocated. It never allocates.
+func (t *Table[T]) Allocated(lo, hi int64) bool {
+	for pi := lo >> pageShift; pi <= (hi-1)>>pageShift && pi < int64(len(t.dir)); pi++ {
+		if t.dir[pi].Load() != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // alloc installs a fresh page at directory index pi, or returns the page a
 // concurrent writer installed first.
 func (t *Table[T]) alloc(pi int64) *[pageSize]T {

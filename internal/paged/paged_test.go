@@ -69,6 +69,32 @@ func TestFirstWriteAllocatesOnePage(t *testing.T) {
 	}
 }
 
+func TestAllocatedReportsPagesInRange(t *testing.T) {
+	cells := NewInt64s(10 * pageSize)
+	if cells.Allocated(0, 10*pageSize) {
+		t.Fatal("fresh table reports an allocated page")
+	}
+	cells.Store(3*pageSize+7, 1)
+	for _, c := range []struct {
+		lo, hi int64
+		want   bool
+	}{
+		{0, 3 * pageSize, false},
+		{0, 3*pageSize + 1, true},
+		{3*pageSize + 511, 3*pageSize + 512, true},
+		{4 * pageSize, 10 * pageSize, false},
+		{2 * pageSize, 5 * pageSize, true},
+		{9 * pageSize, 12 * pageSize, false}, // past the end
+	} {
+		if got := cells.Allocated(c.lo, c.hi); got != c.want {
+			t.Errorf("Allocated(%d, %d) = %v, want %v", c.lo, c.hi, got, c.want)
+		}
+	}
+	if got := pages(&cells.Table); got != 1 {
+		t.Fatalf("queries allocated pages: %d allocated", got)
+	}
+}
+
 func TestBits(t *testing.T) {
 	b := NewBits(100_000)
 	if !b.Set(99_999) {

@@ -184,6 +184,20 @@ func (s *Shadow) touchPage(g int) {
 // the reproduction's stand-in for the paper's minor-pagefault overhead.
 func (s *Shadow) PagesTouched() int { return int(s.nPages.Load()) }
 
+// PagesMapped derives the touched-page count from the words directory:
+// only a check allocates a words page, so logical page L is touched
+// exactly when one of the words pages under its shadowPage granules
+// exists.
+func (s *Shadow) PagesMapped() int {
+	n, end := 0, int64(s.granules)
+	for g := int64(0); g < end; g += shadowPage {
+		if s.words.Allocated(g, min(g+shadowPage, end)) {
+			n++
+		}
+	}
+	return n
+}
+
 func (s *Shadow) logFirstAccess(tid, g int) {
 	l := &s.logs[tid]
 	l.mu.Lock()

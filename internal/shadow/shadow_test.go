@@ -1,6 +1,7 @@
 package shadow
 
 import (
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -236,6 +237,41 @@ func TestPagesTouched(t *testing.T) {
 	s.ChkRead(1, 8192*GranuleCells, id)
 	if got := s.PagesTouched(); got != 2 {
 		t.Fatalf("pages = %d, want 2", got)
+	}
+}
+
+// TestPagesTouchedMatchesModel: over random checks, frees and queries, the
+// touched-page count is the number of distinct logical pages holding a
+// checked granule, and the count derived from the words directory agrees.
+func TestPagesTouchedMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const cells = 1 << 22
+	s := New(cells)
+	id := site(s, "x", 1)
+	model := map[int]bool{}
+	for i := 0; i < 2000; i++ {
+		cell := rng.Int63n(cells + 64) // a few past the end are ignored
+		switch rng.Intn(4) {
+		case 0:
+			s.ChkRead(1+rng.Intn(3), cell, id)
+		case 1:
+			s.ChkWrite(1+rng.Intn(3), cell, id)
+		case 2:
+			s.ClearRange(cell, 1+rng.Int63n(64))
+			continue
+		default:
+			s.Readers(cell)
+			continue
+		}
+		if g := granuleOf(cell); g < s.NumGranules() {
+			model[g/shadowPage] = true
+		}
+		if i%100 == 0 {
+			s.ClearThread(1 + rng.Intn(3))
+		}
+	}
+	if got, mapped := s.PagesTouched(), s.PagesMapped(); got != len(model) || mapped != len(model) {
+		t.Fatalf("pages touched %d, mapped %d; model %d", got, mapped, len(model))
 	}
 }
 
