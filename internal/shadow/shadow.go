@@ -109,12 +109,6 @@ type Shadow struct {
 
 	// logs[tid] is thread tid's first-access log.
 	logs [MaxThreads + 1]threadLog
-
-	// pages marks which 4096-byte pages of the logical 1-byte-per-granule
-	// shadow area have been touched, for the paper's minor-pagefault
-	// metric; nPages counts the marked pages.
-	pages  paged.Bits
-	nPages atomic.Int64
 }
 
 // New returns a shadow for a memory of the given number of cells.
@@ -125,7 +119,6 @@ func New(cells int) *Shadow {
 		words:    paged.NewTable[atomic.Uint32](int64(n)),
 		last:     paged.NewTable[atomic.Uint64](int64(n)),
 		siteIDs:  make(map[Site]uint32),
-		pages:    paged.NewBits(int64(n/shadowPage + 1)),
 	}
 }
 
@@ -173,22 +166,14 @@ func granuleOf(cell int64) int { return int(cell) / GranuleCells }
 // shadow area covers, at one shadow byte per granule.
 const shadowPage = 4096
 
-// touchPage records the shadow page backing granule g as mapped.
-func (s *Shadow) touchPage(g int) {
-	if s.pages.Set(int64(g / shadowPage)) {
-		s.nPages.Add(1)
-	}
-}
-
 // PagesTouched returns the number of distinct logical shadow pages touched,
-// the reproduction's stand-in for the paper's minor-pagefault overhead.
-func (s *Shadow) PagesTouched() int { return int(s.nPages.Load()) }
-
-// PagesMapped derives the touched-page count from the words directory:
-// only a check allocates a words page, so logical page L is touched
-// exactly when one of the words pages under its shadowPage granules
-// exists.
-func (s *Shadow) PagesMapped() int {
+// the reproduction's stand-in for the paper's minor-pagefault overhead. It
+// is derived from the words directory at report time: only a check
+// allocates a words page (ClearRange, Readers and wordValue look pages up,
+// and ClearThread revisits granules a check logged), so a logical page is
+// touched exactly when one of the words pages under its shadowPage
+// granules exists.
+func (s *Shadow) PagesTouched() int {
 	n, end := 0, int64(s.granules)
 	for g := int64(0); g < end; g += shadowPage {
 		if s.words.Allocated(g, min(g+shadowPage, end)) {
@@ -239,7 +224,6 @@ func (s *Shadow) ChkRead(tid int, cell int64, siteID uint32) *Conflict {
 	if g >= s.granules {
 		return nil
 	}
-	s.touchPage(g)
 	wp := s.word(g)
 	me := uint32(1) << uint(tid)
 	for {
@@ -269,7 +253,6 @@ func (s *Shadow) ChkWrite(tid int, cell int64, siteID uint32) *Conflict {
 	if g >= s.granules {
 		return nil
 	}
-	s.touchPage(g)
 	wp := s.word(g)
 	me := uint32(1) << uint(tid)
 	for {
