@@ -7,6 +7,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/interp"
+	"repro/internal/locklog"
 )
 
 // run executes src with the given observer attached.
@@ -194,5 +195,29 @@ func TestVCPrimitives(t *testing.T) {
 	c[1] = 99
 	if a[1] != 3 {
 		t.Fatal("copy must be independent")
+	}
+}
+
+// TestRecycledLocationReportedOnce: a location that races, is freed,
+// reallocated and races again is reported once by each detector, and the
+// race count agrees with the report list.
+func TestRecycledLocationReportedOnce(t *testing.T) {
+	const addr = 0x100
+	none := locklog.New()
+	for _, d := range []interface {
+		interp.Observer
+		Races() []string
+		RaceCount() int
+	}{baseline.NewEraser(), baseline.NewHB()} {
+		for round := 0; round < 2; round++ {
+			d.Malloc(1, addr, 4)
+			d.Access(1, addr, true, none, 0)
+			d.Access(2, addr, true, none, 0)
+			d.Free(1, addr, 4)
+		}
+		races := d.Races()
+		if len(races) != 1 || d.RaceCount() != 1 {
+			t.Errorf("%T: %d race(s) counted, reports %q; want one of each", d, d.RaceCount(), races)
+		}
 	}
 }

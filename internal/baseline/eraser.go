@@ -131,13 +131,13 @@ func (e *Eraser) CondWake(int, int64)   {}
 func (e *Eraser) ThreadEnd(int)         {}
 
 // Malloc returns the block's locations to Virgin: Eraser instruments the
-// allocator so recycled memory starts a fresh state machine.
+// allocator so recycled memory starts a fresh state machine. A location
+// already reported stays reported, so each is reported at most once.
 func (e *Eraser) Malloc(tid int, base, size int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for a := base; a < base+size; a++ {
 		delete(e.locs, a)
-		delete(e.races, a)
 	}
 }
 

@@ -193,7 +193,8 @@ func (h *HB) ThreadEnd(tid int) {
 const heapLock = int64(-1)
 
 // Malloc clears the recycled block's access history and orders the
-// allocation after the free that recycled it.
+// allocation after the free that recycled it. A location already reported
+// stays reported, so each is reported at most once.
 func (h *HB) Malloc(tid int, base, size int64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -202,7 +203,6 @@ func (h *HB) Malloc(tid int, base, size int64) {
 	}
 	for a := base; a < base+size; a++ {
 		delete(h.locs, a)
-		delete(h.races, a)
 	}
 }
 
