@@ -36,16 +36,19 @@ test:
 race:
 	$(GO) test -race ./internal/paged ./internal/shadow ./internal/interp ./internal/refcount ./internal/sched ./internal/telemetry ./internal/portfolio ./internal/serve ./internal/obsrv ./internal/absint
 
-# fuzz-smoke fuzzes the shadow runtime against its reference model (the
-# n-readers-xor-1-writer rule over plain maps) for 10 seconds. New
-# coverage is minimized for at most 1s, so the smoke spends its time
-# executing inputs rather than shrinking them.
+# fuzz-smoke fuzzes for 10 seconds each the shadow runtime against its
+# reference model (the n-readers-xor-1-writer rule over plain maps) and
+# the front end plus compile pipeline against the flat verifier (no
+# panic, no "ir verification failed"). New coverage is minimized for at
+# most 1s, so the smoke spends its time executing inputs rather than
+# shrinking them.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzShadowDiscipline$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/shadow
+	$(GO) test -run '^$$' -fuzz '^FuzzCompileVerifies$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core
 
 # verify is the gate for every change: build, the benchmark module's vet
 # and tests, gofmt, go vet, the full test suite, the race detector over
-# the concurrency-bearing packages, the shadow fuzz smoke, and the
+# the concurrency-bearing packages, the shadow and compile fuzz smokes, and the
 # exploration, portfolio, profile, static-analysis, and execution-service
 # smokes.
 verify: build bench-build bench-test fmt-check vet test race fuzz-smoke explore-smoke portfolio-smoke profile-smoke vet-smoke vet2-smoke serve-smoke obs-smoke
