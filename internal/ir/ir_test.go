@@ -81,13 +81,6 @@ func flatFixture() (*Program, *FlatProgram) {
 			{Op: FBrGt, A: 1, B: 0, C: 9},
 			{Op: FBrGe, A: 1, B: 2, C: 26},
 			{Op: FRet, A: 1},
-			{Op: FLoadIdx, A: 1, B: 0, C: 2, Imm: PackImm(0, 1)},
-			{Op: FLoadChkIdx, A: 2, B: 0, C: 1, Imm: PackImm(0, 1)},
-			{Op: FStoreIdx, A: 0, B: 1, C: 2, Imm: PackImm(0, 0)},
-			{Op: FMulImm, A: 1, B: 2, Imm: -7},
-			{Op: FModImm, A: 2, B: 1, Imm: -3},
-			{Op: FShrImm, A: 0, B: 1, Imm: 63},
-			{Op: FRet, A: 0},
 		},
 		PosTab: []token.Pos{{}, pos},
 		Checks: []FlatCheck{{Orig: &Check{Kind: CheckDynamic, Site: 0}}},
@@ -115,6 +108,13 @@ func flatFixture() (*Program, *FlatProgram) {
 			{Op: FLoadAcc, A: 1, B: 0, C: 0, Imm: 0},
 			{Op: FStoreChk, A: 0, B: 1, C: 0, Imm: 0},
 			{Op: FRet, A: 0, Imm: 1},
+			{Op: FLoadIdx, A: 1, B: 0, C: 1, Imm: PackImm(0, 0)},
+			{Op: FLoadChkIdx, A: 1, B: 1, C: 0, Imm: PackImm(0, 0)},
+			{Op: FStoreIdx, A: 0, B: 1, C: 0, Imm: PackImm(0, 0)},
+			{Op: FMulImm, A: 1, B: 0, Imm: -7},
+			{Op: FModImm, A: 1, B: 1, Imm: -3},
+			{Op: FShrImm, A: 0, B: 1, Imm: 63},
+			{Op: FRet, A: 0},
 		},
 		PosTab: []token.Pos{{}},
 		Checks: []FlatCheck{{Orig: &Check{Kind: CheckElided, Site: 0}, Write: true}},
@@ -254,50 +254,50 @@ func TestFlatVerifyRejects(t *testing.T) {
 			fp.Funcs[0].Code[20].B = -1
 		}, "register -1 out of range"},
 		{"loadidx site out of range", func(p *Program, fp *FlatProgram) {
-			fp.Funcs[0].Code[27].Imm = PackImm(1, 1)
-		}, "pc 27: check site 1 out of range"},
+			fp.Funcs[1].Code[4].Imm = PackImm(1, 1)
+		}, "pc 4: check site 1 out of range"},
 		{"loadidx position out of range", func(p *Program, fp *FlatProgram) {
-			fp.Funcs[0].Code[27].Imm = PackImm(0, 2)
-		}, "pc 27: position index 2 out of range"},
+			fp.Funcs[1].Code[4].Imm = PackImm(0, 1)
+		}, "pc 4: position index 1 out of range"},
 		{"loadidx negative packed immediate", func(p *Program, fp *FlatProgram) {
-			fp.Funcs[0].Code[27].Imm = -1
-		}, "pc 27: check site -1 out of range"},
+			fp.Funcs[1].Code[4].Imm = -1
+		}, "pc 4: check site -1 out of range"},
 		{"loadidx index register out of range", func(p *Program, fp *FlatProgram) {
-			fp.Funcs[0].Code[27].C = 3
-		}, "register 3 out of range"},
+			fp.Funcs[1].Code[4].C = 2
+		}, "register 2 out of range"},
 		{"loadchkidx check out of range", func(p *Program, fp *FlatProgram) {
-			fp.Funcs[0].Code[28].Imm = PackImm(1, 1)
-		}, "pc 28: check index 1 out of range"},
+			fp.Funcs[1].Code[5].Imm = PackImm(1, 1)
+		}, "pc 5: check index 1 out of range"},
 		{"loadchkidx position out of range", func(p *Program, fp *FlatProgram) {
-			fp.Funcs[0].Code[28].Imm = PackImm(0, 2)
-		}, "pc 28: position index 2 out of range"},
+			fp.Funcs[1].Code[5].Imm = PackImm(0, 1)
+		}, "pc 5: position index 1 out of range"},
 		{"loadchkidx negative packed immediate", func(p *Program, fp *FlatProgram) {
-			fp.Funcs[0].Code[28].Imm = -1
-		}, "pc 28: check index -1 out of range"},
+			fp.Funcs[1].Code[5].Imm = -1
+		}, "pc 5: check index -1 out of range"},
 		{"storeidx site out of range", func(p *Program, fp *FlatProgram) {
-			fp.Funcs[0].Code[29].Imm = PackImm(2, 0)
-		}, "pc 29: check site 2 out of range"},
+			fp.Funcs[1].Code[6].Imm = PackImm(2, 0)
+		}, "pc 6: check site 2 out of range"},
 		{"storeidx position out of range", func(p *Program, fp *FlatProgram) {
-			fp.Funcs[0].Code[29].Imm = PackImm(0, 5)
-		}, "pc 29: position index 5 out of range"},
+			fp.Funcs[1].Code[6].Imm = PackImm(0, 5)
+		}, "pc 6: position index 5 out of range"},
 		{"storeidx negative packed immediate", func(p *Program, fp *FlatProgram) {
-			fp.Funcs[0].Code[29].Imm = -1 << 32
-		}, "pc 29: check site -1 out of range"},
+			fp.Funcs[1].Code[6].Imm = -1 << 32
+		}, "pc 6: check site -1 out of range"},
 		{"storeidx value register out of range", func(p *Program, fp *FlatProgram) {
-			fp.Funcs[0].Code[29].B = -1
+			fp.Funcs[1].Code[6].B = -1
 		}, "register -1 out of range"},
 		{"mulimm dest register out of range", func(p *Program, fp *FlatProgram) {
-			fp.Funcs[0].Code[30].A = 3
-		}, "register 3 out of range"},
+			fp.Funcs[1].Code[7].A = 2
+		}, "register 2 out of range"},
 		{"modimm by zero", func(p *Program, fp *FlatProgram) {
-			fp.Funcs[0].Code[31].Imm = 0
-		}, "pc 31: modulo by immediate 0"},
+			fp.Funcs[1].Code[8].Imm = 0
+		}, "pc 8: modulo by immediate 0"},
 		{"shrimm count past 63", func(p *Program, fp *FlatProgram) {
-			fp.Funcs[0].Code[32].Imm = 64
-		}, "pc 32: shift count 64 out of range"},
+			fp.Funcs[1].Code[9].Imm = 64
+		}, "pc 9: shift count 64 out of range"},
 		{"shrimm negative count", func(p *Program, fp *FlatProgram) {
-			fp.Funcs[0].Code[32].Imm = -1
-		}, "pc 32: shift count -1 out of range"},
+			fp.Funcs[1].Code[9].Imm = -1
+		}, "pc 9: shift count -1 out of range"},
 		{"lock expression is a call", func(p *Program, fp *FlatProgram) {
 			fp.Funcs[0].Checks[0].Orig = &Check{Kind: CheckLocked, Site: 0, Lock: &Call{Target: 1}}
 		}, "lock expression node *ir.Call"},
@@ -330,10 +330,8 @@ func TestFlatVerifyRejects(t *testing.T) {
 	}
 	// Every compare-and-branch opcode range-checks its target, past the
 	// end and below zero.
-	_, fix := flatFixture()
-	end := int32(len(fix.Funcs[0].Code))
 	for pc := int32(20); pc <= 25; pc++ {
-		for _, tgt := range []int32{end, -1} {
+		for _, tgt := range []int32{27, -1} {
 			cases = append(cases, struct {
 				name string
 				mut  func(p *Program, fp *FlatProgram)
