@@ -70,7 +70,7 @@ func TestCheckTotalsAccountForEverySite(t *testing.T) {
 		}
 		builds += 2
 	}
-	if builds != 46 {
-		t.Fatalf("compared %d builds, want 46", builds)
+	if builds != 48 {
+		t.Fatalf("compared %d builds, want 48", builds)
 	}
 }

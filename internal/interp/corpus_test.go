@@ -25,6 +25,7 @@ var corpusCases = []struct {
 	{"barrier.shc", 15},
 	{"bank.shc", 8},
 	{"readers.shc", 4},
+	{"conditions.shc", 172},
 }
 
 func readCorpus(t *testing.T, name string) string {

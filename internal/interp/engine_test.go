@@ -36,7 +36,7 @@ import (
 
 // allCorpusFiles is every testdata program, racy ones included.
 var allCorpusFiles = []string{
-	"bank.shc", "barrier.shc", "hashtable.shc", "linkedlist.shc",
+	"bank.shc", "barrier.shc", "conditions.shc", "hashtable.shc", "linkedlist.shc",
 	"matmul.shc", "racy_handoff.shc", "racy_pair.shc", "racy_reader.shc",
 	"readers.shc", "ringbuffer.shc", "sort.shc",
 }
