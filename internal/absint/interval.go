@@ -955,16 +955,67 @@ func widenState(e *engine, old, next *aState) *aState {
 // ---------------------------------------------------------------------------
 // the fixpoint loop
 
-// backEdgeTargets marks pcs that are targets of a backward jump — the
-// widening points.
+// backEdgeTargets marks the widening points: the targets of the
+// retreating edges of a depth-first walk of the flat CFG from the entry.
+// Every cycle contains a retreating edge, so every cycle passes through a
+// widening point. Marking the targets of jumps backward in pc would
+// widen a rotated loop at its body, after its bottom-tested branch has
+// refined the induction variable, and lose the bound the refinement
+// proved.
 func backEdgeTargets(code []ir.Instr) []bool {
-	w := make([]bool, len(code)+1)
-	for pc, in := range code {
-		if t := in.Target(); t != nil && int(*t) <= pc {
-			w[*t] = true
+	n := len(code)
+	w := make([]bool, n+1)
+	// state: 0 unvisited, 1 on the walk's stack, 2 finished. Each stack
+	// frame holds a pc and how many of its successors it has tried.
+	state := make([]uint8, n)
+	type frame struct{ pc, tried int }
+	stack := []frame{{0, 0}}
+	state[0] = 1
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		succ := -1
+		for succ < 0 && f.tried < 2 {
+			succ = successor(code, f.pc, f.tried)
+			f.tried++
+		}
+		if succ < 0 {
+			state[f.pc] = 2
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		switch state[succ] {
+		case 0:
+			state[succ] = 1
+			stack = append(stack, frame{succ, 0})
+		case 1:
+			w[succ] = true
 		}
 	}
 	return w
+}
+
+// successor returns successor i (0 or 1) of the instruction at pc in the
+// flat CFG, or -1 when it has fewer: the fall-through first, then a
+// conditional branch's target.
+func successor(code []ir.Instr, pc, i int) int {
+	in := &code[pc]
+	switch {
+	case in.Op == ir.FRet:
+		return -1
+	case in.Op == ir.FJmp:
+		if i == 0 {
+			return int(in.A)
+		}
+		return -1
+	case i == 0:
+		if pc+1 < len(code) {
+			return pc + 1
+		}
+		return -1
+	case i == 1 && in.Target() != nil:
+		return int(*in.Target())
+	}
+	return -1
 }
 
 const widenDelay = 2
@@ -1134,37 +1185,28 @@ func (e *engine) step(pc int, st *aState, merge func(int, *aState)) {
 		if e.refine(st, in.A, false) {
 			next()
 		}
-	case ir.FBrEq, ir.FBrNe, ir.FBrLt, ir.FBrLe, ir.FBrGt, ir.FBrGe:
+	case ir.FBrEq, ir.FBrNe, ir.FBrLt, ir.FBrLe, ir.FBrGt, ir.FBrGe,
+		ir.FBrEqImm, ir.FBrNeImm, ir.FBrLtImm, ir.FBrLeImm, ir.FBrGtImm, ir.FBrGeImm:
 		// cmp t, A, B; FJmpNZ t, C with t dead afterwards (a jmpz fuses
 		// to the negated comparison, whose edges refine identically):
 		// the record the comparison would make, applied on both edges.
+		// The immediate forms compare A with the constant Imm.
 		c := cmpRec{
 			op: in.Op.BranchCmp(),
 			l:  e.resolveForms(st, e.readReg(st, in.A)),
-			r:  e.resolveForms(st, e.readReg(st, in.B)),
+		}
+		if in.Op.IsBranchImm() {
+			c.r = cst(in.Imm)
+		} else {
+			c.r = e.resolveForms(st, e.readReg(st, in.B))
 		}
 		taken := st.clone()
 		if e.applyCmp(taken, c, true) {
-			merge(int(in.C), taken)
+			merge(int(*in.Target()), taken)
 		}
 		if e.applyCmp(st, c, false) {
 			next()
 		}
-	case ir.FJmpEqImm:
-		taken := st.clone()
-		v := taken.vals[in.A]
-		feasible := true
-		if len(v.f) == 0 {
-			if v.lo > in.Imm || v.hi < in.Imm {
-				feasible = false
-			} else {
-				taken.vals[in.A] = cst(in.Imm)
-			}
-		}
-		if feasible {
-			merge(int(in.B), taken)
-		}
-		next()
 	case ir.FYield, ir.FBarrier, ir.FNop, ir.FChkElided,
 		ir.FChkLock, ir.FChkRead, ir.FChkWrite, ir.FCString:
 		next()

@@ -108,6 +108,9 @@ func FusablePairs(ff *ir.FlatFunc) []int32 {
 			pair = load && in.B == t || in.Op == ir.FStoreAcc && in.A == t && in.B != t
 		case first.Op.IsCmp(), first.Op == ir.FSetNZ:
 			pair = branch && in.A == t
+		case first.Op == ir.FConst && in.Op >= ir.FBrEq && in.Op <= ir.FBrGe:
+			// Either operand of a compare-and-branch, not both.
+			pair = (in.A == t) != (in.B == t)
 		}
 		overwrites := in.Op.Regs().A == ir.RegDef && in.A == t
 		if pair && (!hasBit(live, t) || overwrites) {
@@ -119,8 +122,8 @@ func FusablePairs(ff *ir.FlatFunc) []int32 {
 
 // ThreadableJumps returns the pcs of ff's FJmp instructions that the
 // thread pass rewrites: the jump's target is an FJmpZ, FJmpNZ or
-// compare-and-branch whose taken target is the instruction right after the
-// jump. Restated from the pass's documentation, like FusablePairs.
+// compare-and-branch (on two registers or with an immediate) whose taken
+// target is the instruction right after the jump. Restated from the pass's documentation, like FusablePairs.
 func ThreadableJumps(ff *ir.FlatFunc) []int32 {
 	var out []int32
 	for pc, in := range ff.Code {
@@ -134,6 +137,8 @@ func ThreadableJumps(ff *ir.FlatFunc) []int32 {
 			taken = br.B
 		case ir.FBrEq, ir.FBrNe, ir.FBrLt, ir.FBrLe, ir.FBrGt, ir.FBrGe:
 			taken = br.C
+		case ir.FBrEqImm, ir.FBrNeImm, ir.FBrLtImm, ir.FBrLeImm, ir.FBrGtImm, ir.FBrGeImm:
+			taken = br.B
 		}
 		if taken == int32(pc+1) {
 			out = append(out, int32(pc))

@@ -52,7 +52,8 @@ func TestRegoptLeavesNoFusablePair(t *testing.T) {
 	// superinstruction shows up somewhere in the set, and so do threaded
 	// back edges, which are conditional branches to an earlier pc.
 	for _, op := range []ir.Op{ir.FLoadFrame, ir.FAddImm, ir.FBrLt, ir.FBrGe,
-		ir.FLoadIdx, ir.FLoadChkIdx, ir.FStoreIdx, ir.FMulImm, ir.FModImm, ir.FShrImm} {
+		ir.FLoadIdx, ir.FLoadChkIdx, ir.FStoreIdx, ir.FMulImm, ir.FModImm, ir.FShrImm,
+		ir.FBrEqImm, ir.FBrNeImm, ir.FBrLtImm, ir.FBrLeImm, ir.FBrGtImm, ir.FBrGeImm} {
 		if fused[op] == 0 {
 			t.Errorf("no %v in any build", op)
 		}

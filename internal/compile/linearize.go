@@ -14,8 +14,14 @@ package compile
 // Registers are allocated stack-wise: every expression nets exactly one
 // register holding its value, and temporaries above it are released as
 // they are consumed, so NumRegs is the expression-nesting high-water mark.
-// The moves and dead results this leaves behind are removed by the last
-// pass of the pipeline, regopt (regopt.go).
+// The moves and dead results this leaves behind are removed by the
+// register cleanup pass, regopt (regopt.go).
+//
+// Conditions lower straight to branches (condJump): && and || become jump
+// chains, ! flips the branch sense, and only a && or || used as a value
+// materializes 0 or 1 (with setnz). while and for loops are rotated, with
+// the condition at the bottom as the back edge and a jmp into it on entry
+// (lowerLoop), so an iteration runs no unconditional jump.
 
 import (
 	"fmt"
@@ -116,6 +122,13 @@ func (l *linz) here() int32 { return int32(len(l.ff.Code)) }
 
 // patch sets the jump target operand of the instruction at idx to t.
 func (l *linz) patch(idx, t int32) { *l.ff.Code[idx].Target() = t }
+
+// patchAll patches every jump in idxs to t.
+func (l *linz) patchAll(idxs []int32, t int32) {
+	for _, j := range idxs {
+		l.patch(j, t)
+	}
+}
 
 func (l *linz) pos(p token.Pos) int64 {
 	if idx, ok := l.posIdx[p]; ok {
@@ -261,18 +274,15 @@ func (l *linz) expr(x ir.Expr) int32 {
 		}
 		return rl
 	case *ir.CondE:
-		rc := l.expr(v.C)
-		jelse := l.emit(ir.Instr{Op: ir.FJmpZ, A: rc})
-		rt := l.expr(v.T)
-		l.emit(ir.Instr{Op: ir.FMove, A: rc, B: rt})
+		// Both arms leave their value in the same stack-top register.
+		jelse := l.condJump(v.C, false)
+		r := l.expr(v.T)
 		l.free(1)
 		jend := l.emit(ir.Instr{Op: ir.FJmp})
-		l.patch(jelse, l.here())
-		rf := l.expr(v.F)
-		l.emit(ir.Instr{Op: ir.FMove, A: rc, B: rf})
-		l.free(1)
+		l.patchAll(jelse, l.here())
+		l.expr(v.F)
 		l.patch(jend, l.here())
-		return rc
+		return r
 	case *ir.Store:
 		pr, writeThrough, ok := l.promoted(v.Addr)
 		if ok && !writeThrough {
@@ -403,6 +413,41 @@ func flatBinOp(op ir.OpKind) ir.Op {
 	return ir.FAdd + ir.Op(op-ir.OpAdd)
 }
 
+// condJump lowers x as a branch condition. It returns the jumps, still to
+// be patched, taken when x's truth equals onTrue; otherwise control falls
+// through past the code it emits. && and || become jump chains and !
+// flips the sense, so no truth value is materialized; any other
+// expression is evaluated as a value and tested with jmpz or jmpnz. The
+// operands are evaluated in the same order, and short-circuit at the same
+// points, as the value lowering's.
+func (l *linz) condJump(x ir.Expr, onTrue bool) []int32 {
+	switch v := x.(type) {
+	case *ir.Logic:
+		if v.Or == onTrue {
+			// a || b jumps when either is true, a && b when either is
+			// false.
+			return append(l.condJump(v.L, onTrue), l.condJump(v.R, onTrue)...)
+		}
+		// a && b jumps when both are true: a false skips b. Dually for ||.
+		skip := l.condJump(v.L, !onTrue)
+		jumps := l.condJump(v.R, onTrue)
+		l.patchAll(skip, l.here())
+		return jumps
+	case *ir.Un:
+		if v.Op == ir.UnNot {
+			return l.condJump(v.X, !onTrue)
+		}
+	}
+	op := ir.FJmpZ
+	if onTrue {
+		op = ir.FJmpNZ
+	}
+	r := l.expr(x)
+	j := l.emit(ir.Instr{Op: op, A: r})
+	l.free(1)
+	return []int32{j}
+}
+
 // ---------------------------------------------------------------------------
 // statements
 
@@ -418,17 +463,15 @@ func (l *linz) stmt(s ir.Stmt) {
 		l.expr(v.E)
 		l.free(1)
 	case *ir.SIf:
-		rc := l.expr(v.C)
-		jelse := l.emit(ir.Instr{Op: ir.FJmpZ, A: rc})
-		l.free(1)
+		jelse := l.condJump(v.C, false)
 		l.stmts(v.Then)
 		if len(v.Else) > 0 {
 			jend := l.emit(ir.Instr{Op: ir.FJmp})
-			l.patch(jelse, l.here())
+			l.patchAll(jelse, l.here())
 			l.stmts(v.Else)
 			l.patch(jend, l.here())
 		} else {
-			l.patch(jelse, l.here())
+			l.patchAll(jelse, l.here())
 		}
 	case *ir.SLoop:
 		l.lowerLoop(v)
@@ -464,61 +507,41 @@ func (l *linz) stmt(s ir.Stmt) {
 	}
 }
 
+// lowerLoop lays a loop out with its condition as the back edge:
+//
+//	      jmp cond        (while/for only; a do-while enters at top)
+//	top:  body
+//	cont: post
+//	cond: condJump(cond, true) -> top
+//	end:
+//
+// so an iteration dispatches the condition's branches and no jmp. A loop
+// without a condition ends in jmp top instead. The condition, body and
+// post run in the same order as in the top-tested layout.
 func (l *linz) lowerLoop(v *ir.SLoop) {
 	sc := &linScope{isLoop: true}
+	jcond := int32(-1)
+	if !v.PostFirst && v.Cond != nil {
+		jcond = l.emit(ir.Instr{Op: ir.FJmp})
+	}
 	top := l.here()
-	if v.PostFirst {
-		// do-while: body, continue point, post, condition, back edge.
-		l.scopes = append(l.scopes, sc)
-		l.stmts(v.Body)
-		l.scopes = l.scopes[:len(l.scopes)-1]
-		lcont := l.here()
-		if v.Post != nil {
-			l.expr(v.Post)
-			l.free(1)
-		}
-		if v.Cond != nil {
-			rc := l.expr(v.Cond)
-			l.emit(ir.Instr{Op: ir.FJmpNZ, A: rc, B: top})
-			l.free(1)
-		} else {
-			l.emit(ir.Instr{Op: ir.FJmp, A: top})
-		}
-		for _, j := range sc.conts {
-			l.patch(j, lcont)
-		}
-		lend := l.here()
-		for _, j := range sc.breaks {
-			l.patch(j, lend)
-		}
-		return
-	}
-	// while: condition, body, continue point, post, back edge.
-	var jexit int32 = -1
-	if v.Cond != nil {
-		rc := l.expr(v.Cond)
-		jexit = l.emit(ir.Instr{Op: ir.FJmpZ, A: rc})
-		l.free(1)
-	}
 	l.scopes = append(l.scopes, sc)
 	l.stmts(v.Body)
 	l.scopes = l.scopes[:len(l.scopes)-1]
-	lcont := l.here()
+	l.patchAll(sc.conts, l.here())
 	if v.Post != nil {
 		l.expr(v.Post)
 		l.free(1)
 	}
-	l.emit(ir.Instr{Op: ir.FJmp, A: top})
-	lend := l.here()
-	if jexit >= 0 {
-		l.patch(jexit, lend)
+	if v.Cond != nil {
+		if jcond >= 0 {
+			l.patch(jcond, l.here())
+		}
+		l.patchAll(l.condJump(v.Cond, true), top)
+	} else {
+		l.emit(ir.Instr{Op: ir.FJmp, A: top})
 	}
-	for _, j := range sc.conts {
-		l.patch(j, lcont)
-	}
-	for _, j := range sc.breaks {
-		l.patch(j, lend)
-	}
+	l.patchAll(sc.breaks, l.here())
 }
 
 func (l *linz) lowerSwitch(v *ir.SSwitch) {
@@ -535,7 +558,7 @@ func (l *linz) lowerSwitch(v *ir.SSwitch) {
 			dflt = i
 			continue
 		}
-		jumps[i] = l.emit(ir.Instr{Op: ir.FJmpEqImm, A: rx, Imm: v.Values[i]})
+		jumps[i] = l.emit(ir.Instr{Op: ir.FBrEqImm, A: rx, Imm: v.Values[i]})
 	}
 	jmiss := l.emit(ir.Instr{Op: ir.FJmp})
 	l.free(1)

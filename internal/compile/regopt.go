@@ -20,8 +20,9 @@ package compile
 //     and, under the same two conditions on the intermediate register,
 //     fuses the hot pairs left into superinstructions: a frame-slot load
 //     (FLoadFrame), an immediate add (FAddImm), compare-and-branch
-//     (FBrEq..FBrGe), indexed loads and stores whose address is an add
-//     (FLoadIdx, FLoadChkIdx, FStoreIdx), and a constant multiplier,
+//     (FBrEq..FBrGe) and compare-with-immediate branches
+//     (FBrEqImm..FBrGeImm), indexed loads and stores whose address is an
+//     add (FLoadIdx, FLoadChkIdx, FStoreIdx), and a constant multiplier,
 //     divisor or shift count (FMulImm, FModImm, FShrImm). fuse lists the
 //     pairs.
 //
@@ -268,13 +269,21 @@ func (s *regScratch) sweep() {
 				}
 			}
 			if next >= 0 && fuse(in, &code[next], dead) {
-				// A branch left reading x may pair again; x dies at it when
-				// it is t itself or is not live after it.
+				// A branch the pair formed may pair again with the
+				// instruction before it: a jmpz or jmpnz left reading x
+				// with a setnz or compare of x, a compare-and-branch with
+				// the FConst of an operand. live holds the registers live
+				// after the branch plus t, the one register the unfused
+				// branch read, so an operand dies at the branch when it is
+				// t itself or is not live.
 				dead = 0
-				if nx := &code[next]; nx.Op == ir.FJmpZ || nx.Op == ir.FJmpNZ {
-					if nx.A == in.A || !hasBit(live, nx.A) {
-						dead = dyingA
-					}
+				nx := &code[next]
+				dies := func(r int32) bool { return r == in.A || !hasBit(live, r) }
+				if (nx.Op == ir.FJmpZ || nx.Op == ir.FJmpNZ || nx.Op.IsBranchRR()) && dies(nx.A) {
+					dead |= dyingA
+				}
+				if nx.Op.IsBranchRR() && dies(nx.B) {
+					dead |= dyingB
 				}
 				s.transfer(in)
 				in.Op = ir.FNop
@@ -365,6 +374,8 @@ func dyingOperands(in *ir.Instr, live []uint64) uint8 {
 //   - FConst t, k; FMul d, x, t (or t, x) -> FMulImm d, x, k
 //   - FConst t, k; FMod d, x, t (k != 0)  -> FModImm d, x, k
 //   - FConst t, k; FShr d, x, t           -> FShrImm d, x, k&63
+//   - FConst t, k; br x, t, L (or t, x)   -> the branch on x and immediate
+//     k (its comparison swapped when t is the left operand)
 //
 // Every rewrite reads the same values as the pair and writes the same
 // destination, so only t, which nothing reads again, may differ
@@ -408,6 +419,15 @@ func fuse(first, in *ir.Instr, dead uint8) bool {
 		*in = ir.Instr{Op: ir.FModImm, A: in.A, B: in.B, Imm: k}
 	case kc && in.Op == ir.FShr:
 		*in = ir.Instr{Op: ir.FShrImm, A: in.A, B: in.B, Imm: k & 63}
+	case first.Op == ir.FConst && in.Op.IsBranchRR() && (in.A == t) != (in.B == t):
+		cmp, x, dying := in.Op.BranchCmp(), in.A, dyingB
+		if in.A == t {
+			cmp, x, dying = cmp.SwapCmp(), in.B, dyingA
+		}
+		if dead&dying == 0 {
+			return false
+		}
+		*in = ir.Instr{Op: cmp.BranchImm(), A: x, B: in.C, Imm: k}
 	case first.Op.IsCmp() && (in.Op == ir.FJmpZ || in.Op == ir.FJmpNZ) && in.A == t:
 		cmp := first.Op
 		if in.Op == ir.FJmpZ {

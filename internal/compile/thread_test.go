@@ -40,6 +40,29 @@ func TestThreadLoopBackEdges(t *testing.T) {
 	})
 }
 
+func TestThreadRotatedLoopEntries(t *testing.T) {
+	// Two rotated loops, one tested by a compare-with-immediate branch and
+	// one by jmpz: each entry jmp becomes the negated branch past the
+	// loop.
+	runThread(t, []ir.Instr{
+		{Op: ir.FJmp, A: 2},
+		{Op: ir.FAddImm, A: 0, B: 0, Imm: 1},
+		{Op: ir.FBrLtImm, A: 0, B: 1, Imm: 10},
+		{Op: ir.FJmp, A: 5},
+		{Op: ir.FAddImm, A: 0, B: 0, Imm: -1},
+		{Op: ir.FJmpZ, A: 0, B: 4},
+		{Op: ir.FRet, A: 0},
+	}, []ir.Instr{
+		{Op: ir.FBrGeImm, A: 0, B: 3, Imm: 10},
+		{Op: ir.FAddImm, A: 0, B: 0, Imm: 1},
+		{Op: ir.FBrLtImm, A: 0, B: 1, Imm: 10},
+		{Op: ir.FJmpNZ, A: 0, B: 6},
+		{Op: ir.FAddImm, A: 0, B: 0, Imm: -1},
+		{Op: ir.FJmpZ, A: 0, B: 4},
+		{Op: ir.FRet, A: 0},
+	})
+}
+
 func TestThreadKeepsOtherJumps(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -50,12 +73,6 @@ func TestThreadKeepsOtherJumps(t *testing.T) {
 			{Op: ir.FAddImm, A: 0, B: 0, Imm: 1},
 			{Op: ir.FJmp, A: 0},
 			{Op: ir.FRet, A: 1},
-			{Op: ir.FRet, A: 0},
-		}},
-		{"a switch dispatch has no negation", []ir.Instr{
-			{Op: ir.FJmpEqImm, A: 0, B: 3, Imm: 2},
-			{Op: ir.FAddImm, A: 0, B: 0, Imm: 1},
-			{Op: ir.FJmp, A: 0},
 			{Op: ir.FRet, A: 0},
 		}},
 		{"the target is not a branch", []ir.Instr{

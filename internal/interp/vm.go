@@ -142,10 +142,6 @@ dispatch:
 			if regs[in.A] != 0 {
 				pc = int(in.B)
 			}
-		case ir.FJmpEqImm:
-			if regs[in.A] == in.Imm {
-				pc = int(in.B)
-			}
 		case ir.FBrEq:
 			if regs[in.A] == regs[in.B] {
 				pc = int(in.C)
@@ -169,6 +165,30 @@ dispatch:
 		case ir.FBrGe:
 			if regs[in.A] >= regs[in.B] {
 				pc = int(in.C)
+			}
+		case ir.FBrEqImm:
+			if regs[in.A] == in.Imm {
+				pc = int(in.B)
+			}
+		case ir.FBrNeImm:
+			if regs[in.A] != in.Imm {
+				pc = int(in.B)
+			}
+		case ir.FBrLtImm:
+			if regs[in.A] < in.Imm {
+				pc = int(in.B)
+			}
+		case ir.FBrLeImm:
+			if regs[in.A] <= in.Imm {
+				pc = int(in.B)
+			}
+		case ir.FBrGtImm:
+			if regs[in.A] > in.Imm {
+				pc = int(in.B)
+			}
+		case ir.FBrGeImm:
+			if regs[in.A] >= in.Imm {
+				pc = int(in.B)
 			}
 
 		case ir.FYield:

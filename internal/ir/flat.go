@@ -68,10 +68,9 @@ const (
 	FSetNZ // A <- (B != 0)
 
 	// Control flow. Targets are instruction indexes.
-	FJmp      // pc <- A
-	FJmpZ     // if A == 0: pc <- B
-	FJmpNZ    // if A != 0: pc <- B
-	FJmpEqImm // if A == Imm: pc <- B
+	FJmp   // pc <- A
+	FJmpZ  // if A == 0: pc <- B
+	FJmpNZ // if A != 0: pc <- B
 
 	// The access protocol, decomposed. FYield validates the address in
 	// register A (null / bounds), counts the access, and gives the
@@ -152,6 +151,17 @@ const (
 	FModImm // A <- B % Imm; Imm != 0, so it cannot fail
 	FShrImm // A <- B >> Imm; Imm is already masked to 0..63
 
+	// Compare-with-immediate and branch: if A op Imm holds, pc <- B. The
+	// block is dense and parallel to FEq..FGe like FBrEq..FBrGe. regopt
+	// fuses FConst t, k into the compare-and-branch that reads t, and a
+	// switch dispatches through FBrEqImm.
+	FBrEqImm // if A == Imm: pc <- B
+	FBrNeImm // if A != Imm: pc <- B
+	FBrLtImm // if A < Imm: pc <- B
+	FBrLeImm // if A <= Imm: pc <- B
+	FBrGtImm // if A > Imm: pc <- B
+	FBrGeImm // if A >= Imm: pc <- B
+
 	opCount // sentinel
 )
 
@@ -165,7 +175,7 @@ var opNames = [...]string{
 	FAnd: "and", FOr: "or", FXor: "xor", FShl: "shl", FShr: "shr",
 	FEq: "eq", FNe: "ne", FLt: "lt", FLe: "le", FGt: "gt", FGe: "ge",
 	FNeg: "neg", FNot: "not", FBitNot: "bitnot", FSetNZ: "setnz",
-	FJmp: "jmp", FJmpZ: "jmpz", FJmpNZ: "jmpnz", FJmpEqImm: "jmpeq",
+	FJmp: "jmp", FJmpZ: "jmpz", FJmpNZ: "jmpnz",
 	FYield: "yield", FChkRead: "chkread", FChkWrite: "chkwrite",
 	FChkLock: "chklock", FChkElided: "chkelided",
 	FLoad: "load", FStore: "store", FBarrier: "rcbarrier",
@@ -177,6 +187,8 @@ var opNames = [...]string{
 	FBrEq: "breq", FBrNe: "brne", FBrLt: "brlt", FBrLe: "brle", FBrGt: "brgt", FBrGe: "brge",
 	FLoadIdx: "loadidx", FLoadChkIdx: "loadchkidx", FStoreIdx: "storeidx",
 	FMulImm: "mulimm", FModImm: "modimm", FShrImm: "shrimm",
+	FBrEqImm: "breqimm", FBrNeImm: "brneimm", FBrLtImm: "brltimm",
+	FBrLeImm: "brleimm", FBrGtImm: "brgtimm", FBrGeImm: "brgeimm",
 }
 
 func (o Op) String() string {
@@ -229,7 +241,7 @@ var opRegs = [opCount]OpRegs{
 	FAnd: pureBin, FOr: pureBin, FXor: pureBin, FShl: pureBin, FShr: pureBin,
 	FEq: pureBin, FNe: pureBin, FLt: pureBin, FLe: pureBin, FGt: pureBin, FGe: pureBin,
 	FNeg: pureUn, FNot: pureUn, FBitNot: pureUn, FSetNZ: pureUn,
-	FJmpZ: useA, FJmpNZ: useA, FJmpEqImm: useA,
+	FJmpZ: useA, FJmpNZ: useA,
 	FYield: useA, FChkRead: useA, FChkWrite: useA, FChkLock: useA, FChkElided: useA,
 	FLoad: defAuse, FStore: useAB, FBarrier: useAB,
 	FScast:   defAuse,
@@ -243,6 +255,7 @@ var opRegs = [opCount]OpRegs{
 	FLoadIdx: {A: RegDef, B: RegUse, C: RegUse}, FLoadChkIdx: {A: RegDef, B: RegUse, C: RegUse},
 	FStoreIdx: {A: RegUse, B: RegUse, C: RegUse},
 	FMulImm:   pureUn, FModImm: pureUn, FShrImm: pureUn,
+	FBrEqImm: useA, FBrNeImm: useA, FBrLtImm: useA, FBrLeImm: useA, FBrGtImm: useA, FBrGeImm: useA,
 }
 
 // Regs returns the register operands of opcode o, which must be known.
@@ -255,8 +268,43 @@ func (o Op) IsCmp() bool { return o >= FEq && o <= FGe }
 // o holds; o must satisfy IsCmp.
 func (o Op) Branch() Op { return FBrEq + (o - FEq) }
 
-// BranchCmp returns the comparison a compare-and-branch opcode tests.
-func (o Op) BranchCmp() Op { return FEq + (o - FBrEq) }
+// BranchImm returns the compare-with-immediate branch that jumps when
+// comparison o of its register with the immediate holds; o must satisfy
+// IsCmp.
+func (o Op) BranchImm() Op { return FBrEqImm + (o - FEq) }
+
+// IsBranchRR reports whether o is one of the compare-and-branch opcodes on
+// two registers, FBrEq..FBrGe.
+func (o Op) IsBranchRR() bool { return o >= FBrEq && o <= FBrGe }
+
+// IsBranchImm reports whether o is one of the compare-with-immediate
+// branches, FBrEqImm..FBrGeImm.
+func (o Op) IsBranchImm() bool { return o >= FBrEqImm && o <= FBrGeImm }
+
+// BranchCmp returns the comparison a compare-and-branch opcode, on two
+// registers or with an immediate, tests.
+func (o Op) BranchCmp() Op {
+	if o.IsBranchImm() {
+		return FEq + (o - FBrEqImm)
+	}
+	return FEq + (o - FBrEq)
+}
+
+// SwapCmp returns the comparison that holds for (y, x) exactly when
+// comparison o holds for (x, y).
+func (o Op) SwapCmp() Op {
+	switch o {
+	case FLt:
+		return FGt
+	case FLe:
+		return FGe
+	case FGt:
+		return FLt
+	case FGe:
+		return FLe
+	}
+	return o // FEq, FNe
+}
 
 // NegateCmp returns the comparison that holds exactly when comparison o
 // does not.
@@ -283,7 +331,7 @@ func (in *Instr) Target() *int32 {
 	switch in.Op {
 	case FJmp:
 		return &in.A
-	case FJmpZ, FJmpNZ, FJmpEqImm:
+	case FJmpZ, FJmpNZ, FBrEqImm, FBrNeImm, FBrLtImm, FBrLeImm, FBrGtImm, FBrGeImm:
 		return &in.B
 	case FBrEq, FBrNe, FBrLt, FBrLe, FBrGt, FBrGe:
 		return &in.C
@@ -292,16 +340,19 @@ func (in *Instr) Target() *int32 {
 }
 
 // NegateBranch returns the branch that jumps exactly when branch o falls
-// through: FJmpZ and FJmpNZ swap, and a compare-and-branch tests the negated
-// comparison. It reports false for any other opcode.
+// through: FJmpZ and FJmpNZ swap, and a compare-and-branch, on two
+// registers or with an immediate, tests the negated comparison. It reports
+// false for any other opcode.
 func (o Op) NegateBranch() (Op, bool) {
 	switch {
 	case o == FJmpZ:
 		return FJmpNZ, true
 	case o == FJmpNZ:
 		return FJmpZ, true
-	case o >= FBrEq && o <= FBrGe:
+	case o.IsBranchRR():
 		return o.BranchCmp().NegateCmp().Branch(), true
+	case o.IsBranchImm():
+		return o.BranchCmp().NegateCmp().BranchImm(), true
 	}
 	return o, false
 }

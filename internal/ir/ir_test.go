@@ -375,6 +375,8 @@ func TestNegateBranch(t *testing.T) {
 	want := map[Op]Op{
 		FJmpZ: FJmpNZ, FJmpNZ: FJmpZ,
 		FBrEq: FBrNe, FBrNe: FBrEq, FBrLt: FBrGe, FBrGe: FBrLt, FBrLe: FBrGt, FBrGt: FBrLe,
+		FBrEqImm: FBrNeImm, FBrNeImm: FBrEqImm, FBrLtImm: FBrGeImm, FBrGeImm: FBrLtImm,
+		FBrLeImm: FBrGtImm, FBrGtImm: FBrLeImm,
 	}
 	for op := FNop; op < opCount; op++ {
 		got, ok := op.NegateBranch()
