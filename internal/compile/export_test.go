@@ -34,7 +34,7 @@ func walkLive(ff *ir.FlatFunc, visit func(pc int32, leader bool, live []uint64))
 	var s regScratch
 	s.ff = ff
 	s.blocks()
-	s.initSets()
+	s.initSets(ff.NumRegs)
 	for b := 0; b < len(s.starts)-1; b++ {
 		use, def := s.set(s.use, b), s.set(s.def, b)
 		for pc := s.starts[b]; pc < s.starts[b+1]; pc++ {

@@ -54,8 +54,14 @@ type regScratch struct {
 	ff *ir.FlatFunc
 
 	leader  []bool  // pc starts a basic block
+	target  []bool  // pc is a jump target
 	starts  []int32 // block b covers [starts[b], starts[b+1])
 	blockAt []int32 // the block a leader pc starts
+
+	// Registers: the per-register buffers and the bitsets cover regCap
+	// registers, the function's own regBase and the fresh registers value
+	// numbering may add above them.
+	regBase, regCap int
 
 	// Copy propagation. copySrc[r] is the register r was last copied
 	// from; the copy holds while the source still carries the definition
@@ -65,6 +71,23 @@ type regScratch struct {
 	copySrc   []int32
 	copyStamp []int64
 	copyEpoch []int32
+	stamp     int64 // the last definition stamp handed out
+
+	// Value numbering over extended blocks (see number). vn[r] is the
+	// number of the value in r, meaningful while vnEpoch[r] is the
+	// current extended block's epoch ebb; a register the block has not
+	// written gets a number of its own on first read. values lists the
+	// block's computations, found through the open-addressed table slots
+	// (an index into values, occupied while slotEpoch is ebb).
+	vn        []int64
+	vnEpoch   []int32
+	values    []vnValue
+	slots     []int32
+	slotEpoch []int32
+	ebb       int32 // never reset, so stale epochs never match
+	nextVN    int64
+	fresh     int // fresh registers the current extended block took
+	maxFresh  int // the most any extended block took
 
 	// Liveness, words per bitset: the use/def/in/out sets of each block
 	// laid out back to back, and the sweep's running set.
@@ -99,16 +122,19 @@ func grow[T any](buf []T, n int) []T {
 	return buf
 }
 
-// blocks marks block leaders and records each block's first pc.
+// blocks marks block leaders and jump targets and records each block's
+// first pc.
 func (s *regScratch) blocks() {
 	code := s.ff.Code
 	n := len(code)
 	s.leader = grow(s.leader, n+1)
+	s.target = grow(s.target, n+1)
 	s.leader[0] = true
 	for pc := range code {
 		in := &code[pc]
 		if t := in.Target(); t != nil {
 			s.leader[*t] = true
+			s.target[*t] = true
 			s.leader[pc+1] = true
 		} else if in.Op == ir.FRet {
 			s.leader[pc+1] = true
@@ -125,18 +151,33 @@ func (s *regScratch) blocks() {
 	s.starts = append(s.starts, int32(n))
 }
 
+// minFresh is the fewest fresh registers value numbering may add to a
+// function; the per-register buffers round up to whole bitset words
+// above it.
+const minFresh = 8
+
 // propagate rewrites register reads through the copies live at each
-// instruction, deletes moves that become r <- r, and records each block's
-// upward-exposed uses and definitions for the liveness solve.
+// instruction, reuses the values numbered available (number), deletes
+// moves that become r <- r, and records each block's upward-exposed uses
+// and definitions for the liveness solve.
 func (s *regScratch) propagate() {
 	ff := s.ff
-	nr := ff.NumRegs
-	s.defStamp = grow(s.defStamp, nr)
-	s.copySrc = grow(s.copySrc, nr)
-	s.copyStamp = grow(s.copyStamp, nr)
-	s.copyEpoch = grow(s.copyEpoch, nr)
-	s.initSets()
-	var stamp int64
+	s.regBase = ff.NumRegs
+	s.regCap = (ff.NumRegs + minFresh + 63) &^ 63
+	s.defStamp = grow(s.defStamp, s.regCap)
+	s.copySrc = grow(s.copySrc, s.regCap)
+	s.copyStamp = grow(s.copyStamp, s.regCap)
+	s.copyEpoch = grow(s.copyEpoch, s.regCap)
+	s.vn = grow(s.vn, s.regCap)
+	s.vnEpoch = grow(s.vnEpoch, s.regCap)
+	size := 1
+	for size < 2*len(ff.Code) {
+		size <<= 1
+	}
+	s.slots = grow(s.slots, size)
+	s.slotEpoch = grow(s.slotEpoch, size)
+	s.maxFresh = 0
+	s.initSets(s.regCap)
 	var epoch int32 // block b is epoch b+1; copyEpoch 0 is never live
 	var use, def []uint64
 	rename := func(r *int32) {
@@ -150,20 +191,25 @@ func (s *regScratch) propagate() {
 	for b := 0; b < len(s.starts)-1; b++ {
 		epoch = int32(b + 1)
 		use, def = s.set(s.use, b), s.set(s.def, b)
-		for pc := s.starts[b]; pc < s.starts[b+1]; pc++ {
+		start := s.starts[b]
+		if start == 0 || s.target[start] || ff.Code[start-1].Op == ir.FJmp || ff.Code[start-1].Op == ir.FRet {
+			s.newExtendedBlock()
+		}
+		for pc := start; pc < s.starts[b+1]; pc++ {
 			in := &ff.Code[pc]
 			ff.VisitUses(in, rename)
 			if in.Op.Regs().A != ir.RegDef {
 				continue
 			}
+			s.number(pc, b, in)
 			if in.Op == ir.FMove && in.A == in.B {
 				in.Op = ir.FNop
 				s.changed = true
 				continue
 			}
 			setBit(def, in.A)
-			stamp++
-			s.defStamp[in.A] = stamp
+			s.stamp++
+			s.defStamp[in.A] = s.stamp
 			s.copyEpoch[in.A] = 0
 			if in.Op == ir.FMove {
 				s.copySrc[in.A] = in.B
@@ -172,6 +218,190 @@ func (s *regScratch) propagate() {
 			}
 		}
 	}
+	ff.NumRegs = s.regBase + s.maxFresh
+}
+
+// vnValue is one computation value numbering has seen in the current
+// extended block: its key (opcode, operand value numbers, immediate), the
+// number of its value, and the instruction that computed it into reg.
+type vnValue struct {
+	op        ir.Op
+	b, c, imm int64
+	vn        int64
+	reg, pc   int32
+	block     int  // the basic block of pc
+	reuse     bool // later computations may read reg instead
+}
+
+// newExtendedBlock empties the value table: the next block is entered
+// from more than its fall-through predecessor, or from none.
+func (s *regScratch) newExtendedBlock() {
+	s.ebb++
+	s.values = s.values[:0]
+	s.fresh = 0
+	// Registers the block has not written number from here: one fresh
+	// number per register.
+	s.nextVN += int64(s.regCap)
+}
+
+// vnOf returns the value number of the content of register r.
+func (s *regScratch) vnOf(r int32) int64 {
+	if s.vnEpoch[r] != s.ebb {
+		s.vnEpoch[r] = s.ebb
+		s.vn[r] = s.nextVN - int64(s.regCap) + int64(r)
+	}
+	return s.vn[r]
+}
+
+func (s *regScratch) setVN(r int32, v int64) {
+	s.vnEpoch[r] = s.ebb
+	s.vn[r] = v
+}
+
+// number is value numbering over extended blocks, run on each
+// instruction that writes a register, after copy propagation renamed its
+// reads. An extended block is a run of blocks each entered only by the
+// fall-through of the conditional branch ending the one before, so every
+// computation earlier in the run has executed, in code order, whenever a
+// later one runs. A pure computation (arithmetic, comparison, unary, an
+// immediate form, divide or modulo) whose opcode and operand values
+// repeat an earlier one's becomes a move from the register that holds
+// that value. A repeated divide or modulo cannot fail, since the first
+// did not. Constants number by their value, so 2048*k matches 2048*k
+// whichever registers held 2048; they, and loads, checks, calls,
+// builtins and casts, are never replaced.
+func (s *regScratch) number(pc int32, b int, in *ir.Instr) {
+	op := in.Op
+	v := vnValue{op: op}
+	switch op {
+	case ir.FMove:
+		s.setVN(in.A, s.vnOf(in.B))
+		return
+	case ir.FConst:
+		v.imm = in.Imm
+	case ir.FAdd, ir.FSub, ir.FMul, ir.FDiv, ir.FMod, ir.FAnd, ir.FOr, ir.FXor,
+		ir.FShl, ir.FShr, ir.FEq, ir.FNe, ir.FLt, ir.FLe, ir.FGt, ir.FGe:
+		v.b, v.c = s.vnOf(in.B), s.vnOf(in.C)
+		switch op {
+		case ir.FAdd, ir.FMul, ir.FAnd, ir.FOr, ir.FXor, ir.FEq, ir.FNe:
+			v.b, v.c = min(v.b, v.c), max(v.b, v.c)
+		}
+	case ir.FNeg, ir.FNot, ir.FBitNot, ir.FSetNZ:
+		v.b = s.vnOf(in.B)
+	case ir.FAddImm, ir.FMulImm, ir.FModImm, ir.FShrImm:
+		v.b, v.imm = s.vnOf(in.B), in.Imm
+	default:
+		s.nextVN++
+		s.setVN(in.A, s.nextVN)
+		return
+	}
+	v.reuse = op != ir.FConst && !s.fusesWithNext(pc)
+	slot := s.lookup(&v)
+	if s.slotEpoch[slot] == s.ebb {
+		e := &s.values[s.slots[slot]]
+		if op != ir.FConst {
+			if r, ok := s.holder(e, pc); ok {
+				*in = ir.Instr{Op: ir.FMove, A: in.A, B: r}
+			} else {
+				// Recomputed: this instruction holds the value now.
+				e.reg, e.pc, e.block, e.reuse = in.A, pc, b, v.reuse
+			}
+		}
+		s.setVN(in.A, e.vn)
+		return
+	}
+	s.nextVN++
+	v.vn, v.reg, v.pc, v.block = s.nextVN, in.A, pc, b
+	s.slotEpoch[slot] = s.ebb
+	s.slots[slot] = int32(len(s.values))
+	s.values = append(s.values, v)
+	s.setVN(in.A, v.vn)
+}
+
+// lookup returns the slot of v's key in the value table: the slot holding
+// an equal key, or the empty slot where it belongs.
+func (s *regScratch) lookup(v *vnValue) int {
+	h := uint64(v.op) ^ uint64(v.b)*0x9e3779b97f4a7c15 ^ uint64(v.c)*0xc2b2ae3d27d4eb4f ^ uint64(v.imm)*0x165667b19e3779f9
+	h ^= h >> 29
+	mask := len(s.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		if s.slotEpoch[i] != s.ebb {
+			return i
+		}
+		if e := &s.values[s.slots[i]]; e.op == v.op && e.b == v.b && e.c == v.c && e.imm == v.imm {
+			return i
+		}
+	}
+}
+
+// fusesWithNext reports whether the instruction at pc and the next one
+// form a pair the sweep fuses: an add whose sum the next instruction loads
+// through into the same register, or a comparison or setnz the next
+// instruction branches on. Reusing such a value would keep it live past
+// the pair and cost the fusion, so the value is not offered.
+func (s *regScratch) fusesWithNext(pc int32) bool {
+	code := s.ff.Code
+	if int(pc)+1 >= len(code) || s.leader[pc+1] {
+		return false
+	}
+	in, nx := &code[pc], &code[pc+1]
+	switch {
+	case in.Op == ir.FAdd:
+		return (nx.Op == ir.FLoadAcc || nx.Op == ir.FLoadChk) && nx.B == in.A && nx.A == in.A
+	case in.Op.IsCmp(), in.Op == ir.FSetNZ:
+		return (nx.Op == ir.FJmpZ || nx.Op == ir.FJmpNZ) && nx.A == in.A
+	}
+	return false
+}
+
+// holder returns a register holding e's value at pc, if e may be reused.
+// When a later write overwrote e.reg inside e's own basic block, e's
+// instruction is retargeted to a fresh register, and so are the reads of
+// e.reg up to that write: the fresh register then holds the value to pc.
+// Fresh registers count up from regBase anew in each extended block, and
+// every read of one follows its write in the same extended block, so none
+// is ever live into a jump target.
+func (s *regScratch) holder(e *vnValue, pc int32) (int32, bool) {
+	if !e.reuse {
+		return 0, false
+	}
+	if s.vnOf(e.reg) == e.vn {
+		return e.reg, true
+	}
+	if s.regBase+s.fresh == s.regCap {
+		return 0, false
+	}
+	code := s.ff.Code
+	kill := e.pc + 1
+	for ; kill < pc; kill++ {
+		if s.leader[kill] {
+			return 0, false
+		}
+		if in := &code[kill]; in.Op.Regs().A == ir.RegDef && in.A == e.reg {
+			break
+		}
+	}
+	if kill == pc {
+		return 0, false
+	}
+	f := int32(s.regBase + s.fresh)
+	s.fresh++
+	s.maxFresh = max(s.maxFresh, s.fresh)
+	code[e.pc].A = f
+	for q := e.pc + 1; q <= kill; q++ {
+		s.ff.VisitUses(&code[q], func(r *int32) {
+			if *r == e.reg {
+				*r = f
+			}
+		})
+	}
+	setBit(s.set(s.def, e.block), f)
+	s.stamp++
+	s.defStamp[f] = s.stamp
+	s.copyEpoch[f] = 0
+	s.setVN(f, e.vn)
+	e.reg = f
+	return f, true
 }
 
 func setBit(set []uint64, r int32)      { set[r>>6] |= 1 << (r & 63) }
@@ -179,9 +409,9 @@ func clearBit(set []uint64, r int32)    { set[r>>6] &^= 1 << (r & 63) }
 func hasBit(set []uint64, r int32) bool { return set[r>>6]&(1<<(r&63)) != 0 }
 
 // initSets sizes and clears the per-block bitsets for the current
-// function.
-func (s *regScratch) initSets() {
-	s.words = (s.ff.NumRegs + 63) / 64
+// function, over nregs registers.
+func (s *regScratch) initSets(nregs int) {
+	s.words = (nregs + 63) / 64
 	size := (len(s.starts) - 1) * s.words
 	s.use = grow(s.use, size)
 	s.def = grow(s.def, size)
