@@ -249,3 +249,87 @@ func composeRun(prologue, body []ir.Instr) (*engine, *aState) {
 	e.run()
 	return e, e.states[len(code)-1]
 }
+
+// TestRotatedLoopKeepsBound: linearize tests a while or for loop at the
+// bottom, entering it through a jmp to the test. Widening must happen
+// where a depth-first walk closes the cycle: at the test when the entry
+// jmp stays (firstNeg, fillBox), before the test refines the index, so the
+// index stored in the body keeps the bound the test proves. Widening at
+// the body, the target of the backward branch, would lose firstNeg's
+// interval: the body's join would widen i's upper bound after the
+// refinement. When the test is a single branch the thread pass turns the
+// entry jmp into that branch (fill); the cycle then closes at the body, as
+// it did when loops were tested at the top, and the join there keeps
+// i - n <= 0.
+func TestRotatedLoopKeepsBound(t *testing.T) {
+	src := `
+struct box { int n; };
+int fill(int *a, int n) {
+	for (int i = 0; i < n; i++) a[i] = i;
+	return 0;
+}
+int firstNeg(int *a) {
+	for (int i = 0; i < 8 && a[i] >= 0; i++) a[i] = i;
+	return 0;
+}
+int fillBox(int *a, struct box *b) {
+	int i = 0;
+	while (i < b->n) { a[i] = i; i++; }
+	return 0;
+}
+int main(void) {
+	int *a = malloc(8 * sizeof(int));
+	struct box *b = malloc(sizeof(struct box));
+	b->n = 8;
+	return fill(a, 8) + firstNeg(a) + fillBox(a, b);
+}
+`
+	prog := flatProgram(t, src)
+	for _, tc := range []struct {
+		fn  string
+		hi  int64 // upper bound of i at the store
+		rel int64 // bound of i - n at the store; 1 requires no relation
+	}{
+		{"fill", posInf, 0},
+		{"firstNeg", 7, 1},
+		{"fillBox", posInf, -1},
+	} {
+		eng := newEngine(prog, prog.FuncIdx[tc.fn], nil, nil, nil, 1, defaultStepBudget)
+		eng.run()
+		if eng.gaveUp {
+			t.Fatalf("%s: gave up", tc.fn)
+		}
+		stores := 0
+		for pc, in := range eng.ff.Code {
+			if in.Op != ir.FStoreIdx && in.Op != ir.FStoreAcc {
+				continue
+			}
+			stores++
+			st := eng.states[pc]
+			if st == nil {
+				t.Fatalf("%s: store at pc %d unreachable", tc.fn, pc)
+			}
+			i := symReg(in.B) // the stored value is i itself
+			if lo, hi := eng.boundForm(st, form{i: 1}, 0, 0); lo != 0 || hi != tc.hi {
+				t.Errorf("%s: i in [%d, %d] at the store, want [0, %d]", tc.fn, lo, hi, tc.hi)
+			}
+			if tc.rel == 1 {
+				continue
+			}
+			bounded := false
+			for _, c := range st.cons {
+				if c.f[i] == 1 && len(c.f) == 2 && c.b <= tc.rel {
+					for s, k := range c.f {
+						bounded = bounded || s != i && k == -1
+					}
+				}
+			}
+			if !bounded {
+				t.Errorf("%s: no constraint i - n <= %d at the store; constraints %v", tc.fn, tc.rel, st.cons)
+			}
+		}
+		if stores != 1 {
+			t.Fatalf("%s: %d stores, want 1", tc.fn, stores)
+		}
+	}
+}

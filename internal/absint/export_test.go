@@ -14,3 +14,6 @@ func CheckAddrPCs(prog *ir.Program, fnIdx int) []int {
 	}
 	return pcs
 }
+
+// WidenPoints returns the pcs of code at which the fixpoint widens.
+func WidenPoints(code []ir.Instr) []bool { return backEdgeTargets(code) }

@@ -236,3 +236,91 @@ func UnpinnedFrameReads(fn *ir.Func, ff *ir.FlatFunc) []int32 {
 	}
 	return out
 }
+
+// RedundantValues returns the pcs of ff's pure instructions that recompute
+// a value a register still holds: an earlier instruction of the same
+// extended block applied the same opcode (and immediate) to the same
+// operands, and neither its destination nor an operand was written since.
+// An extended block is a run of blocks each entered only by the
+// fall-through of the conditional branch ending the one before. Operands
+// are the same when they are the same register with no write in between,
+// or registers last written by FConst with the same constant. The walk is
+// restated from the pass's documentation rather than shared with it.
+func RedundantValues(ff *ir.FlatFunc) []int32 {
+	type operand struct {
+		isConst bool
+		v       int64 // the constant, or the register's write count
+		reg     int32
+	}
+	type key struct {
+		op      ir.Op
+		b, c    operand
+		imm     int64
+		unaryOp bool
+	}
+	type holder struct {
+		reg    int32
+		writes int64
+	}
+	target := make([]bool, len(ff.Code))
+	for _, in := range ff.Code {
+		if t := in.Target(); t != nil {
+			target[*t] = true
+		}
+	}
+	var (
+		writes  map[int32]int64
+		consts  map[int32]int64 // register -> constant, while it holds one
+		avail   map[key]holder
+		out     []int32
+		written int64
+	)
+	opnd := func(r int32) operand {
+		if k, ok := consts[r]; ok {
+			return operand{isConst: true, v: k}
+		}
+		return operand{v: writes[r], reg: r}
+	}
+	for pc, in := range ff.Code {
+		if pc == 0 || target[pc] || ff.Code[pc-1].Op == ir.FJmp || ff.Code[pc-1].Op == ir.FRet {
+			writes, consts, avail = map[int32]int64{}, map[int32]int64{}, map[key]holder{}
+		}
+		var k key
+		pure := true
+		switch in.Op {
+		case ir.FAdd, ir.FSub, ir.FMul, ir.FDiv, ir.FMod, ir.FAnd, ir.FOr, ir.FXor,
+			ir.FShl, ir.FShr, ir.FEq, ir.FNe, ir.FLt, ir.FLe, ir.FGt, ir.FGe:
+			k = key{op: in.Op, b: opnd(in.B), c: opnd(in.C)}
+			switch in.Op {
+			case ir.FAdd, ir.FMul, ir.FAnd, ir.FOr, ir.FXor, ir.FEq, ir.FNe:
+				if k.c.isConst && !k.b.isConst || k.b.isConst == k.c.isConst && (k.c.v < k.b.v || k.c.v == k.b.v && k.c.reg < k.b.reg) {
+					k.b, k.c = k.c, k.b
+				}
+			}
+		case ir.FNeg, ir.FNot, ir.FBitNot, ir.FSetNZ:
+			k = key{op: in.Op, b: opnd(in.B), unaryOp: true}
+		case ir.FAddImm, ir.FMulImm, ir.FModImm, ir.FShrImm:
+			k = key{op: in.Op, b: opnd(in.B), imm: in.Imm, unaryOp: true}
+		default:
+			pure = false
+		}
+		if pure {
+			if h, ok := avail[k]; ok && writes[h.reg] == h.writes {
+				out = append(out, int32(pc))
+			}
+		}
+		if in.Op.Regs().A != ir.RegDef {
+			continue
+		}
+		written++
+		writes[in.A] = written
+		delete(consts, in.A)
+		if in.Op == ir.FConst {
+			consts[in.A] = in.Imm
+		}
+		if pure {
+			avail[k] = holder{in.A, written}
+		}
+	}
+	return out
+}

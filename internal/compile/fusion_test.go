@@ -63,6 +63,29 @@ func TestRegoptLeavesNoFusablePair(t *testing.T) {
 	}
 }
 
+// TestRegoptLeavesNoRedundantValue pins value numbering's postcondition:
+// no pure instruction of a corpus or Table-1 build recomputes a value a
+// register of its extended block still holds.
+func TestRegoptLeavesNoRedundantValue(t *testing.T) {
+	for _, pr := range corpusAndModels(t) {
+		a, err := core.Analyze(parser.Source{Name: pr.name, Text: pr.src})
+		if err != nil {
+			t.Fatalf("%s: %v", pr.name, err)
+		}
+		for _, opts := range []compile.Options{compile.DefaultOptions(), {}} {
+			p, err := a.Build(opts)
+			if err != nil {
+				t.Fatalf("%s: %v", pr.name, err)
+			}
+			for i, ff := range p.Flat.Funcs {
+				for _, pc := range compile.RedundantValues(ff) {
+					t.Errorf("%s %s (checks=%v) pc %d: %v recomputes an available value", pr.name, p.Funcs[i].Name, opts.Checks, pc, ff.Code[pc])
+				}
+			}
+		}
+	}
+}
+
 // TestFusionKeepsDischargeAccounting pins the check accounting of the
 // discharged builds of aget and the hotsites example to the figures the
 // pipeline gave before regopt fused pairs: absint sees the fused opcodes

@@ -97,6 +97,12 @@ func flatSize(p *ir.Program) int {
 	return n
 }
 
+// TestRegoptOracle is the oracle for the two passes that rewrite the flat
+// code after fusion, regopt and thread: for each, every program is built
+// with the standard pipeline and with the pipeline minus that pass, under
+// three option sets, and the two builds must run indistinguishably. Each
+// pass must also change something in the set: regopt shrinks the code,
+// and thread finds jumps to thread in the build without it.
 func TestRegoptOracle(t *testing.T) {
 	optCases := []struct {
 		name      string
@@ -107,7 +113,11 @@ func TestRegoptOracle(t *testing.T) {
 		{"discharge", compile.DefaultOptions(), true},
 		{"orig", compile.Options{}, false},
 	}
-	ran, before, after := 0, 0, 0
+	type analyzed struct {
+		oracleProgram
+		a *core.Analysis
+	}
+	var progs []analyzed
 	for _, op := range oraclePrograms(t) {
 		a, err := core.Analyze(parser.Source{Name: op.name, Text: op.src})
 		if err != nil {
@@ -119,42 +129,60 @@ func TestRegoptOracle(t *testing.T) {
 			}
 			t.Fatalf("%s: %v", op.name, a.Err())
 		}
-		ran++
-		for _, oc := range optCases {
-			opts := oc.opts
-			if oc.discharge {
-				opts.Discharge = vet.Analyze(a.World, a.Inf).Discharge()
+		progs = append(progs, analyzed{op, a})
+	}
+	if len(progs) < 12+6+15 {
+		t.Fatalf("only %d programs pass the checker", len(progs))
+	}
+	for _, pass := range []struct {
+		name string
+		// effect measures what the pass changed between the builds.
+		effect func(without, with *ir.Program) int
+	}{
+		{"regopt", func(without, with *ir.Program) int { return flatSize(without) - flatSize(with) }},
+		{"thread", func(without, _ *ir.Program) int {
+			n := 0
+			for _, ff := range without.Flat.Funcs {
+				n += len(compile.ThreadableJumps(ff))
 			}
-			with, err := compile.Compile(a.World, a.Inf, opts)
-			if err != nil {
-				t.Fatalf("%s %s: %v", op.name, oc.name, err)
-			}
-			without, err := compile.CompileWithout(a.World, a.Inf, opts, "regopt")
-			if err != nil {
-				t.Fatalf("%s %s without regopt: %v", op.name, oc.name, err)
-			}
-			before += flatSize(without)
-			after += flatSize(with)
-			for _, seed := range []int64{0, 1, 7} {
-				if seed == 0 && !op.free {
-					continue
+			return n
+		}},
+	} {
+		t.Run(pass.name, func(t *testing.T) {
+			effect := 0
+			for _, pr := range progs {
+				for _, oc := range optCases {
+					opts := oc.opts
+					if oc.discharge {
+						opts.Discharge = vet.Analyze(pr.a.World, pr.a.Inf).Discharge()
+					}
+					with, err := compile.Compile(pr.a.World, pr.a.Inf, opts)
+					if err != nil {
+						t.Fatalf("%s %s: %v", pr.name, oc.name, err)
+					}
+					without, err := compile.CompileWithout(pr.a.World, pr.a.Inf, opts, pass.name)
+					if err != nil {
+						t.Fatalf("%s %s without %s: %v", pr.name, oc.name, pass.name, err)
+					}
+					effect += pass.effect(without, with)
+					for _, seed := range []int64{0, 1, 7} {
+						if seed == 0 && !pr.free {
+							continue
+						}
+						want := oracleRun(t, without, seed)
+						if got := oracleRun(t, with, seed); got != want {
+							t.Fatalf("%s %s seed=%d: %s changed the run\n--- without %s\n%s--- with %s\n%s",
+								pr.name, oc.name, seed, pass.name, pass.name, want, pass.name, got)
+						}
+					}
 				}
-				want := oracleRun(t, without, seed)
-				got := oracleRun(t, with, seed)
-				if got != want {
-					t.Fatalf("%s %s seed=%d: regopt changed the run\n--- without regopt\n%s--- with regopt\n%s",
-						op.name, oc.name, seed, want, got)
-				}
 			}
-		}
+			if effect <= 0 {
+				t.Fatalf("%s changed nothing in %d programs", pass.name, len(progs))
+			}
+			t.Logf("%d programs; %s effect %d", len(progs), pass.name, effect)
+		})
 	}
-	if ran < 11+6+15 {
-		t.Fatalf("only %d programs ran", ran)
-	}
-	if after >= before {
-		t.Fatalf("regopt removed nothing: %d instructions before, %d after", before, after)
-	}
-	t.Logf("%d programs; %d flat instructions without regopt, %d with", ran, before, after)
 }
 
 // TestRegoptLeavesNoDeadMoves pins the pass's main effect statically: no
@@ -176,47 +204,5 @@ func TestRegoptLeavesNoDeadMoves(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestThreadOracle is the same oracle for the thread pass: the build
-// without it must run indistinguishably, and the pass must thread some
-// jump in the set.
-func TestThreadOracle(t *testing.T) {
-	threaded := 0
-	for _, op := range oraclePrograms(t) {
-		a, err := core.Analyze(parser.Source{Name: op.name, Text: op.src})
-		if err != nil {
-			t.Fatalf("%s: %v", op.name, err)
-		}
-		if !a.Check.OK() {
-			continue // TestRegoptOracle reports the corpus programs that fail
-		}
-		for _, opts := range []compile.Options{compile.DefaultOptions(), {}} {
-			with, err := compile.Compile(a.World, a.Inf, opts)
-			if err != nil {
-				t.Fatalf("%s: %v", op.name, err)
-			}
-			without, err := compile.CompileWithout(a.World, a.Inf, opts, "thread")
-			if err != nil {
-				t.Fatalf("%s without thread: %v", op.name, err)
-			}
-			for _, ff := range without.Flat.Funcs {
-				threaded += len(compile.ThreadableJumps(ff))
-			}
-			for _, seed := range []int64{0, 1, 7} {
-				if seed == 0 && !op.free {
-					continue
-				}
-				want := oracleRun(t, without, seed)
-				if got := oracleRun(t, with, seed); got != want {
-					t.Fatalf("%s checks=%v seed=%d: thread changed the run\n--- without thread\n%s--- with thread\n%s",
-						op.name, opts.Checks, seed, want, got)
-				}
-			}
-		}
-	}
-	if threaded == 0 {
-		t.Fatal("no jump to thread in any build")
 	}
 }

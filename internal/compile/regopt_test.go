@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ir"
+	"repro/internal/token"
 )
 
 // runRegopt runs the pass over a hand-built function and compares the
@@ -324,5 +325,85 @@ func TestRegoptKeepsUnfusableIndexedAndImmPairs(t *testing.T) {
 			ff := &ir.FlatFunc{NumRegs: 3, Code: append([]ir.Instr(nil), tc.code...)}
 			runRegopt(t, ff, tc.code)
 		})
+	}
+}
+
+func TestRegoptFusesConstIntoBranch(t *testing.T) {
+	// The constant is the right operand of the first comparison and the
+	// left of the second, which swaps; each forms once its compare and
+	// jump have fused.
+	ff := &ir.FlatFunc{NumRegs: 3, Code: []ir.Instr{
+		{Op: ir.FConst, A: 1, Imm: 10},
+		{Op: ir.FLt, A: 1, B: 0, C: 1},
+		{Op: ir.FJmpZ, A: 1, B: 6},
+		{Op: ir.FConst, A: 2, Imm: 3},
+		{Op: ir.FLt, A: 2, B: 2, C: 0},
+		{Op: ir.FJmpNZ, A: 2, B: 0},
+		{Op: ir.FRet, A: 0},
+	}}
+	runRegopt(t, ff, []ir.Instr{
+		{Op: ir.FBrGeImm, A: 0, B: 2, Imm: 10},
+		{Op: ir.FBrGtImm, A: 0, B: 0, Imm: 3},
+		{Op: ir.FRet, A: 0},
+	})
+	// A constant still read after the branch stays.
+	code := []ir.Instr{
+		{Op: ir.FConst, A: 1, Imm: 10},
+		{Op: ir.FLt, A: 2, B: 0, C: 1},
+		{Op: ir.FJmpZ, A: 2, B: 3},
+		{Op: ir.FRet, A: 1},
+	}
+	runRegopt(t, &ir.FlatFunc{NumRegs: 3, Code: append([]ir.Instr(nil), code...)}, []ir.Instr{
+		code[0],
+		{Op: ir.FBrGe, A: 0, B: 1, C: 2},
+		code[3],
+	})
+}
+
+func TestRegoptReusesValuesInExtendedBlock(t *testing.T) {
+	// r0 + r1 is computed three times: the second time in the block the
+	// branch falls through to, which reuses r2; the third time at a jump
+	// target, which recomputes it.
+	ff := &ir.FlatFunc{NumRegs: 5, Code: []ir.Instr{
+		{Op: ir.FAdd, A: 2, B: 0, C: 1},
+		{Op: ir.FJmpZ, A: 2, B: 4},
+		{Op: ir.FAdd, A: 3, B: 1, C: 0},
+		{Op: ir.FRet, A: 3},
+		{Op: ir.FAdd, A: 4, B: 0, C: 1},
+		{Op: ir.FRet, A: 4},
+	}}
+	runRegopt(t, ff, []ir.Instr{
+		{Op: ir.FAdd, A: 2, B: 0, C: 1},
+		{Op: ir.FJmpZ, A: 2, B: 3},
+		{Op: ir.FRet, A: 2},
+		{Op: ir.FAdd, A: 4, B: 0, C: 1},
+		{Op: ir.FRet, A: 4},
+	})
+	if ff.NumRegs != 5 {
+		t.Fatalf("NumRegs = %d, want 5: no fresh register was needed", ff.NumRegs)
+	}
+}
+
+func TestRegoptReusesOverwrittenValueThroughFreshRegister(t *testing.T) {
+	// r2 = r0 * r1 is overwritten by r2 / r1 in its own block, then
+	// recomputed: the first product moves to the fresh register r4, and
+	// the division reads it there. The second division repeats the
+	// first, whose quotient r2 still holds.
+	ff := &ir.FlatFunc{NumRegs: 4, PosTab: make([]token.Pos, 2), Code: []ir.Instr{
+		{Op: ir.FMul, A: 2, B: 0, C: 1},
+		{Op: ir.FDiv, A: 2, B: 2, C: 1, Imm: 1},
+		{Op: ir.FMul, A: 3, B: 0, C: 1},
+		{Op: ir.FDiv, A: 3, B: 3, C: 1, Imm: 1},
+		{Op: ir.FAdd, A: 3, B: 3, C: 2},
+		{Op: ir.FRet, A: 3},
+	}}
+	runRegopt(t, ff, []ir.Instr{
+		{Op: ir.FMul, A: 4, B: 0, C: 1},
+		{Op: ir.FDiv, A: 2, B: 4, C: 1, Imm: 1},
+		{Op: ir.FAdd, A: 3, B: 2, C: 2},
+		{Op: ir.FRet, A: 3},
+	})
+	if ff.NumRegs != 5 {
+		t.Fatalf("NumRegs = %d, want 5", ff.NumRegs)
 	}
 }

@@ -341,6 +341,16 @@ func TestFlatVerifyRejects(t *testing.T) {
 			}, fmt.Sprintf("pc %d: jump target %d out of range", pc, tgt)})
 		}
 	}
+	// So does a compare-with-immediate branch, whose target is B.
+	for _, tgt := range []int32{27, -1} {
+		cases = append(cases, struct {
+			name string
+			mut  func(p *Program, fp *FlatProgram)
+			want string
+		}{fmt.Sprintf("brltimm target %d", tgt), func(p *Program, fp *FlatProgram) {
+			fp.Funcs[0].Code[20] = Instr{Op: FBrLtImm, A: 0, B: tgt, Imm: 3}
+		}, fmt.Sprintf("pc 20: jump target %d out of range", tgt)})
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p, fp := flatFixture()
