@@ -4,7 +4,8 @@
 // form over symbols plus a constant interval, a side set of difference
 // constraints (form <= bound) harvested from conditional branches, and
 // per-register comparison provenance so branch edges can be refined.
-// Widening at back-edge targets plus a hard step budget guarantee
+// Widening at the targets of a depth-first walk's retreating edges,
+// through which every cycle passes, plus a hard step budget guarantee
 // termination on hostile loop bounds.
 //
 // Symbols come in three flavors:

@@ -253,10 +253,9 @@ func RedundantValues(ff *ir.FlatFunc) []int32 {
 		reg     int32
 	}
 	type key struct {
-		op      ir.Op
-		b, c    operand
-		imm     int64
-		unaryOp bool
+		op   ir.Op
+		b, c operand
+		imm  int64
 	}
 	type holder struct {
 		reg    int32
@@ -298,9 +297,9 @@ func RedundantValues(ff *ir.FlatFunc) []int32 {
 				}
 			}
 		case ir.FNeg, ir.FNot, ir.FBitNot, ir.FSetNZ:
-			k = key{op: in.Op, b: opnd(in.B), unaryOp: true}
+			k = key{op: in.Op, b: opnd(in.B)}
 		case ir.FAddImm, ir.FMulImm, ir.FModImm, ir.FShrImm:
-			k = key{op: in.Op, b: opnd(in.B), imm: in.Imm, unaryOp: true}
+			k = key{op: in.Op, b: opnd(in.B), imm: in.Imm}
 		default:
 			pure = false
 		}

@@ -599,9 +599,9 @@ type Pass struct {
 
 // pipeline is the standard lowering sequence: linearize, the RC-site
 // barrier strip, access-window fusion into superinstructions, the
-// register cleanup (copy propagation, dead-code deletion, move folding,
-// pair fusion; see regopt.go), and finally the threading of loop back-edge
-// jumps (thread.go).
+// register cleanup (copy propagation, value reuse, dead-code deletion,
+// move folding, pair fusion; see regopt.go), and finally the threading of
+// loop entry jumps (thread.go).
 func pipeline() []Pass {
 	return []Pass{
 		{Name: "linearize", Run: Linearize},

@@ -7,12 +7,14 @@ package compile
 // register is computed even when nothing reads it. On the Table-1 models
 // FMove alone was a quarter to a third of all dispatches.
 //
-// The pass runs last and works in three steps over each function:
+// The pass works in three steps over each function:
 //
-//   - copy propagation inside basic blocks: after FMove r, s, a read of r
-//     reads s instead while neither r nor s has been redefined. Copies do
-//     not cross block leaders (jump targets, and the instruction after a
-//     jump or ret);
+//   - one forward walk doing copy propagation inside basic blocks (after
+//     FMove r, s, a read of r reads s instead while neither r nor s has
+//     been redefined; copies do not cross block leaders: jump targets,
+//     and the instruction after a jump or ret) and value numbering over
+//     extended blocks (number: a pure computation repeating one whose
+//     value a register still holds becomes a move from that register);
 //   - liveness of every register at block boundaries, on uint64 bitsets;
 //   - one backward sweep per block that deletes pure instructions whose
 //     destination is dead, rewrites "op t, ...; FMove r, t" into
@@ -27,25 +29,35 @@ package compile
 //     pairs.
 //
 // The pass only deletes instructions, renames register operands
-// (including CallInfo.Args/FnReg and BuiltinInfo.Args) and fuses pairs
-// into instructions whose VM handlers run both halves in order, so the
-// VM, its statistics and every observable of a run are unchanged. Only the
-// pure opcodes of ir.OpRegs are ever deleted; divide and modulo, which can
-// fail, are kept even when their result is dead.
+// (including CallInfo.Args/FnReg and BuiltinInfo.Args), replaces a pure
+// computation by a move of the same value, and fuses pairs into
+// instructions whose VM handlers run both halves in order, so the VM, its
+// statistics and every observable of a run are unchanged. Only the pure
+// opcodes of ir.OpRegs are ever deleted; divide and modulo, which can
+// fail, are kept even when their result is dead, and are replaced only by
+// a move of a quotient already computed without failing.
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/ir"
 )
 
+// scratchPool keeps regopt's buffers from one program to the next, so a
+// run of builds allocates them only when a function outgrows every
+// function before it.
+var scratchPool = sync.Pool{New: func() any { return new(regScratch) }}
+
 // regopt runs the pass over every function of p, reusing one set of
 // scratch buffers.
 func regopt(p *ir.Program) {
-	var s regScratch
+	s := scratchPool.Get().(*regScratch)
 	for _, ff := range p.Flat.Funcs {
 		s.run(ff)
 	}
+	s.ff = nil
+	scratchPool.Put(s)
 }
 
 // regScratch holds the pass's per-function working state. The buffers are
@@ -229,8 +241,8 @@ type vnValue struct {
 	b, c, imm int64
 	vn        int64
 	reg, pc   int32
-	block     int  // the basic block of pc
-	reuse     bool // later computations may read reg instead
+	block     int32 // the basic block of pc
+	reuse     bool  // later computations may read reg instead
 }
 
 // newExtendedBlock empties the value table: the next block is entered
@@ -304,14 +316,14 @@ func (s *regScratch) number(pc int32, b int, in *ir.Instr) {
 				*in = ir.Instr{Op: ir.FMove, A: in.A, B: r}
 			} else {
 				// Recomputed: this instruction holds the value now.
-				e.reg, e.pc, e.block, e.reuse = in.A, pc, b, v.reuse
+				e.reg, e.pc, e.block, e.reuse = in.A, pc, int32(b), v.reuse
 			}
 		}
 		s.setVN(in.A, e.vn)
 		return
 	}
 	s.nextVN++
-	v.vn, v.reg, v.pc, v.block = s.nextVN, in.A, pc, b
+	v.vn, v.reg, v.pc, v.block = s.nextVN, in.A, pc, int32(b)
 	s.slotEpoch[slot] = s.ebb
 	s.slots[slot] = int32(len(s.values))
 	s.values = append(s.values, v)
@@ -395,7 +407,7 @@ func (s *regScratch) holder(e *vnValue, pc int32) (int32, bool) {
 			}
 		})
 	}
-	setBit(s.set(s.def, e.block), f)
+	setBit(s.set(s.def, int(e.block)), f)
 	s.stamp++
 	s.defStamp[f] = s.stamp
 	s.copyEpoch[f] = 0
