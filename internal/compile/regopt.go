@@ -97,6 +97,7 @@ type regScratch struct {
 	slots     []int32
 	slotEpoch []int32
 	ebb       int32 // never reset, so stale epochs never match
+	vnBase    int64 // the extended block's number for register 0's content
 	nextVN    int64
 	fresh     int // fresh registers the current extended block took
 	maxFresh  int // the most any extended block took
@@ -251,8 +252,9 @@ func (s *regScratch) newExtendedBlock() {
 	s.ebb++
 	s.values = s.values[:0]
 	s.fresh = 0
-	// Registers the block has not written number from here: one fresh
-	// number per register.
+	// A register the block reads before writing it numbers as vnBase + r:
+	// its content on entry is unknown, and unrelated to any other's.
+	s.vnBase = s.nextVN
 	s.nextVN += int64(s.regCap)
 }
 
@@ -260,7 +262,7 @@ func (s *regScratch) newExtendedBlock() {
 func (s *regScratch) vnOf(r int32) int64 {
 	if s.vnEpoch[r] != s.ebb {
 		s.vnEpoch[r] = s.ebb
-		s.vn[r] = s.nextVN - int64(s.regCap) + int64(r)
+		s.vn[r] = s.vnBase + int64(r)
 	}
 	return s.vn[r]
 }
@@ -314,6 +316,11 @@ func (s *regScratch) number(pc int32, b int, in *ir.Instr) {
 		if op != ir.FConst {
 			if r, ok := s.holder(e, pc); ok {
 				*in = ir.Instr{Op: ir.FMove, A: in.A, B: r}
+				// The move reads r, which an earlier block of the
+				// extended block may have written: record the use.
+				if !hasBit(s.set(s.def, b), r) {
+					setBit(s.set(s.use, b), r)
+				}
 			} else {
 				// Recomputed: this instruction holds the value now.
 				e.reg, e.pc, e.block, e.reuse = in.A, pc, int32(b), v.reuse

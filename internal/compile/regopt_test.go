@@ -2,6 +2,7 @@ package compile
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -405,5 +406,166 @@ func TestRegoptReusesOverwrittenValueThroughFreshRegister(t *testing.T) {
 	})
 	if ff.NumRegs != 5 {
 		t.Fatalf("NumRegs = %d, want 5", ff.NumRegs)
+	}
+}
+
+func TestRegoptKeepsUnrelatedEntryValuesApart(t *testing.T) {
+	// r1 and r0 are both first read inside the block, with a value
+	// numbered in between: their unknown contents must number apart, so
+	// r0 + r0 is not taken for r1 + r1.
+	ff := &ir.FlatFunc{NumRegs: 4, Code: []ir.Instr{
+		{Op: ir.FAdd, A: 2, B: 1, C: 1},
+		{Op: ir.FAdd, A: 3, B: 0, C: 0},
+		{Op: ir.FRet, A: 3},
+	}}
+	runRegopt(t, ff, []ir.Instr{
+		{Op: ir.FAdd, A: 3, B: 0, C: 0},
+		{Op: ir.FRet, A: 3},
+	})
+}
+
+// evalFlat runs straight-line-or-forward-branching pure code from the
+// given registers and returns what it returns: enough of the VM for
+// TestRegoptRandomPureCode.
+func evalFlat(t *testing.T, ff *ir.FlatFunc, init []int64) int64 {
+	t.Helper()
+	regs := make([]int64, max(ff.NumRegs, len(init)))
+	copy(regs, init)
+	b2i := func(b bool) int64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	for pc := 0; pc < len(ff.Code); pc++ {
+		in := ff.Code[pc]
+		a, b, c := &regs[0], int64(0), int64(0)
+		if in.Op.Regs().A == ir.RegDef {
+			a = &regs[in.A]
+		}
+		if in.Op.Regs().B == ir.RegUse {
+			b = regs[in.B]
+		}
+		if in.Op.Regs().C == ir.RegUse {
+			c = regs[in.C]
+		}
+		switch in.Op {
+		case ir.FConst:
+			*a = in.Imm
+		case ir.FMove:
+			*a = b
+		case ir.FAdd:
+			*a = b + c
+		case ir.FSub:
+			*a = b - c
+		case ir.FMul:
+			*a = b * c
+		case ir.FXor:
+			*a = b ^ c
+		case ir.FLt:
+			*a = b2i(b < c)
+		case ir.FEq:
+			*a = b2i(b == c)
+		case ir.FNeg:
+			*a = -b
+		case ir.FNot:
+			*a = b2i(b == 0)
+		case ir.FAddImm:
+			*a = b + in.Imm
+		case ir.FMulImm:
+			*a = b * in.Imm
+		case ir.FJmp:
+			pc = int(in.A) - 1
+		case ir.FJmpZ, ir.FJmpNZ:
+			if (regs[in.A] == 0) == (in.Op == ir.FJmpZ) {
+				pc = int(in.B) - 1
+			}
+		case ir.FBrEq, ir.FBrNe, ir.FBrLt, ir.FBrLe, ir.FBrGt, ir.FBrGe,
+			ir.FBrEqImm, ir.FBrNeImm, ir.FBrLtImm, ir.FBrLeImm, ir.FBrGtImm, ir.FBrGeImm:
+			x, y := regs[in.A], in.Imm
+			if in.Op.IsBranchRR() {
+				y = regs[in.B]
+			}
+			var holds bool
+			switch in.Op.BranchCmp() {
+			case ir.FEq:
+				holds = x == y
+			case ir.FNe:
+				holds = x != y
+			case ir.FLt:
+				holds = x < y
+			case ir.FLe:
+				holds = x <= y
+			case ir.FGt:
+				holds = x > y
+			case ir.FGe:
+				holds = x >= y
+			}
+			if holds {
+				pc = int(*in.Target()) - 1
+			}
+		case ir.FRet:
+			return regs[in.A]
+		default:
+			t.Fatalf("evalFlat: opcode %v", in.Op)
+		}
+	}
+	t.Fatal("evalFlat: fell off the end")
+	return 0
+}
+
+// TestRegoptRandomPureCode: regopt's copy propagation, value reuse,
+// deletion and fusion must keep what random pure code with forward
+// branches returns, from random register contents.
+func TestRegoptRandomPureCode(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	ops := []ir.Op{ir.FConst, ir.FMove, ir.FAdd, ir.FSub, ir.FMul, ir.FXor, ir.FLt, ir.FEq, ir.FNeg, ir.FNot, ir.FAddImm, ir.FMulImm}
+	const nregs = 6
+	fresh := 0 // programs that took a fresh register
+	for prog := 0; prog < 2000; prog++ {
+		n := 4 + rng.Intn(24)
+		code := make([]ir.Instr, 0, n+1)
+		reg := func() int32 { return int32(rng.Intn(nregs)) }
+		for pc := 0; pc < n; pc++ {
+			if pc > 0 && pc < n-1 && rng.Intn(6) == 0 {
+				op := []ir.Op{ir.FJmpZ, ir.FJmpNZ, ir.FJmp}[rng.Intn(3)]
+				tgt := int32(pc + 1 + rng.Intn(n-pc))
+				if op == ir.FJmp {
+					code = append(code, ir.Instr{Op: op, A: tgt})
+				} else {
+					code = append(code, ir.Instr{Op: op, A: reg(), B: tgt})
+				}
+				continue
+			}
+			op := ops[rng.Intn(len(ops))]
+			code = append(code, ir.Instr{Op: op, A: reg(), B: reg(), C: reg(), Imm: int64(rng.Intn(5))})
+			if op == ir.FConst || op.Regs().C != ir.RegUse {
+				code[len(code)-1].C = 0
+			}
+			if op == ir.FConst {
+				code[len(code)-1].B = 0
+			}
+		}
+		code = append(code, ir.Instr{Op: ir.FRet, A: reg()})
+		orig := &ir.FlatFunc{NumRegs: nregs, Code: code}
+		opt := &ir.FlatFunc{NumRegs: nregs, Code: append([]ir.Instr(nil), code...)}
+		var s regScratch
+		s.run(opt)
+		if opt.NumRegs > nregs {
+			fresh++
+		}
+		for trial := 0; trial < 4; trial++ {
+			init := make([]int64, nregs)
+			for i := range init {
+				init[i] = int64(rng.Intn(7) - 3)
+			}
+			if want, got := evalFlat(t, orig, init), evalFlat(t, opt, init); got != want {
+				t.Fatalf("program %d from %v: regopt changed the result %d to %d\n before: %v\n after:  %v",
+					prog, init, want, got, code, opt.Code)
+			}
+		}
+	}
+	if fresh == 0 {
+		t.Fatal("no program reused a value through a fresh register")
 	}
 }
