@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build bench-build bench-test fmt-check vet test race fuzz-smoke verify bench explore explore-smoke portfolio-smoke portfolio-race portfolio profile-smoke vet-smoke vet2-smoke obs vet-bench ablation serve-smoke serve-bench obs-smoke
+.PHONY: all build bench-build bench-test fmt-check vet test race fuzz-smoke verify bench explore explore-smoke portfolio-smoke profile-smoke vet-smoke vet2-smoke obs vet-bench ablation serve-smoke serve-bench obs-smoke
 
 all: verify
 
@@ -34,7 +34,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/paged ./internal/shadow ./internal/interp ./internal/refcount ./internal/sched ./internal/telemetry ./internal/portfolio ./internal/serve ./internal/obsrv ./internal/absint
+	$(GO) test -race ./internal/paged ./internal/shadow ./internal/interp ./internal/refcount ./internal/sched ./internal/telemetry ./internal/serve ./internal/obsrv ./internal/absint
 
 # fuzz-smoke fuzzes for 10 seconds each the shadow runtime against its
 # reference model (the n-readers-xor-1-writer rule over plain maps) and
@@ -48,9 +48,10 @@ fuzz-smoke:
 
 # verify is the gate for every change: build, the benchmark module's vet
 # and tests, gofmt, go vet, the full test suite, the race detector over
-# the concurrency-bearing packages, the shadow and compile fuzz smokes, and the
-# exploration, portfolio, profile, static-analysis, and execution-service
-# smokes.
+# the concurrency-bearing packages (the multi-worker explorer's tests
+# included), the shadow and compile fuzz smokes, and the exploration,
+# worker-count-independence, profile, static-analysis, and
+# execution-service smokes.
 verify: build bench-build bench-test fmt-check vet test race fuzz-smoke explore-smoke portfolio-smoke profile-smoke vet-smoke vet2-smoke serve-smoke obs-smoke
 
 bench:
@@ -77,26 +78,20 @@ explore-smoke:
 
 # portfolio-smoke pins the worker-count-independence contract from the
 # shell: the same seeded exploration at 1, 2, and 8 workers must write
-# byte-identical JSON, across all three sharing topologies.
+# byte-identical JSON. The rr pass repeats four strategy identities, so
+# most of its schedules are duplicates copied at the merge.
 portfolio-smoke:
-	@$(GO) run ./cmd/sharc explore -schedules 20 -seed 5 -workers 1 -json /tmp/shc-pf-1.json internal/interp/testdata/racy_pair.shc > /dev/null 2>&1; \
-	for workers in 2 8; do \
-		for share in none local global; do \
-			$(GO) run ./cmd/sharc explore -schedules 20 -seed 5 -workers $$workers -share $$share -json /tmp/shc-pf-k.json internal/interp/testdata/racy_pair.shc > /dev/null 2>&1; \
-			cmp /tmp/shc-pf-1.json /tmp/shc-pf-k.json || { echo "portfolio output diverges at workers=$$workers share=$$share"; exit 1; }; \
+	@$(GO) build -o /tmp/shc-pf-bin ./cmd/sharc
+	@for strategy in mix rr; do \
+		/tmp/shc-pf-bin explore -schedules 20 -seed 5 -strategy $$strategy -workers 1 -json /tmp/shc-pf-1.json internal/interp/testdata/racy_pair.shc > /dev/null 2>&1; \
+		[ -s /tmp/shc-pf-1.json ] || { echo "explore wrote no JSON"; exit 1; }; \
+		for workers in 2 8; do \
+			/tmp/shc-pf-bin explore -schedules 20 -seed 5 -strategy $$strategy -workers $$workers -json /tmp/shc-pf-k.json internal/interp/testdata/racy_pair.shc > /dev/null 2>&1; \
+			cmp /tmp/shc-pf-1.json /tmp/shc-pf-k.json || { echo "explore output diverges at strategy=$$strategy workers=$$workers"; exit 1; }; \
 		done; \
+		rm -f /tmp/shc-pf-1.json /tmp/shc-pf-k.json; \
 	done
 	@echo "portfolio-smoke ok"
-
-# portfolio-race hammers a multi-worker exploration of the racy corpus
-# under the race detector (the explorer's internal concurrency, not just
-# the packages' unit tests).
-portfolio-race:
-	$(GO) test -race ./internal/interp -run 'TestExploreWorkerCountIndependence|TestExploreProcessIsolation' -count 1
-
-# portfolio regenerates BENCH_portfolio.json (scaling vs worker count).
-portfolio:
-	$(GO) run ./cmd/sharc-bench -portfolio -reps 3
 
 # profile-smoke pins the deterministic-profile claim from the shell: the
 # same seeded profile twice, byte-identical, with the trace export intact.

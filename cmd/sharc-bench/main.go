@@ -14,11 +14,6 @@
 //	                                    the seeded-racy programs, compared
 //	                                    against free-running detection, also
 //	                                    written to BENCH_explore.json
-//	sharc-bench -portfolio              portfolio-exploration scaling on the
-//	                                    racy programs (throughput, time to
-//	                                    first finding, and duplicate skip
-//	                                    rate vs worker count), also written
-//	                                    to BENCH_portfolio.json
 //	sharc-bench -obs                    telemetry overhead tiers (off /
 //	                                    metrics / metrics+trace), also
 //	                                    written to BENCH_obs.json
@@ -58,9 +53,6 @@ func main() {
 	ladder := flag.Bool("ladder", false, "measure the incremental-annotation claim: unannotated vs annotated")
 	explore := flag.Bool("explore", false, "compare schedule exploration against free-running detection and write BENCH_explore.json")
 	exploreOut := flag.String("explore-out", "BENCH_explore.json", "output path for the exploration JSON")
-	pf := flag.Bool("portfolio", false, "measure portfolio-exploration scaling vs worker count and write BENCH_portfolio.json")
-	pfOut := flag.String("portfolio-out", "BENCH_portfolio.json", "output path for the portfolio-scaling JSON")
-	pfShare := flag.String("share", "local", "sharing topology for -portfolio: none, local, global")
 	obs := flag.Bool("obs", false, "measure telemetry overhead tiers and write BENCH_obs.json")
 	obsOut := flag.String("obs-out", "BENCH_obs.json", "output path for the telemetry-overhead JSON")
 	vetFlag := flag.Bool("vet", false, "measure static check discharge and write BENCH_vet.json")
@@ -231,24 +223,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *ablateOut)
-		return
-	}
-
-	if *pf {
-		rep, err := bench.PortfolioTable(*schedules, *reps, *pfShare)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("Portfolio exploration scaling (same seed, merged output identical at every worker count):")
-		fmt.Print(bench.FormatPortfolio(rep))
-		data, err := bench.PortfolioJSON(rep)
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*pfOut, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *pfOut)
 		return
 	}
 

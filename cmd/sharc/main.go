@@ -101,7 +101,6 @@ import (
 
 	"repro"
 	"repro/internal/obsrv"
-	"repro/internal/portfolio"
 	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
@@ -132,7 +131,6 @@ type cliFlags struct {
 	schedules int
 	strategy  string
 	workers   int
-	share     string
 	// profile only
 	top int
 	// vet only
@@ -281,12 +279,6 @@ var cliRules = []struct {
 	{"explore", exitBadValue, func(f *cliFlags) string {
 		if f.workers <= 0 {
 			return fmt.Sprintf("-workers must be positive, got %d", f.workers)
-		}
-		return ""
-	}},
-	{"explore", exitBadValue, func(f *cliFlags) string {
-		if !portfolio.ValidKind(f.share) {
-			return fmt.Sprintf("-share must be one of %s; got %q", strings.Join(portfolio.Kinds, ", "), f.share)
 		}
 		return ""
 	}},
@@ -469,7 +461,6 @@ func main() {
 		fs.StringVar(&f.strategy, "strategy", "mix", "schedule generator: mix, random, pct, rr")
 		fs.Int64Var(&f.seed, "seed", 1, "base exploration seed")
 		fs.IntVar(&f.workers, "workers", 1, "concurrent explorer workers (output is identical for any count)")
-		fs.StringVar(&f.share, "share", "local", "cross-worker sharing topology: none, local, global")
 		elisionFlags()
 		fs.StringVar(&f.jsonOut, "json", "", "also write the summary as JSON to this path")
 		fs.BoolVar(&f.metrics, "metrics", false, "aggregate per-site telemetry across schedules and print a summary")
@@ -657,12 +648,11 @@ func main() {
 			Strategy:  f.strategy,
 			Seed:      f.seed,
 			Workers:   f.workers,
-			Share:     f.share,
 		})
-		// Portfolio mechanics go to stderr: stdout and -json are pinned
-		// byte-identical across worker counts, and skip counts are not.
-		fmt.Fprintf(os.Stderr, "portfolio: %d worker(s), share=%s, %d duplicate schedule(s), %d execution(s) skipped\n",
-			sum.Workers, sum.Share, sum.Duplicates, sum.SkippedExecutions)
+		// The worker count goes to stderr: stdout and -json are pinned
+		// byte-identical across worker counts.
+		fmt.Fprintf(os.Stderr, "explore: %d worker(s), %d duplicate schedule(s)\n",
+			sum.Workers, sum.Duplicates)
 		fmt.Printf("explored %d schedules (%d scheduling decisions): %d distinct finding(s)\n",
 			sum.Schedules, sum.Decisions, len(sum.Findings))
 		for _, fd := range sum.Findings {

@@ -1,13 +1,13 @@
 package interp_test
 
-// The portfolio explorer's determinism contract, tested three ways:
+// The explorer's determinism contract, tested three ways:
 //
 //  1. Worker-count independence: the full summary (JSON) and the merged
-//     event trace are byte-identical for workers ∈ {1, 2, 8}, every
-//     sharing topology, and varied GOMAXPROCS.
+//     event trace are byte-identical for workers ∈ {1, 2, 8}, strategies
+//     with few and many duplicates, and varied GOMAXPROCS.
 //  2. Sequential equivalence: `Workers: 1` matches an independent
-//     in-test sequential reference — a plain loop with no goroutines, no
-//     sharing, and no memo skipping — on the full corpus.
+//     in-test sequential reference — a plain loop with no goroutines that
+//     executes every schedule, duplicates included — on the full corpus.
 //  3. Process isolation: two different programs explored concurrently
 //     (metrics and tracing on) each produce exactly their solo output,
 //     proving no shared mutable state across interp/sched/shadow/telemetry.
@@ -43,9 +43,11 @@ func exploreBytes(t *testing.T, sum *interp.ExploreSummary) (string, string) {
 	return string(data), trace.String()
 }
 
-// TestExploreWorkerCountIndependence pins the contract the portfolio
-// design rests on: same seed ⇒ byte-identical output for every worker
-// count, sharing topology, and GOMAXPROCS value.
+// TestExploreWorkerCountIndependence pins the contract the explorer rests
+// on: same seed ⇒ byte-identical output for every worker count and
+// GOMAXPROCS value. The rr strategy repeats four identities, so most of its
+// schedules are duplicates copied at the merge while metrics and a tracer
+// ring are on.
 func TestExploreWorkerCountIndependence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, file := range []string{"racy_pair.shc", "racy_handoff.shc", "bank.shc"} {
@@ -55,28 +57,31 @@ func TestExploreWorkerCountIndependence(t *testing.T) {
 			cfg := interp.DefaultConfig()
 			cfg.Metrics = true
 			cfg.TraceCapacity = 512 // smaller than the event stream: the ring-tail merge is exercised
-			run := func(workers int, share string) (string, string) {
-				sum := interp.Explore(prog, cfg, interp.ExploreOptions{
-					Schedules: 40, Seed: 3, Workers: workers, Share: share,
-				})
-				return exploreBytes(t, sum)
-			}
-			baseSum, baseTrace := run(1, "local")
-			if baseTrace == "" {
-				t.Fatal("tracing produced no events")
-			}
-			for _, workers := range []int{2, 8} {
-				for _, share := range []string{"none", "local", "global"} {
+			for _, kind := range []string{"mix", "rr"} {
+				run := func(workers int) (string, string) {
+					sum := interp.Explore(prog, cfg, interp.ExploreOptions{
+						Schedules: 40, Strategy: kind, Seed: 3, Workers: workers,
+					})
+					if kind == "rr" && sum.Duplicates == 0 {
+						t.Fatal("rr: no duplicate schedules; the copy-at-merge path is untested")
+					}
+					return exploreBytes(t, sum)
+				}
+				baseSum, baseTrace := run(1)
+				if baseTrace == "" {
+					t.Fatal("tracing produced no events")
+				}
+				for _, workers := range []int{2, 8} {
 					for _, procs := range []int{1, 4} {
 						runtime.GOMAXPROCS(procs)
-						sumJSON, trace := run(workers, share)
+						sumJSON, trace := run(workers)
 						if sumJSON != baseSum {
-							t.Errorf("workers=%d share=%s procs=%d: summary JSON diverges from workers=1",
-								workers, share, procs)
+							t.Errorf("%s workers=%d procs=%d: summary JSON diverges from workers=1",
+								kind, workers, procs)
 						}
 						if trace != baseTrace {
-							t.Errorf("workers=%d share=%s procs=%d: merged trace diverges from workers=1",
-								workers, share, procs)
+							t.Errorf("%s workers=%d procs=%d: merged trace diverges from workers=1",
+								kind, workers, procs)
 						}
 					}
 				}
@@ -113,8 +118,8 @@ func referenceStrategy(kind string, seed int64, i int, horizon int64) sched.Stra
 }
 
 // referenceExplore is the sequential reference: one schedule at a time, no
-// goroutines, no sharing layer, no memo skipping — every schedule executes,
-// duplicates included. The portfolio explorer must match it exactly.
+// goroutines, no copying — every schedule executes, duplicates included.
+// The explorer must match it exactly.
 func referenceExplore(t *testing.T, build func(ctl *sched.Controller) *interp.Runtime, kind string, seed int64, schedules int) *interp.ExploreSummary {
 	t.Helper()
 	sum := &interp.ExploreSummary{Schedules: schedules}
@@ -220,7 +225,7 @@ func TestExploreProcessIsolation(t *testing.T) {
 	cfg.TraceCapacity = 256
 	run := func(p *ir.Program) (string, string) {
 		sum := interp.Explore(p, cfg, interp.ExploreOptions{
-			Schedules: 20, Seed: 7, Workers: 4, Share: "local",
+			Schedules: 20, Seed: 7, Workers: 4,
 		})
 		return exploreBytes(t, sum)
 	}

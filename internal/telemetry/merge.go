@@ -1,6 +1,6 @@
 package telemetry
 
-// Deterministic merges for the portfolio explorer: every worker owns a
+// Deterministic merges for the multi-worker explorer: every worker owns a
 // fully instance-scoped collector, counter spine, and tracer, and the
 // merge stage folds them into the single snapshot and event stream the
 // sequential explorer used to produce. Merge semantics are chosen so the
@@ -117,7 +117,7 @@ func MergeGlobalStats(parts ...GlobalStats) GlobalStats {
 // MergeTracers folds per-worker event tracers into one frozen tracer whose
 // retained window is byte-identical to what a single sequential tracer of
 // the same capacity would have kept — provided each part's events were
-// appended in ascending schedule order (the portfolio workers' contract).
+// appended in ascending schedule order (the explorer workers' contract).
 //
 // Events are ordered by (schedule, per-part sequence) — a schedule's
 // events all live in one part, so the pair totally orders the stream —

@@ -87,7 +87,7 @@ func TestMergeTracersMatchesSequential(t *testing.T) {
 	for s, n := range sizes {
 		fillTracer(seq, s, n, &addr)
 	}
-	// Portfolio: schedule 0 on the calibration part, odd schedules on
+	// Explorer workers: schedule 0 on the calibration part, odd schedules on
 	// worker A, even on worker B — each part appends ascending.
 	calib, wa, wb := NewTracer(capacity, info), NewTracer(capacity, info), NewTracer(capacity, info)
 	addrOf := func(s int) int64 {

@@ -96,10 +96,10 @@ type Event struct {
 //
 // All state is instance-scoped — there is deliberately no package-level
 // mutable state anywhere in this package, so any number of checked
-// programs (or portfolio explorer workers) can trace concurrently in one
+// programs (or explorer workers) can trace concurrently in one
 // process. The step and sched stamps are ambient per-instance state: a
-// tracer must therefore be driven by one runtime at a time (the portfolio
-// explorer gives every worker its own tracer and merges afterwards with
+// tracer must therefore be driven by one runtime at a time (the explorer
+// gives every worker its own tracer and merges afterwards with
 // MergeTracers).
 type Tracer struct {
 	mu sync.Mutex
