@@ -37,13 +37,15 @@ race:
 	$(GO) test -race ./internal/paged ./internal/shadow ./internal/interp ./internal/refcount ./internal/sched ./internal/telemetry ./internal/serve ./internal/obsrv ./internal/absint
 
 # fuzz-smoke fuzzes for 10 seconds each the shadow runtime against its
-# reference model (the n-readers-xor-1-writer rule over plain maps) and
-# the front end plus compile pipeline against the flat verifier (no
-# panic, no "ir verification failed"). New coverage is minimized for at
-# most 1s, so the smoke spends its time executing inputs rather than
-# shrinking them.
+# reference model (the n-readers-xor-1-writer rule over plain maps), the
+# two-level paged tables against a map model of their elements, bits and
+# allocated pages, and the front end plus compile pipeline against the
+# flat verifier (no panic, no "ir verification failed"). New coverage is
+# minimized for at most 1s, so the smoke spends its time executing inputs
+# rather than shrinking them.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzShadowDiscipline$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/shadow
+	$(GO) test -run '^$$' -fuzz '^FuzzPagedTable$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/paged
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileVerifies$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core
 
 # verify is the gate for every change: build, the benchmark module's vet

@@ -67,7 +67,9 @@ func BenchmarkTable1Stunnel(b *testing.B) { benchPair(b, "stunnel") }
 
 // BenchmarkInterpNew measures runtime set-up alone. Memory is demand-paged,
 // so B/op is the page directories plus what the program's initializers
-// write, not the configured address space.
+// write, not the configured address space. The cell memory's one-level
+// directory (~41 KB) is most of a trivial program's B/op: the side tables'
+// two-level directories allocate their leaves on first write.
 func BenchmarkInterpNew(b *testing.B) {
 	trivial, err := core.Analyze(parser.Source{Name: "trivial.shc", Text: `int main(void) { return 0; }`})
 	if err != nil {

@@ -43,8 +43,8 @@ func TestNewAllocatesNoArena(t *testing.T) {
 	prog := buildProg(t, `int main(void) { return 0; }`)
 	n := bytesAllocated(func() { interp.New(prog, interp.DefaultConfig()) })
 	t.Logf("interp.New: %d KiB", n>>10)
-	if n >= 256<<10 {
-		t.Fatalf("interp.New of a trivial program allocated %d KiB, want < 256 KiB", n>>10)
+	if n >= 64<<10 {
+		t.Fatalf("interp.New of a trivial program allocated %d KiB, want < 64 KiB", n>>10)
 	}
 }
 

@@ -5,13 +5,22 @@
 // marks).
 //
 // A program touches a small fraction of its address space, as native
-// SharC's minor-pagefault measurements show, so a table allocates only a
-// directory of page pointers up front. A read of an element whose page was
+// SharC's minor-pagefault measurements show, so a table allocates pages
+// only when they are first written. A read of an element whose page was
 // never written sees the zero value and allocates nothing. The first write
 // to a page allocates it and publishes it with a compare-and-swap on the
 // nil directory entry; a writer that loses the race uses the winner's
 // page. Pages are never freed or replaced, so a pointer into a page stays
 // valid for the table's lifetime.
+//
+// The side tables (Table, and Bits on top of it) use a two-level radix
+// directory: a top-level slice points to leaves of 64 page pointers, and a
+// leaf is allocated, like a page, on the first write under it. Creating a
+// table then costs one pointer per 64 pages, so a runtime's set-up grows
+// with the pages it touches rather than with its address space. The cell
+// memory (Int64s) keeps a one-level directory: the VM inlines its Load and
+// Store on every access, where the second indirection costs more than the
+// one directory it would save.
 package paged
 
 import "sync/atomic"
@@ -25,69 +34,126 @@ const pageSize = 1 << pageShift
 
 const pageMask = pageSize - 1
 
-// Table is a fixed-length array of n elements of T whose pages are
-// allocated on first write. T is normally a sync/atomic type, so elements
-// are accessed concurrently through the pointers Slot and Lookup return.
-// The zero Table has length 0. Indexes are not range-checked beyond the
-// directory: callers check them against Len.
+// leafShift sizes every directory leaf: 64 page pointers, 512 bytes.
+const leafShift = 6
+
+// leafSize is the number of pages one leaf covers.
+const leafSize = 1 << leafShift
+
+const leafMask = leafSize - 1
+
+// leaf is the second level of a Table's directory.
+type leaf[T any] [leafSize]atomic.Pointer[[pageSize]T]
+
+// Table is a fixed-length array of n elements of T whose directory leaves
+// and pages are allocated on first write. T is normally a sync/atomic
+// type, so elements are accessed concurrently through the pointers Slot
+// and Lookup return. The zero Table has length 0. Indexes are not
+// range-checked beyond the directory: callers check them against Len.
 type Table[T any] struct {
 	n   int64
-	dir []atomic.Pointer[[pageSize]T]
+	top []atomic.Pointer[leaf[T]]
 }
 
-// NewTable returns a table of n zero elements with no pages allocated.
+// NewTable returns a table of n zero elements with no leaves or pages
+// allocated.
 func NewTable[T any](n int64) Table[T] {
-	return Table[T]{n: n, dir: make([]atomic.Pointer[[pageSize]T], (n+pageMask)>>pageShift)}
+	pages := (n + pageMask) >> pageShift
+	return Table[T]{n: n, top: make([]atomic.Pointer[leaf[T]], (pages+leafMask)>>leafShift)}
 }
 
 // Len returns the number of elements.
 func (t *Table[T]) Len() int64 { return t.n }
 
+// page returns page pi, or nil when it or its leaf was never allocated.
+func (t *Table[T]) page(pi int64) *[pageSize]T {
+	l := t.top[pi>>leafShift].Load()
+	if l == nil {
+		return nil
+	}
+	return l[pi&leafMask].Load()
+}
+
 // Lookup returns a pointer to element i, or nil when its page was never
 // allocated (every element of such a page is the zero value). It never
 // allocates.
 func (t *Table[T]) Lookup(i int64) *T {
-	p := t.dir[i>>pageShift].Load()
+	p := t.page(i >> pageShift)
 	if p == nil {
 		return nil
 	}
 	return &p[i&pageMask]
 }
 
-// Slot returns a pointer to element i, allocating its page on first use.
+// Slot returns a pointer to element i, allocating its leaf and page on
+// first use.
 func (t *Table[T]) Slot(i int64) *T {
-	if p := t.dir[i>>pageShift].Load(); p != nil {
+	if p := t.page(i >> pageShift); p != nil {
 		return &p[i&pageMask]
 	}
 	return &t.alloc(i >> pageShift)[i&pageMask]
 }
 
 // Allocated reports whether the page of any element in [lo, hi) has been
-// allocated. It never allocates.
+// allocated. Indexes past the table's last page have none. It never
+// allocates.
 func (t *Table[T]) Allocated(lo, hi int64) bool {
-	for pi := lo >> pageShift; pi <= (hi-1)>>pageShift && pi < int64(len(t.dir)); pi++ {
-		if t.dir[pi].Load() != nil {
+	if lo >= hi {
+		return false
+	}
+	last := min((hi-1)>>pageShift, (t.n-1)>>pageShift)
+	for pi := lo >> pageShift; pi <= last; {
+		l := t.top[pi>>leafShift].Load()
+		if l == nil {
+			pi = (pi>>leafShift + 1) << leafShift // skip the absent leaf
+			continue
+		}
+		if l[pi&leafMask].Load() != nil {
 			return true
 		}
+		pi++
 	}
 	return false
 }
 
-// alloc installs a fresh page at directory index pi, or returns the page a
-// concurrent writer installed first.
+// alloc installs a fresh page at page index pi, first installing its leaf
+// if there is none, and returns the leaf or page a concurrent writer
+// installed first where it lost a race.
 func (t *Table[T]) alloc(pi int64) *[pageSize]T {
+	lp := &t.top[pi>>leafShift]
+	l := lp.Load()
+	if l == nil {
+		fresh := new(leaf[T])
+		if lp.CompareAndSwap(nil, fresh) {
+			l = fresh
+		} else {
+			l = lp.Load()
+		}
+	}
+	pp := &l[pi&leafMask]
 	fresh := new([pageSize]T)
-	if t.dir[pi].CompareAndSwap(nil, fresh) {
+	if pp.CompareAndSwap(nil, fresh) {
 		return fresh
 	}
-	return t.dir[pi].Load()
+	return pp.Load()
 }
 
-// Int64s is a table of atomically accessed int64 values.
-type Int64s struct{ Table[atomic.Int64] }
+// Int64s is a fixed-length array of n atomically accessed int64 values,
+// the interpreter's cell memory. Its directory has one level: one page
+// pointer per 512 cells, allocated up front.
+type Int64s struct {
+	n   int64
+	dir []atomic.Pointer[[pageSize]atomic.Int64]
+}
 
-// NewInt64s returns a table of n zero int64 values.
-func NewInt64s(n int64) Int64s { return Int64s{NewTable[atomic.Int64](n)} }
+// NewInt64s returns a table of n zero int64 values with no pages
+// allocated.
+func NewInt64s(n int64) Int64s {
+	return Int64s{n: n, dir: make([]atomic.Pointer[[pageSize]atomic.Int64], (n+pageMask)>>pageShift)}
+}
+
+// Len returns the number of elements.
+func (t *Int64s) Len() int64 { return t.n }
 
 // Load atomically reads element i; an untouched page reads as 0.
 func (t *Int64s) Load(i int64) int64 {
@@ -110,6 +176,16 @@ func (t *Int64s) Store(i, v int64) {
 		p = t.alloc(i >> pageShift)
 	}
 	p[i&pageMask].Store(v)
+}
+
+// alloc installs a fresh page at directory index pi, or returns the page a
+// concurrent writer installed first.
+func (t *Int64s) alloc(pi int64) *[pageSize]atomic.Int64 {
+	fresh := new([pageSize]atomic.Int64)
+	if t.dir[pi].CompareAndSwap(nil, fresh) {
+		return fresh
+	}
+	return t.dir[pi].Load()
 }
 
 // Bits is a bitmap whose bits are tested, set and cleared atomically.

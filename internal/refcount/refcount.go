@@ -77,7 +77,7 @@ type LP struct {
 	// demand-paged: programs touch a small fraction of the address space,
 	// and eager full-memory arrays dominate startup cost.
 	dirty     [2]paged.Bits
-	loggedOld [2]paged.Int64s
+	loggedOld [2]paged.Table[atomic.Int64]
 	cells     int
 
 	// logs[e][tid] lists the slots thread tid dirtied in epoch e.
@@ -102,7 +102,7 @@ func NewLP(cells int, resolve Resolver) *LP {
 	lp := &LP{resolve: resolve, cells: cells}
 	for e := 0; e < 2; e++ {
 		lp.dirty[e] = paged.NewBits(int64(cells))
-		lp.loggedOld[e] = paged.NewInt64s(int64(cells))
+		lp.loggedOld[e] = paged.NewTable[atomic.Int64](int64(cells))
 	}
 	return lp
 }
@@ -118,13 +118,27 @@ func (lp *LP) Barrier(tid int, slot, old, _ int64) {
 	lp.seq[tid].Add(1) // odd: in barrier
 	e := int(lp.epoch.Load() & 1)
 	if !lp.dirty[e].Test(slot) {
-		// Store the old value before publishing the dirty bit.
-		lp.loggedOld[e].Store(slot, old)
+		// Store the old value before publishing the dirty bit. An
+		// untouched page already holds the 0 a zero store would write.
+		if c := lp.loggedOld[e].Lookup(slot); c != nil {
+			c.Store(old)
+		} else if old != 0 {
+			lp.loggedOld[e].Slot(slot).Store(old)
+		}
 		if lp.dirty[e].Set(slot) {
 			lp.logs[e][tid] = append(lp.logs[e][tid], slot)
 		}
 	}
 	lp.seq[tid].Add(1) // even: out
+}
+
+// loggedValue returns the value logged for slot in generation e; an untouched
+// page reads as 0.
+func (lp *LP) loggedValue(e int, slot int64) int64 {
+	if c := lp.loggedOld[e].Lookup(slot); c != nil {
+		return c.Load()
+	}
+	return 0
 }
 
 func (lp *LP) countCell(obj int64) *atomic.Int64 {
@@ -167,7 +181,7 @@ func (lp *LP) Collect(tid int) {
 		lp.logs[oldE][t] = log[:0]
 		lp.logged.Add(int64(len(log)))
 		for _, slot := range log {
-			old := lp.loggedOld[oldE].Load(slot)
+			old := lp.loggedValue(oldE, slot)
 			if obj := lp.resolve(old); obj != 0 {
 				lp.countCell(obj).Add(-1)
 			}
@@ -177,7 +191,7 @@ func (lp *LP) Collect(tid int) {
 			// end-of-epoch value and logged it).
 			cur := lp.mem.LoadCell(slot)
 			if lp.dirty[newE].Test(slot) {
-				cur = lp.loggedOld[newE].Load(slot)
+				cur = lp.loggedValue(newE, slot)
 			}
 			if obj := lp.resolve(cur); obj != 0 {
 				lp.countCell(obj).Add(1)

@@ -82,15 +82,6 @@ func (c *Conflict) Error() string {
 		c.Last.Tid, c.Last.Site.LValue, c.Last.Site.Pos.File, c.Last.Site.Pos.Line)
 }
 
-// threadLog collects the granules one thread has set bits on (first access
-// only), so ClearThread is proportional to the thread's footprint. Each
-// thread appends to its own log under its own lock: first accesses by
-// different threads never serialize on a shared mutex.
-type threadLog struct {
-	mu sync.Mutex
-	gs []int32
-}
-
 // Shadow tracks reader/writer sets for a fixed-size cell memory. The
 // per-granule state is demand-paged (internal/paged): programs use a small
 // fraction of the address space, and eager full-size arrays would dominate
@@ -107,8 +98,15 @@ type Shadow struct {
 	sites   []Site
 	siteIDs map[Site]uint32
 
-	// logs[tid] is thread tid's first-access log.
-	logs [MaxThreads + 1]threadLog
+	// logs[tid] lists the granules thread tid has set bits on (first
+	// access only), so ClearThread is proportional to the thread's
+	// footprint. The logs have no lock. Only the goroutine holding tid
+	// appends to logs[tid] (ChkRead, ChkWrite) and calls ClearThread(tid),
+	// which the runtime does in its thread epilogue before returning tid
+	// to its id pool; the pool's channel orders one holder's last use of
+	// the log before the next holder's first. ClearThread truncates the
+	// log and keeps its capacity for that next holder.
+	logs [MaxThreads + 1][]int32
 }
 
 // New returns a shadow for a memory of the given number of cells.
@@ -184,24 +182,17 @@ func (s *Shadow) PagesTouched() int {
 }
 
 func (s *Shadow) logFirstAccess(tid, g int) {
-	l := &s.logs[tid]
-	l.mu.Lock()
-	l.gs = append(l.gs, int32(g))
-	l.mu.Unlock()
+	s.logs[tid] = append(s.logs[tid], int32(g))
 }
 
-// takeLog detaches and returns tid's first-access log.
-func (s *Shadow) takeLog(tid int) []int32 {
-	l := &s.logs[tid]
-	l.mu.Lock()
-	log := l.gs
-	l.gs = nil
-	l.mu.Unlock()
-	return log
-}
-
+// recordLast notes the access as granule g's last. A thread re-checking a
+// granule it checked last finds the value already there and stores
+// nothing, so it does not write to a shared cache line on every check.
 func (s *Shadow) recordLast(g int, tid int, kind AccessKind, siteID uint32) {
-	s.last.Slot(int64(g)).Store(uint64(tid)<<33 | uint64(kind&1)<<32 | uint64(siteID))
+	v := uint64(tid)<<33 | uint64(kind&1)<<32 | uint64(siteID)
+	if c := s.last.Slot(int64(g)); c.Load() != v {
+		c.Store(v)
+	}
 }
 
 func (s *Shadow) lastAccess(g int) Access {
@@ -218,7 +209,8 @@ func (s *Shadow) lastAccess(g int) Access {
 
 // ChkRead implements chkread: thread tid reads the granule holding cell.
 // It returns a conflict when another thread writes the granule, updating
-// the reader set otherwise.
+// the reader set otherwise. Only the goroutine holding tid may call it
+// (see Shadow.logs).
 func (s *Shadow) ChkRead(tid int, cell int64, siteID uint32) *Conflict {
 	g := granuleOf(cell)
 	if g >= s.granules {
@@ -247,7 +239,8 @@ func (s *Shadow) ChkRead(tid int, cell int64, siteID uint32) *Conflict {
 
 // ChkWrite implements chkwrite: thread tid writes the granule holding
 // cell. It returns a conflict when any other thread reads or writes the
-// granule, updating the writer marking otherwise.
+// granule, updating the writer marking otherwise. Only the goroutine
+// holding tid may call it.
 func (s *Shadow) ChkWrite(tid int, cell int64, siteID uint32) *Conflict {
 	g := granuleOf(cell)
 	if g >= s.granules {
@@ -286,9 +279,12 @@ func (s *Shadow) conflict(cell int64, g, tid int, kind AccessKind, siteID uint32
 
 // ClearThread removes tid's bits from every granule it touched: SharC does
 // not consider accesses by threads whose lifetimes do not overlap to race.
+// Only the goroutine holding tid may call it, after its last check.
 func (s *Shadow) ClearThread(tid int) {
 	me := uint32(1) << uint(tid)
-	for _, g32 := range s.takeLog(tid) {
+	log := s.logs[tid]
+	s.logs[tid] = log[:0]
+	for _, g32 := range log {
 		wp := s.word(int(g32))
 		for {
 			w := wp.Load()

@@ -105,6 +105,33 @@ func TestClearThreadAllowsHandoff(t *testing.T) {
 	}
 }
 
+// TestClearThreadKeepsLogCapacity: the next holder of a tid reuses the
+// first-access log's capacity, so first accesses up to the previous
+// holder's footprint append without allocating, and the cleared thread's
+// bits are gone.
+func TestClearThreadKeepsLogCapacity(t *testing.T) {
+	s := New(4096)
+	id := site(s, "x", 1)
+	touch := func(tid int) {
+		for cell := int64(0); cell < 4096; cell += GranuleCells {
+			if c := s.ChkWrite(tid, cell, id); c != nil {
+				t.Fatal(c)
+			}
+		}
+	}
+	touch(1) // grows the log and allocates the shadow pages
+	s.ClearThread(1)
+	if allocs := testing.AllocsPerRun(10, func() {
+		touch(1)
+		s.ClearThread(1)
+	}); allocs != 0 {
+		t.Fatalf("a holder whose footprint fits the kept log allocated %v times", allocs)
+	}
+	if c := s.ChkWrite(2, 100, id); c != nil {
+		t.Fatalf("ClearThread left thread 1's bits: %v", c)
+	}
+}
+
 func TestClearRangeOnFree(t *testing.T) {
 	s := New(64)
 	id := site(s, "x", 1)
