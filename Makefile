@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build bench-build bench-test fmt-check vet test race fuzz-smoke verify bench explore explore-smoke portfolio-smoke profile-smoke vet-smoke vet2-smoke obs vet-bench ablation serve-smoke serve-bench obs-smoke
+.PHONY: all build bench-build bench-test fmt-check vet test race fuzz-smoke verify bench explore explore-smoke workers-smoke profile-smoke vet-smoke vet2-smoke obs vet-bench ablation serve-smoke serve-bench obs-smoke
 
 all: verify
 
@@ -39,13 +39,15 @@ race:
 # fuzz-smoke fuzzes for 10 seconds each the shadow runtime against its
 # reference model (the n-readers-xor-1-writer rule over plain maps), the
 # two-level paged tables against a map model of their elements, bits and
-# allocated pages, and the front end plus compile pipeline against the
-# flat verifier (no panic, no "ir verification failed"). New coverage is
-# minimized for at most 1s, so the smoke spends its time executing inputs
-# rather than shrinking them.
+# allocated pages, the cell memory against a map model that empties when
+# the memory is released and its directory reused, and the front end plus
+# compile pipeline against the flat verifier (no panic, no "ir
+# verification failed"). New coverage is minimized for at most 1s, so the
+# smoke spends its time executing inputs rather than shrinking them.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzShadowDiscipline$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/shadow
 	$(GO) test -run '^$$' -fuzz '^FuzzPagedTable$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/paged
+	$(GO) test -run '^$$' -fuzz '^FuzzInt64s$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/paged
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileVerifies$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core
 
 # verify is the gate for every change: build, the benchmark module's vet
@@ -54,7 +56,7 @@ fuzz-smoke:
 # included), the shadow and compile fuzz smokes, and the exploration,
 # worker-count-independence, profile, static-analysis, and
 # execution-service smokes.
-verify: build bench-build bench-test fmt-check vet test race fuzz-smoke explore-smoke portfolio-smoke profile-smoke vet-smoke vet2-smoke serve-smoke obs-smoke
+verify: build bench-build bench-test fmt-check vet test race fuzz-smoke explore-smoke workers-smoke profile-smoke vet-smoke vet2-smoke serve-smoke obs-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -78,22 +80,27 @@ explore-smoke:
 		done; \
 	done
 
-# portfolio-smoke pins the worker-count-independence contract from the
+# workers-smoke pins the worker-count-independence contract from the
 # shell: the same seeded exploration at 1, 2, and 8 workers must write
 # byte-identical JSON. The rr pass repeats four strategy identities, so
-# most of its schedules are duplicates copied at the merge.
-portfolio-smoke:
+# most of its schedules are duplicates copied at the merge. racy_fresh
+# reads memory before writing it, and its reports depend on reading 0, so
+# a cell leaking from one schedule's runtime into the next one set up on
+# its recycled memory shows as a diff.
+workers-smoke:
 	@$(GO) build -o /tmp/shc-pf-bin ./cmd/sharc
-	@for strategy in mix rr; do \
-		/tmp/shc-pf-bin explore -schedules 20 -seed 5 -strategy $$strategy -workers 1 -json /tmp/shc-pf-1.json internal/interp/testdata/racy_pair.shc > /dev/null 2>&1; \
-		[ -s /tmp/shc-pf-1.json ] || { echo "explore wrote no JSON"; exit 1; }; \
-		for workers in 2 8; do \
-			/tmp/shc-pf-bin explore -schedules 20 -seed 5 -strategy $$strategy -workers $$workers -json /tmp/shc-pf-k.json internal/interp/testdata/racy_pair.shc > /dev/null 2>&1; \
-			cmp /tmp/shc-pf-1.json /tmp/shc-pf-k.json || { echo "explore output diverges at strategy=$$strategy workers=$$workers"; exit 1; }; \
+	@for prog in racy_pair racy_fresh; do \
+		for strategy in mix rr; do \
+			/tmp/shc-pf-bin explore -schedules 20 -seed 5 -strategy $$strategy -workers 1 -json /tmp/shc-pf-1.json internal/interp/testdata/$$prog.shc > /dev/null 2>&1; \
+			[ -s /tmp/shc-pf-1.json ] || { echo "explore wrote no JSON for $$prog"; exit 1; }; \
+			for workers in 2 8; do \
+				/tmp/shc-pf-bin explore -schedules 20 -seed 5 -strategy $$strategy -workers $$workers -json /tmp/shc-pf-k.json internal/interp/testdata/$$prog.shc > /dev/null 2>&1; \
+				cmp /tmp/shc-pf-1.json /tmp/shc-pf-k.json || { echo "explore output diverges on $$prog at strategy=$$strategy workers=$$workers"; exit 1; }; \
+			done; \
+			rm -f /tmp/shc-pf-1.json /tmp/shc-pf-k.json; \
 		done; \
-		rm -f /tmp/shc-pf-1.json /tmp/shc-pf-k.json; \
 	done
-	@echo "portfolio-smoke ok"
+	@echo "workers-smoke ok"
 
 # profile-smoke pins the deterministic-profile claim from the shell: the
 # same seeded profile twice, byte-identical, with the trace export intact.

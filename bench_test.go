@@ -69,7 +69,9 @@ func BenchmarkTable1Stunnel(b *testing.B) { benchPair(b, "stunnel") }
 // so B/op is the page directories plus what the program's initializers
 // write, not the configured address space. The cell memory's one-level
 // directory (~41 KB) is most of a trivial program's B/op: the side tables'
-// two-level directories allocate their leaves on first write.
+// two-level directories allocate their leaves on first write. The
+// Released variants release each runtime, as explore does per schedule,
+// so New reuses the released cell directory.
 func BenchmarkInterpNew(b *testing.B) {
 	trivial, err := core.Analyze(parser.Source{Name: "trivial.shc", Text: `int main(void) { return 0; }`})
 	if err != nil {
@@ -90,6 +92,15 @@ func BenchmarkInterpNew(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				newRuntime = interp.New(p.prog, interp.DefaultConfig())
+			}
+		})
+	}
+	for _, p := range progs {
+		b.Run(p.name+"Released", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				newRuntime = interp.New(p.prog, interp.DefaultConfig())
+				newRuntime.Release()
 			}
 		})
 	}

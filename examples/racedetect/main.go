@@ -13,17 +13,29 @@ import (
 	"repro/internal/token"
 )
 
+// The demo's access sites; a check names its site by index into sites.
+const (
+	wr1 uint32 = iota
+	rd2
+	wr3
+	wr4
+)
+
+var sites = []shadow.Site{
+	wr1: site("buf[i]", 10),
+	rd2: site("buf[i]", 22),
+	wr3: site("buf[0]", 31),
+	wr4: site("buf[0]", 44),
+}
+
+func site(lv string, line int) shadow.Site {
+	return shadow.Site{LValue: lv, Pos: token.Pos{File: "demo.c", Line: line, Col: 1}}
+}
+
 func main() {
-	s := shadow.New(1 << 16)
-	site := func(lv string, line int) uint32 {
-		return s.InternSite(shadow.Site{
-			LValue: lv,
-			Pos:    token.Pos{File: "demo.c", Line: line, Col: 1},
-		})
-	}
+	s := shadow.New(1<<16, sites)
 
 	// Phase 1: thread 1 owns a buffer and fills it.
-	wr1 := site("buf[i]", 10)
 	for cell := int64(0); cell < 64; cell++ {
 		if c := s.ChkWrite(1, cell, wr1); c != nil {
 			fmt.Println(c.Error())
@@ -34,7 +46,6 @@ func main() {
 	// Phase 2: ownership handoff — the sharing cast clears the sets, and
 	// thread 2 becomes the sole accessor.
 	s.ClearRange(0, 64)
-	rd2 := site("buf[i]", 22)
 	clean := true
 	for cell := int64(0); cell < 64; cell++ {
 		if c := s.ChkRead(2, cell, rd2); c != nil {
@@ -49,7 +60,6 @@ func main() {
 	// Phase 3: thread 3 races with thread 2 on the same granule.
 	var wg sync.WaitGroup
 	conflicts := make(chan *shadow.Conflict, 4)
-	wr3 := site("buf[0]", 31)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -67,7 +77,6 @@ func main() {
 	// Thread exit clears a thread's bits: sequential reuse is no race.
 	s.ClearThread(2)
 	s.ClearThread(3)
-	wr4 := site("buf[0]", 44)
 	if c := s.ChkWrite(4, 0, wr4); c == nil {
 		fmt.Println("phase 4: after both threads exited, thread 4 owns the granule")
 	}

@@ -70,7 +70,7 @@ func TestCheckTotalsAccountForEverySite(t *testing.T) {
 		}
 		builds += 2
 	}
-	if builds != 48 {
-		t.Fatalf("compared %d builds, want 48", builds)
+	if builds != 50 {
+		t.Fatalf("compared %d builds, want 50", builds)
 	}
 }

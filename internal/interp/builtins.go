@@ -383,18 +383,16 @@ func (t *thread) doSpawn(fnVal, arg int64, pos token.Pos) int64 {
 		// pool is dry, hand the token away until some thread exits (exiting
 		// threads return their id before their Exit point).
 		for {
-			select {
-			case tid = <-rt.tidPool:
-			default:
-				if !rt.ctl.AwaitExit(t.skey) {
-					t.schedDown(pos)
-				}
-				continue
+			var ok bool
+			if tid, ok = rt.tryTid(); ok {
+				break
 			}
-			break
+			if !rt.ctl.AwaitExit(t.skey) {
+				t.schedDown(pos)
+			}
 		}
 	} else {
-		tid = <-rt.tidPool
+		tid = rt.acquireTid()
 	}
 	handle := rt.nextHandle.Add(1)
 	th := &threadHandle{tid: tid, done: make(chan struct{})}

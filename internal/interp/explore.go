@@ -193,6 +193,7 @@ func (e *exploration) run(i int, ins instruments) {
 	if e.metrics {
 		res.global = rt.globalStats()
 	}
+	rt.Release()
 	e.results[i] = res
 }
 

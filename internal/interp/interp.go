@@ -187,7 +187,6 @@ type Runtime struct {
 	heapBase  int64
 
 	shadow    *shadow.Shadow
-	siteIDs   []uint32 // program site -> shadow site
 	rc        refcount.Manager
 	barriered paged.Bits // cells ever stored through a barrier
 
@@ -214,6 +213,12 @@ type Runtime struct {
 	outMu sync.Mutex
 	out   io.Writer
 
+	// Thread ids: freshTids counts the ids handed out that no thread has
+	// held before (1..freshTids), and tidPool holds the ids finished
+	// threads returned, in return order. An acquire takes a fresh id while
+	// any is left, so ids go out in the order of a FIFO pre-filled with
+	// 1..MaxThreads without New filling one.
+	freshTids  atomic.Int32
 	tidPool    chan int
 	handles    sync.Map // handle -> *threadHandle
 	nextHandle atomic.Int64
@@ -301,15 +306,7 @@ func New(prog *ir.Program, cfg Config) *Runtime {
 	if rt.tracer == nil && cfg.TraceCapacity > 0 {
 		rt.tracer = telemetry.NewTracer(cfg.TraceCapacity, siteInfos(prog))
 	}
-	rt.shadow = shadow.New(int(memCells))
-	for t := 1; t <= shadow.MaxThreads; t++ {
-		rt.tidPool <- t
-	}
-	// Intern report sites into the shadow.
-	rt.siteIDs = make([]uint32, len(prog.Sites))
-	for i, s := range prog.Sites {
-		rt.siteIDs[i] = rt.shadow.InternSite(shadow.Site{LValue: s.LValue, Pos: s.Pos})
-	}
+	rt.shadow = shadow.New(int(memCells), prog.Sites)
 	if rt.tracer != nil && rt.ctl != nil {
 		rt.ctl.SetObserver(schedObs{rt: rt})
 	}
@@ -575,8 +572,11 @@ func (rt *Runtime) addThreadStats(t *thread) {
 // keeps stray goroutines out of the host process). It returns main's exit
 // value.
 func (rt *Runtime) Run() (int64, error) {
+	if rt.mem.Len() == 0 {
+		panic("interp: Run of a released runtime")
+	}
 	mainIdx := rt.prog.Main
-	tid := <-rt.tidPool
+	tid := rt.acquireTid()
 	t := rt.newThread(tid)
 	if rt.ctl != nil {
 		t.skey = rt.ctl.Register()
@@ -597,6 +597,43 @@ func (rt *Runtime) Run() (int64, error) {
 		return ret, fmt.Errorf("%s", fails[0].Msg)
 	}
 	return ret, nil
+}
+
+// Release returns the runtime's cell memory for reuse by a later New (see
+// paged.Int64s.Release). Call it after the runtime's last use: once Run
+// has returned and the reports, statistics and telemetry wanted from it
+// are taken. A released runtime's memory is empty, so running it again
+// panics instead of reading another runtime's cells. Release is
+// idempotent.
+func (rt *Runtime) Release() { rt.mem.Release() }
+
+// tryTid takes a free thread id without blocking: a fresh id while any is
+// left, then one a finished thread returned.
+func (rt *Runtime) tryTid() (int, bool) {
+	for {
+		n := rt.freshTids.Load()
+		if n >= shadow.MaxThreads {
+			break
+		}
+		if rt.freshTids.CompareAndSwap(n, n+1) {
+			return int(n) + 1, true
+		}
+	}
+	select {
+	case tid := <-rt.tidPool:
+		return tid, true
+	default:
+		return 0, false
+	}
+}
+
+// acquireTid takes a free thread id, waiting for a thread to exit when
+// every id is held.
+func (rt *Runtime) acquireTid() int {
+	if tid, ok := rt.tryTid(); ok {
+		return tid
+	}
+	return <-rt.tidPool
 }
 
 // ErrInterrupted is returned by Run when the execution was cut short by

@@ -122,7 +122,7 @@ func (t *thread) applyCheck(addr int64, chk ir.Check, write bool) {
 	case ir.CheckDynamic:
 		t.nDynamic++
 		var c *shadow.Conflict
-		sid := t.rt.siteIDs[chk.Site]
+		sid := uint32(chk.Site)
 		if write {
 			c = t.rt.shadow.ChkWrite(t.tid, addr, sid)
 		} else {

@@ -141,3 +141,72 @@ func checkDirectory[T any](t *testing.T, name string, tab *Table[T], pages map[i
 		}
 	}
 }
+
+// fuzzCells is the longest length of FuzzInt64s's tables: six full pages
+// and a partial seventh.
+const fuzzCells = 6*pageSize + 37
+
+// FuzzInt64s runs Int64s against a map model of its elements and
+// installed pages that empties on release. Each op is 5 bytes: the op,
+// two bytes of index and two of value. A release is followed by a table
+// on the released directory (most of the time) whose length the value
+// picks, so reuse at a shorter and at the full length are both covered.
+// After every op the table must agree with the model on the touched
+// element, and at the end on every element, installed page and logged
+// page.
+func FuzzInt64s(f *testing.F) {
+	f.Add([]byte{0, 3, 0, 9, 0, 1, 3, 0, 0, 0, 2, 0, 0, 0, 0, 1, 3, 0, 0, 0})
+	f.Add([]byte{0, 0, 2, 1, 0, 0, 37, 12, 7, 0, 2, 0, 0, 255, 3, 1, 37, 12, 0, 0, 0, 0, 2, 0, 0})
+	f.Add([]byte{0, 1, 0, 4, 0, 0, 1, 0, 3, 0, 1, 1, 0, 0, 0, 2, 0, 0, 0, 0, 1, 1, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		cells := NewInt64s(fuzzCells)
+		model := map[int64]int64{}
+		pages := map[int64]bool{}
+		for ; len(ops) >= 5; ops = ops[5:] {
+			i := int64(binary.LittleEndian.Uint16(ops[1:3])) % cells.Len()
+			arg := int64(binary.LittleEndian.Uint16(ops[3:5]))
+			switch ops[0] % 3 {
+			case 0: // Store, installing nothing for a zero into an absent page
+				v := arg
+				if arg%4 == 0 {
+					v = 0
+				}
+				cells.Store(i, v)
+				model[i] = v
+				if v != 0 {
+					pages[i>>pageShift] = true
+				}
+			case 1: // Load
+				if got := cells.Load(i); got != model[i] {
+					t.Fatalf("Load(%d) = %d, model %d", i, got, model[i])
+				}
+			case 2: // Release, then a table of arg's length, ideally on the same directory
+				cells.Release()
+				if cells.Len() != 0 {
+					t.Fatalf("a released table has length %d", cells.Len())
+				}
+				cells = NewInt64s(fuzzCells - arg%(2*pageSize))
+				clear(model)
+				clear(pages)
+			}
+		}
+		if got := cellPages(&cells); got != len(pages) {
+			t.Fatalf("%d pages installed, model %d", got, len(pages))
+		}
+		logged := installedPages(&cells)
+		if len(logged) != len(pages) {
+			t.Fatalf("logged pages %v, model has %d", logged, len(pages))
+		}
+		for _, pi := range logged {
+			if !pages[pi] || cells.dir[pi].Load() == nil {
+				t.Fatalf("logged page %d is not installed", pi)
+			}
+		}
+		for i := int64(0); i < cells.Len(); i++ {
+			if got := cells.Load(i); got != model[i] {
+				t.Fatalf("element %d = %d, model %d", i, got, model[i])
+			}
+		}
+		cells.Release()
+	})
+}

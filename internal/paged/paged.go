@@ -20,10 +20,17 @@
 // with the pages it touches rather than with its address space. The cell
 // memory (Int64s) keeps a one-level directory: the VM inlines its Load and
 // Store on every access, where the second indirection costs more than the
-// one directory it would save.
+// one directory it would save. Instead its directory is recycled: a table
+// logs the pages it installs, and Release nils exactly those entries,
+// drops the pages and pools the directory for the next NewInt64s. Set-up
+// after a Release then allocates nothing for the cell memory, and the
+// release costs one store per page the finished run touched.
 package paged
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // pageShift sizes every page: 512 elements, one 4 KiB page of 8-byte
 // cells.
@@ -140,16 +147,41 @@ func (t *Table[T]) alloc(pi int64) *[pageSize]T {
 
 // Int64s is a fixed-length array of n atomically accessed int64 values,
 // the interpreter's cell memory. Its directory has one level: one page
-// pointer per 512 cells, allocated up front.
+// pointer per 512 cells. The directory is recycled: Release nils the
+// entries the table installed and pools the directory, and the next
+// NewInt64s that fits in it takes it instead of allocating one.
 type Int64s struct {
 	n   int64
 	dir []atomic.Pointer[[pageSize]atomic.Int64]
+	// d owns dir's backing array and logs the pages installed in it. It
+	// sits behind a pointer because the table is copied by value (the VM
+	// hoists a copy into each thread's frame loop).
+	d *directory
 }
 
+// directory is an Int64s directory's backing array with the page indexes
+// installed in it, so Release can nil exactly those entries without
+// scanning the directory. A pooled directory is nil over its full
+// capacity.
+type directory struct {
+	entries []atomic.Pointer[[pageSize]atomic.Int64]
+	mu      sync.Mutex
+	pages   []int64
+}
+
+// directories holds released directories for reuse.
+var directories sync.Pool
+
 // NewInt64s returns a table of n zero int64 values with no pages
-// allocated.
+// allocated. It reuses a released directory that covers n, and otherwise
+// allocates one.
 func NewInt64s(n int64) Int64s {
-	return Int64s{n: n, dir: make([]atomic.Pointer[[pageSize]atomic.Int64], (n+pageMask)>>pageShift)}
+	pages := (n + pageMask) >> pageShift
+	d, _ := directories.Get().(*directory)
+	if d == nil || int64(cap(d.entries)) < pages {
+		d = &directory{entries: make([]atomic.Pointer[[pageSize]atomic.Int64], pages)}
+	}
+	return Int64s{n: n, dir: d.entries[:pages], d: d}
 }
 
 // Len returns the number of elements.
@@ -179,13 +211,38 @@ func (t *Int64s) Store(i, v int64) {
 }
 
 // alloc installs a fresh page at directory index pi, or returns the page a
-// concurrent writer installed first.
+// concurrent writer installed first. Only the winner logs the index, so
+// each installed page is logged once.
 func (t *Int64s) alloc(pi int64) *[pageSize]atomic.Int64 {
 	fresh := new([pageSize]atomic.Int64)
 	if t.dir[pi].CompareAndSwap(nil, fresh) {
+		d := t.d
+		d.mu.Lock()
+		d.pages = append(d.pages, pi)
+		d.mu.Unlock()
 		return fresh
 	}
 	return t.dir[pi].Load()
+}
+
+// Release drops the table's pages and pools its directory for a later
+// NewInt64s. It must follow the last access through t or any copy of it:
+// the directory's next user sees every entry nil, as in a fresh one. t is
+// left empty, so a later access panics instead of reaching the next
+// user's cells. Releasing an empty table does nothing.
+func (t *Int64s) Release() {
+	d := t.d
+	if d == nil {
+		return
+	}
+	d.mu.Lock()
+	for _, pi := range d.pages {
+		d.entries[pi].Store(nil)
+	}
+	d.pages = d.pages[:0]
+	d.mu.Unlock()
+	*t = Int64s{}
+	directories.Put(d)
 }
 
 // Bits is a bitmap whose bits are tested, set and cleared atomically.

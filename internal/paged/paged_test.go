@@ -1,6 +1,7 @@
 package paged
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -297,6 +298,139 @@ func TestConcurrentFirstStoresUnderAbsentLeaf(t *testing.T) {
 				if l, p := allocated(&vals); l != 1 || p != c.pages {
 					t.Fatalf("round %d: %d leaves, %d pages allocated, want 1 and %d", round, l, p, c.pages)
 				}
+			}
+		})
+	}
+}
+
+// installedPages returns the page indexes t's directory has logged.
+func installedPages(t *Int64s) []int64 {
+	t.d.mu.Lock()
+	defer t.d.mu.Unlock()
+	return slices.Clone(t.d.pages)
+}
+
+// TestReleasedInt64sReadsZero: a table set up on a released directory
+// reads 0 at every cell the released table wrote, over the same length
+// and over a shorter one.
+func TestReleasedInt64sReadsZero(t *testing.T) {
+	const n = 40*pageSize + 17
+	written := []int64{0, 1, pageSize - 1, pageSize, 7*pageSize + 3, 20 * pageSize, 39*pageSize + 100, n - 1}
+	reused := 0
+	var last *directory
+	for round := 0; round < 20; round++ {
+		size := int64(n)
+		if round%2 == 1 {
+			size = 21 * pageSize // the shorter table still covers cell 20*pageSize
+		}
+		cells := NewInt64s(size)
+		if cells.d == last {
+			reused++
+		}
+		if got := int64(len(cells.dir)); got != (size+pageMask)>>pageShift || cells.Len() != size {
+			t.Fatalf("round %d: length %d with %d directory entries", round, cells.Len(), got)
+		}
+		for _, i := range written {
+			if i >= size {
+				continue
+			}
+			if v := cells.Load(i); v != 0 {
+				t.Fatalf("round %d: cell %d reads %d before any write", round, i, v)
+			}
+			cells.Store(i, int64(round+1)<<20|i)
+		}
+		last = cells.d
+		cells.Release()
+		if cells.Len() != 0 || cells.dir != nil || cells.d != nil {
+			t.Fatalf("round %d: a released table is not empty", round)
+		}
+		cells.Release() // releasing the empty table does nothing
+	}
+	if reused == 0 {
+		t.Fatal("no round reused the released directory")
+	}
+	t.Logf("%d of 20 rounds reused the released directory", reused)
+}
+
+// TestReleaseTouchesOnlyInstalledPages: the directory logs each page it
+// installs once, however often the page is written, and Release nils
+// exactly the logged entries: an entry the table did not install, here
+// planted by hand, survives it.
+func TestReleaseTouchesOnlyInstalledPages(t *testing.T) {
+	cells := NewInt64s(16 * pageSize)
+	for _, i := range []int64{3*pageSize + 1, 9 * pageSize, 3 * pageSize, 3*pageSize + 2} {
+		cells.Store(i, 5)
+	}
+	cells.Store(12*pageSize, 0) // a zero store installs nothing
+	if got := installedPages(&cells); !slices.Equal(got, []int64{3, 9}) {
+		t.Fatalf("logged pages %v, want [3 9]", got)
+	}
+	planted := new([pageSize]atomic.Int64)
+	cells.dir[5].Store(planted)
+	d := cells.d
+	cells.Release()
+	defer d.entries[5].Store(nil) // leave the pooled directory all nil
+	if d.entries[3].Load() != nil || d.entries[9].Load() != nil {
+		t.Fatal("Release left an installed page in the directory")
+	}
+	if d.entries[5].Load() != planted {
+		t.Fatal("Release cleared an entry the table never installed")
+	}
+	if len(d.pages) != 0 {
+		t.Fatalf("Release kept %d logged pages", len(d.pages))
+	}
+}
+
+// TestConcurrentFirstInstallsLoggedOnce races 64 goroutines' first stores,
+// to 64 pages and then all to one page: each installed page is logged
+// exactly once, by the writer whose compare-and-swap won, and the
+// release that follows leaves the recycled directory all nil.
+func TestConcurrentFirstInstallsLoggedOnce(t *testing.T) {
+	const n = 64
+	for _, c := range []struct {
+		name   string
+		stride int64
+		pages  []int64
+	}{
+		{"different pages", pageSize, func() []int64 {
+			ps := make([]int64, n)
+			for g := range ps {
+				ps[g] = int64(g) + 2
+			}
+			return ps
+		}()},
+		{"one page", 1, []int64{2}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for round := 0; round < 20; round++ {
+				cells := NewInt64s((n + 4) * pageSize)
+				for pi := range cells.dir {
+					if cells.dir[pi].Load() != nil {
+						t.Fatalf("round %d: a new table has page %d", round, pi)
+					}
+				}
+				base := int64(2*pageSize + 3)
+				start := make(chan struct{})
+				var wg sync.WaitGroup
+				for g := 0; g < n; g++ {
+					wg.Add(1)
+					go func(g int64) {
+						defer wg.Done()
+						<-start
+						cells.Store(base+g*c.stride, g+1)
+					}(int64(g))
+				}
+				close(start)
+				wg.Wait()
+				got := installedPages(&cells)
+				slices.Sort(got)
+				if !slices.Equal(got, c.pages) {
+					t.Fatalf("round %d: logged pages %v, want %v", round, got, c.pages)
+				}
+				if got := cellPages(&cells); got != len(c.pages) {
+					t.Fatalf("round %d: %d pages installed, want %d", round, got, len(c.pages))
+				}
+				cells.Release()
 			}
 		})
 	}

@@ -571,6 +571,7 @@ func (s *Server) execute(e *entry, req *runRequest, timeout time.Duration, or *o
 		cfg.SeedRand = seed
 	}
 	rt := interp.New(e.prog, cfg)
+	defer rt.Release()
 	sp.End()
 
 	sp = or.StartSpan("execute")

@@ -138,14 +138,16 @@ func FuzzShadowDiscipline(f *testing.F) {
 	f.Add(seq(op(rd, 1, 0, 4), op(rd, 2, 0, 4), op(rd, 1, 0, 5), op(wr, 3, 0, 4)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := New(fuzzShadow)
-		m := newModel(fuzzShadow)
+		var table []Site
 		var sites [fuzzThreads + 1][2]uint32
 		for tid := 1; tid <= fuzzThreads; tid++ {
 			for k := Read; k <= Write; k++ {
-				sites[tid][k] = site(s, fmt.Sprintf("t%d", tid), 2*tid+int(k))
+				sites[tid][k] = uint32(len(table))
+				table = append(table, at(fmt.Sprintf("t%d", tid), 2*tid+int(k)))
 			}
 		}
+		s := New(fuzzShadow, table)
+		m := newModel(fuzzShadow)
 		for i := 0; i+1 < len(data); i += 2 {
 			kind := int(data[i] & 3)
 			tid := int(data[i]>>2&3) + 1

@@ -18,9 +18,9 @@ package shadow
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
+	"repro/internal/ir"
 	"repro/internal/paged"
 	"repro/internal/token"
 )
@@ -57,11 +57,10 @@ type Access struct {
 	Site Site
 }
 
-// Site is an interned source location + l-value text.
-type Site struct {
-	LValue string
-	Pos    token.Pos
-}
+// Site is a report site: an l-value's text and source position. A site
+// id is the site's index in the table passed to New; the compiler's
+// program site table may list equal sites twice, and both print alike.
+type Site = ir.Site
 
 // Conflict is a detected violation of the dynamic-mode discipline.
 type Conflict struct {
@@ -93,10 +92,9 @@ type Shadow struct {
 	// granule, packed as tid<<33 | kind<<32 | siteID.
 	last paged.Table[atomic.Uint64]
 
-	// sites interns (lvalue, pos) pairs.
-	sitesMu sync.Mutex
-	sites   []Site
-	siteIDs map[Site]uint32
+	// sites maps site ids to sites. It is the caller's table, shared and
+	// never written.
+	sites []Site
 
 	// logs[tid] lists the granules thread tid has set bits on (first
 	// access only), so ClearThread is proportional to the thread's
@@ -104,19 +102,22 @@ type Shadow struct {
 	// appends to logs[tid] (ChkRead, ChkWrite) and calls ClearThread(tid),
 	// which the runtime does in its thread epilogue before returning tid
 	// to its id pool; the pool's channel orders one holder's last use of
-	// the log before the next holder's first. ClearThread truncates the
-	// log and keeps its capacity for that next holder.
+	// the log before the next holder's first (an id the pool hands out
+	// fresh has had no holder). ClearThread truncates the log and keeps
+	// its capacity for that next holder.
 	logs [MaxThreads + 1][]int32
 }
 
-// New returns a shadow for a memory of the given number of cells.
-func New(cells int) *Shadow {
+// New returns a shadow for a memory of the given number of cells whose
+// checks name their sites by index into sites. The shadow keeps sites by
+// reference; the caller must not change it.
+func New(cells int, sites []Site) *Shadow {
 	n := (cells+GranuleCells-1)/GranuleCells + 1
 	return &Shadow{
 		granules: n,
 		words:    paged.NewTable[atomic.Uint32](int64(n)),
 		last:     paged.NewTable[atomic.Uint64](int64(n)),
-		siteIDs:  make(map[Site]uint32),
+		sites:    sites,
 	}
 }
 
@@ -135,23 +136,7 @@ func (s *Shadow) wordValue(g int) uint32 {
 	return 0
 }
 
-// InternSite returns a stable id for a report site; the compiler interns
-// each static access site once.
-func (s *Shadow) InternSite(site Site) uint32 {
-	s.sitesMu.Lock()
-	defer s.sitesMu.Unlock()
-	if id, ok := s.siteIDs[site]; ok {
-		return id
-	}
-	id := uint32(len(s.sites))
-	s.sites = append(s.sites, site)
-	s.siteIDs[site] = id
-	return id
-}
-
 func (s *Shadow) site(id uint32) Site {
-	s.sitesMu.Lock()
-	defer s.sitesMu.Unlock()
 	if int(id) < len(s.sites) {
 		return s.sites[id]
 	}

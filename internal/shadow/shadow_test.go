@@ -10,13 +10,23 @@ import (
 	"repro/internal/token"
 )
 
-func site(s *Shadow, lv string, line int) uint32 {
-	return s.InternSite(Site{LValue: lv, Pos: token.Pos{File: "t.shc", Line: line, Col: 1}})
+// at is a test site: l-value lv at a line of t.shc.
+func at(lv string, line int) Site {
+	return Site{LValue: lv, Pos: token.Pos{File: "t.shc", Line: line, Col: 1}}
+}
+
+// tidSites returns a site table whose site id tid is lv at line tid.
+func tidSites(lv string, tids int) []Site {
+	sites := make([]Site, tids+1)
+	for tid := range sites {
+		sites[tid] = at(lv, tid)
+	}
+	return sites
 }
 
 func TestSingleThreadReadWrite(t *testing.T) {
-	s := New(64)
-	id := site(s, "x", 1)
+	s := New(64, []Site{at("x", 1)})
+	const id = 0
 	for i := 0; i < 10; i++ {
 		if c := s.ChkRead(1, 10, id); c != nil {
 			t.Fatalf("read conflict: %v", c)
@@ -28,8 +38,8 @@ func TestSingleThreadReadWrite(t *testing.T) {
 }
 
 func TestMultipleReadersOK(t *testing.T) {
-	s := New(64)
-	id := site(s, "x", 1)
+	s := New(64, []Site{at("x", 1)})
+	const id = 0
 	for tid := 1; tid <= 5; tid++ {
 		if c := s.ChkRead(tid, 20, id); c != nil {
 			t.Fatalf("reader %d conflicted: %v", tid, c)
@@ -38,9 +48,8 @@ func TestMultipleReadersOK(t *testing.T) {
 }
 
 func TestWriteAfterForeignReadConflicts(t *testing.T) {
-	s := New(64)
-	r := site(s, "p[i]", 5)
-	w := site(s, "p[i]", 9)
+	s := New(64, []Site{at("p[i]", 5), at("p[i]", 9)})
+	const r, w = 0, 1
 	if c := s.ChkRead(1, 20, r); c != nil {
 		t.Fatal(c)
 	}
@@ -57,9 +66,8 @@ func TestWriteAfterForeignReadConflicts(t *testing.T) {
 }
 
 func TestReadAfterForeignWriteConflicts(t *testing.T) {
-	s := New(64)
-	w := site(s, "S->sdata", 27)
-	r := site(s, "S->sdata", 15)
+	s := New(64, []Site{at("S->sdata", 27), at("S->sdata", 15)})
+	const w, r = 0, 1
 	if c := s.ChkWrite(1, 30, w); c != nil {
 		t.Fatal(c)
 	}
@@ -79,8 +87,8 @@ func TestReadAfterForeignWriteConflicts(t *testing.T) {
 func TestGranularityFalseSharing(t *testing.T) {
 	// Cells 0 and 1 share a granule (16 bytes): accesses to distinct cells
 	// in one granule conflict — the false-sharing limitation of §4.5.
-	s := New(64)
-	id := site(s, "a", 1)
+	s := New(64, []Site{at("a", 1)})
+	const id = 0
 	if c := s.ChkWrite(1, 0, id); c != nil {
 		t.Fatal(c)
 	}
@@ -94,8 +102,8 @@ func TestGranularityFalseSharing(t *testing.T) {
 }
 
 func TestClearThreadAllowsHandoff(t *testing.T) {
-	s := New(64)
-	id := site(s, "x", 1)
+	s := New(64, []Site{at("x", 1)})
+	const id = 0
 	if c := s.ChkWrite(1, 8, id); c != nil {
 		t.Fatal(c)
 	}
@@ -110,8 +118,8 @@ func TestClearThreadAllowsHandoff(t *testing.T) {
 // holder's footprint append without allocating, and the cleared thread's
 // bits are gone.
 func TestClearThreadKeepsLogCapacity(t *testing.T) {
-	s := New(4096)
-	id := site(s, "x", 1)
+	s := New(4096, []Site{at("x", 1)})
+	const id = 0
 	touch := func(tid int) {
 		for cell := int64(0); cell < 4096; cell += GranuleCells {
 			if c := s.ChkWrite(tid, cell, id); c != nil {
@@ -133,8 +141,8 @@ func TestClearThreadKeepsLogCapacity(t *testing.T) {
 }
 
 func TestClearRangeOnFree(t *testing.T) {
-	s := New(64)
-	id := site(s, "x", 1)
+	s := New(64, []Site{at("x", 1)})
+	const id = 0
 	for cell := int64(16); cell < 24; cell++ {
 		if c := s.ChkWrite(1, cell, id); c != nil {
 			t.Fatal(c)
@@ -149,8 +157,8 @@ func TestClearRangeOnFree(t *testing.T) {
 }
 
 func TestWriterThenSameThreadRead(t *testing.T) {
-	s := New(64)
-	id := site(s, "x", 1)
+	s := New(64, []Site{at("x", 1)})
+	const id = 0
 	if c := s.ChkWrite(3, 40, id); c != nil {
 		t.Fatal(c)
 	}
@@ -170,14 +178,14 @@ func TestConcurrentDisjointAccess(t *testing.T) {
 	}{{"checks", false}, {"with-clears", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			const threads = 8
-			s := New(4096)
+			s := New(4096, tidSites("buf", threads))
 			var wg sync.WaitGroup
 			errs := make(chan *Conflict, threads)
 			for tid := 1; tid <= threads; tid++ {
 				wg.Add(1)
 				go func(tid int) {
 					defer wg.Done()
-					id := site(s, "buf", tid)
+					id := uint32(tid)
 					base := int64(tid * 256)
 					neighbour := int64((tid%threads + 1) * 256)
 					for i := 0; i < 1000; i++ {
@@ -216,14 +224,14 @@ func TestConcurrentDisjointAccess(t *testing.T) {
 func TestConcurrentSharedWriteDetected(t *testing.T) {
 	// Two threads writing the same granule: at least one must observe a
 	// conflict (whichever arrives second).
-	s := New(64)
+	s := New(64, tidSites("g", 2))
 	var wg sync.WaitGroup
 	conflicts := make(chan *Conflict, 2)
 	for tid := 1; tid <= 2; tid++ {
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
-			id := site(s, "g", tid)
+			id := uint32(tid)
 			if c := s.ChkWrite(tid, 4, id); c != nil {
 				conflicts <- c
 			}
@@ -236,8 +244,8 @@ func TestConcurrentSharedWriteDetected(t *testing.T) {
 }
 
 func TestReadersQuery(t *testing.T) {
-	s := New(64)
-	id := site(s, "x", 1)
+	s := New(64, []Site{at("x", 1)})
+	const id = 0
 	s.ChkRead(2, 50, id)
 	s.ChkRead(4, 50, id)
 	readers, hasWriter := s.Readers(50)
@@ -250,8 +258,8 @@ func TestReadersQuery(t *testing.T) {
 }
 
 func TestPagesTouched(t *testing.T) {
-	s := New(1 << 20)
-	id := site(s, "x", 1)
+	s := New(1<<20, []Site{at("x", 1)})
+	const id = 0
 	if s.PagesTouched() != 0 {
 		t.Fatal("fresh shadow should have no pages touched")
 	}
@@ -273,8 +281,8 @@ func TestPagesTouched(t *testing.T) {
 func TestPagesTouchedMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const cells = 1 << 22
-	s := New(cells)
-	id := site(s, "x", 1)
+	s := New(cells, []Site{at("x", 1)})
+	const id = 0
 	model := map[int]bool{}
 	for i := 0; i < 2000; i++ {
 		cell := rng.Int63n(cells + 64) // a few past the end are ignored
@@ -306,8 +314,8 @@ func TestPagesTouchedMatchesModel(t *testing.T) {
 // reported (a single thread cannot race with itself).
 func TestPropertySingleThreadNeverConflicts(t *testing.T) {
 	f := func(ops []bool, cells []uint8) bool {
-		s := New(256)
-		id := site(s, "x", 1)
+		s := New(256, []Site{at("x", 1)})
+		const id = 0
 		for i, isWrite := range ops {
 			var cell int64
 			if i < len(cells) {
@@ -334,8 +342,8 @@ func TestPropertySingleThreadNeverConflicts(t *testing.T) {
 // as long as no one writes.
 func TestPropertyReadersNeverConflict(t *testing.T) {
 	f := func(tids []uint8, cells []uint8) bool {
-		s := New(256)
-		id := site(s, "x", 1)
+		s := New(256, []Site{at("x", 1)})
+		const id = 0
 		for i := range tids {
 			tid := int(tids[i]%MaxThreads) + 1
 			var cell int64
@@ -362,8 +370,8 @@ func TestPropertyWriteWriteConflicts(t *testing.T) {
 		if ta == tb {
 			return true
 		}
-		s := New(256)
-		id := site(s, "x", 1)
+		s := New(256, []Site{at("x", 1)})
+		const id = 0
 		if c := s.ChkWrite(ta, int64(cell), id); c != nil {
 			return false
 		}
