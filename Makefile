@@ -33,8 +33,14 @@ vet:
 test:
 	$(GO) test ./...
 
+# race also repeats the teardown tests ten times, the interpreter's
+# interrupts of scheduled runs included: the controller's state is owned
+# by the token holder, and only Abort, deadlock teardown and the tasks
+# they release run beside it.
 race:
 	$(GO) test -race ./internal/paged ./internal/shadow ./internal/interp ./internal/refcount ./internal/sched ./internal/telemetry ./internal/serve ./internal/obsrv ./internal/absint
+	$(GO) test -race -count=10 -run 'Abort|Deadlock|Teardown|TokenSerialization' ./internal/sched
+	$(GO) test -race -count=10 -run 'TestInterruptSeededRun|TestInterruptIdempotentAndLate|TestInterruptUnbegunSpawner' ./internal/interp
 
 # fuzz-smoke fuzzes for 10 seconds each the shadow runtime against its
 # reference model (the n-readers-xor-1-writer rule over plain maps), the
@@ -82,15 +88,16 @@ explore-smoke:
 
 # workers-smoke pins the worker-count-independence contract from the
 # shell: the same seeded exploration at 1, 2, and 8 workers must write
-# byte-identical JSON. The rr pass repeats four strategy identities, so
-# most of its schedules are duplicates copied at the merge. racy_fresh
+# byte-identical JSON, under each strategy. The rr pass repeats four
+# strategy identities, so most of its schedules are duplicates copied at
+# the merge. racy_fresh
 # reads memory before writing it, and its reports depend on reading 0, so
 # a cell leaking from one schedule's runtime into the next one set up on
 # its recycled memory shows as a diff.
 workers-smoke:
 	@$(GO) build -o /tmp/shc-pf-bin ./cmd/sharc
 	@for prog in racy_pair racy_fresh; do \
-		for strategy in mix rr; do \
+		for strategy in mix rr pct random; do \
 			/tmp/shc-pf-bin explore -schedules 20 -seed 5 -strategy $$strategy -workers 1 -json /tmp/shc-pf-1.json internal/interp/testdata/$$prog.shc > /dev/null 2>&1; \
 			[ -s /tmp/shc-pf-1.json ] || { echo "explore wrote no JSON for $$prog"; exit 1; }; \
 			for workers in 2 8; do \

@@ -643,13 +643,15 @@ var ErrInterrupted = errors.New("interrupted: the run was stopped before complet
 // Interrupt stops an in-flight Run from another goroutine: it raises the
 // Config.Interrupt flag (threads unwind silently at their next scheduling
 // point — a shared-memory access or a synchronization operation) and,
-// under the cooperative scheduler, aborts the controller so threads parked
-// waiting for the execution token or blocked on modeled locks, condition
-// variables, and joins are all released immediately. The teardown is
-// reliable for scheduled runs (Config.Sched non-nil, the serve layer's
-// default); for free-running programs it is best-effort — a thread parked
-// in a Go-level mutex or condition wait is only interrupted once it wakes
-// on its own. Safe to call at any time, including after Run returned.
+// under the cooperative scheduler, aborts the controller: at the token
+// holder's next scheduling point, threads parked waiting for the token,
+// blocked on modeled locks, condition variables, and joins, or not yet
+// begun are all released, and so is any thread spawned after. The
+// teardown is reliable for scheduled runs (Config.Sched non-nil, the serve
+// layer's default); for free-running programs it is best-effort — a thread
+// parked in a Go-level mutex or condition wait is only interrupted once it
+// wakes on its own. Safe to call at any time, including after Run
+// returned.
 func (rt *Runtime) Interrupt() {
 	if rt.intr != nil {
 		rt.intr.Store(true)

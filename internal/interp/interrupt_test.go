@@ -98,20 +98,26 @@ func TestInterruptSeededRun(t *testing.T) {
 }
 
 // TestInterruptIdempotentAndLate verifies Interrupt is safe to call
-// repeatedly and after the run already finished.
+// repeatedly and after the run already finished, free-running and under
+// the cooperative scheduler.
 func TestInterruptIdempotentAndLate(t *testing.T) {
-	var flag atomic.Bool
-	cfg := interp.DefaultConfig()
-	cfg.Stdout = io.Discard
-	cfg.Interrupt = &flag
-	rt, ret, err := core.BuildAndRun(`int main(void) { return 5; }`, compile.DefaultOptions(), cfg)
-	if err != nil || ret != 5 {
-		t.Fatalf("run: ret=%d err=%v", ret, err)
-	}
-	rt.Interrupt()
-	rt.Interrupt()
-	if rt.Interrupted() {
-		t.Fatal("a completed run must not report Interrupted")
+	for _, scheduled := range []bool{false, true} {
+		var flag atomic.Bool
+		cfg := interp.DefaultConfig()
+		cfg.Stdout = io.Discard
+		cfg.Interrupt = &flag
+		if scheduled {
+			cfg.Sched = sched.New(sched.NewRandom(1), sched.Options{})
+		}
+		rt, ret, err := core.BuildAndRun(`int main(void) { return 5; }`, compile.DefaultOptions(), cfg)
+		if err != nil || ret != 5 {
+			t.Fatalf("scheduled %t: run: ret=%d err=%v", scheduled, ret, err)
+		}
+		rt.Interrupt()
+		rt.Interrupt()
+		if rt.Interrupted() {
+			t.Fatalf("scheduled %t: a completed run must not report Interrupted", scheduled)
+		}
 	}
 }
 
@@ -176,5 +182,69 @@ func TestInterruptUnfiredIsInert(t *testing.T) {
 	}
 	if a, b := run(false), run(true); a != b {
 		t.Fatalf("exit with interrupt configured %d != without %d", b, a)
+	}
+}
+
+// spawnFirst is a program whose second thread's first action is a spawn:
+// main spawns outer and then loops on yield(), and under a round-robin
+// quantum longer than the run, outer has not begun when the interrupt
+// lands.
+const spawnFirst = `
+void *inner(void *d) {
+	return NULL;
+}
+
+void *outer(void *d) {
+	int h = spawn(inner, NULL);
+	join(h);
+	return NULL;
+}
+
+int main(void) {
+	int h = spawn(outer, NULL);
+	for (int i = 0; i < 1000000000; i++) {
+		yield();
+	}
+	join(h);
+	return 0;
+}
+`
+
+// TestInterruptUnbegunSpawner pins the teardown of a thread that had not
+// begun when the run was interrupted: it is released, runs to its first
+// action, a spawn, and the thread it spawns must get a teardown token too,
+// or its first wait for the token never returns and neither does Run.
+func TestInterruptUnbegunSpawner(t *testing.T) {
+	for _, withFlag := range []bool{true, false} {
+		a, err := core.Analyze(parser.Source{Name: "spawnfirst.shc", Text: spawnFirst})
+		if err != nil {
+			t.Fatalf("analyze: %v", err)
+		}
+		prog, err := a.Build(compile.DefaultOptions())
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		cfg := interp.DefaultConfig()
+		cfg.Stdout = io.Discard
+		if withFlag {
+			cfg.Interrupt = new(atomic.Bool)
+		}
+		cfg.Sched = sched.New(sched.NewRoundRobin(1<<40), sched.Options{})
+		rt := interp.New(prog, cfg)
+		done := make(chan error, 1)
+		go func() {
+			_, err := rt.Run()
+			done <- err
+		}()
+		time.Sleep(50 * time.Millisecond)
+		rt.Interrupt()
+		select {
+		case err := <-done:
+			if !errors.Is(err, interp.ErrInterrupted) {
+				t.Fatalf("interrupt flag %t: Run returned %v, want ErrInterrupted", withFlag, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("interrupt flag %t: Run did not return within 5s of the interrupt", withFlag)
+		}
 	}
 }

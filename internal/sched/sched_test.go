@@ -3,14 +3,16 @@ package sched
 import (
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // runTasks drives n scripted tasks under a fresh controller: task i runs
 // script[i](c, key) after Begin and exits afterwards. The first script is
 // the "main" task (registered first, so it starts running); the others are
 // registered by the harness before main starts, which is deterministic.
-func runTasks(t *testing.T, s Strategy, rec bool, scripts ...func(c *Controller, key int)) *Controller {
+func runTasks(t testing.TB, s Strategy, rec bool, scripts ...func(c *Controller, key int)) *Controller {
 	t.Helper()
 	c := New(s, Options{Record: rec})
 	keys := make([]int, len(scripts))
@@ -176,24 +178,25 @@ func TestJoinBlocksUntilExit(t *testing.T) {
 }
 
 // TestDeadlockDetection: a classic ABBA lock cycle is detected and both
-// tasks are released with a failure status instead of hanging.
+// tasks are released with a failure status instead of hanging. The
+// released tasks run concurrently, so failures is atomic.
 func TestDeadlockDetection(t *testing.T) {
 	const a, b = 100, 200
-	failures := 0
+	var failures atomic.Int32
 	mk := func(first, second int64) func(c *Controller, key int) {
 		return func(c *Controller, key int) {
 			if !c.Lock(key, first) {
-				failures++
+				failures.Add(1)
 				return
 			}
 			for i := 0; i < 5; i++ { // give the sibling time to take its first lock
 				if !c.YieldPoint(key, PointCheck) {
-					failures++
+					failures.Add(1)
 					return
 				}
 			}
 			if !c.Lock(key, second) {
-				failures++
+				failures.Add(1)
 				return
 			}
 			c.Unlock(key, second)
@@ -204,8 +207,12 @@ func TestDeadlockDetection(t *testing.T) {
 	if !c.Deadlocked() {
 		t.Fatal("ABBA cycle not detected")
 	}
-	if failures == 0 {
+	if failures.Load() == 0 {
 		t.Fatal("no task observed the deadlock")
+	}
+	c.Abort() // a no-op after deadlock teardown
+	if c.Aborted() {
+		t.Fatal("Abort after deadlock teardown reads as Aborted")
 	}
 }
 
@@ -378,15 +385,240 @@ func TestAbort(t *testing.T) {
 	c.Abort() // idempotent
 }
 
-// TestDecisionsDoNotAllocate: a scheduling decision reuses the controller's
-// ready buffer, so a yield that keeps the token allocates nothing.
-func TestDecisionsDoNotAllocate(t *testing.T) {
-	c := New(NewRandom(1), Options{})
-	key := c.Register()
-	c.Begin(key)
-	c.YieldPoint(key, PointCheck) // sizes the buffer
-	if n := testing.AllocsPerRun(100, func() { c.YieldPoint(key, PointCheck) }); n != 0 {
-		t.Fatalf("YieldPoint allocated %v times per decision", n)
+// waitAll waits for wg, failing the test if that takes longer than 10s.
+func waitAll(t *testing.T, wg *sync.WaitGroup) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("tasks still running 10s after teardown")
 	}
-	c.Exit(key)
+}
+
+// TestAbortReleasesParkedTasks: Abort is carried out by the token holder
+// and releases tasks parked on a lock, a condition, a join and AwaitExit,
+// a task that had not begun, and a task registered after the teardown by
+// one the teardown released.
+func TestAbortReleasesParkedTasks(t *testing.T) {
+	const lock, cvLock, cv = 100, 200, 300
+	c := New(NewRoundRobin(1), Options{})
+	var wg sync.WaitGroup
+	var parked atomic.Int32
+	denied := make([]atomic.Bool, 8)
+	start := func(key int, gate <-chan struct{}, f func(key int) bool) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if gate != nil {
+				<-gate
+			}
+			c.Begin(key)
+			if !f(key) {
+				denied[key].Store(true)
+			}
+			c.Exit(key)
+		}()
+	}
+	park := func(f func(key int) bool) func(key int) bool {
+		return func(key int) bool {
+			parked.Add(1)
+			return f(key)
+		}
+	}
+	allParked, gate := make(chan struct{}), make(chan struct{})
+	keys := []int{c.Register(), c.Register(), c.Register(), c.Register(), c.Register()}
+	condKey := keys[2]
+	spawned := false
+	start(keys[0], nil, func(key int) bool {
+		for {
+			if parked.Load() == 4 && !spawned {
+				// Everyone else is parked, since only the holder runs:
+				// spawn a task whose goroutine waits for the test to
+				// abort before it begins.
+				start(c.Register(), gate, func(key int) bool { return c.YieldPoint(key, PointCheck) })
+				close(allParked)
+				spawned = true
+			}
+			if !c.YieldPoint(key, PointCheck) {
+				// Released by the teardown: a spawn now must not wedge.
+				start(c.Register(), nil, func(key int) bool { return c.YieldPoint(key, PointSpawn) })
+				return false
+			}
+		}
+	})
+	start(keys[1], nil, park(func(key int) bool { return c.Lock(key, lock) && c.Lock(key, lock) }))
+	start(keys[2], nil, park(func(key int) bool { return c.Lock(key, cvLock) && c.Wait(key, cv, cvLock) }))
+	start(keys[3], nil, park(func(key int) bool { return c.Join(key, condKey) }))
+	start(keys[4], nil, park(c.AwaitExit))
+	<-allParked
+	c.Abort()
+	close(gate)
+	waitAll(t, &wg)
+	if !c.Aborted() || c.Deadlocked() {
+		t.Fatalf("Aborted() = %t, Deadlocked() = %t; want true, false", c.Aborted(), c.Deadlocked())
+	}
+	for key := 1; key <= 7; key++ {
+		if !denied[key].Load() {
+			t.Errorf("task %d was not released by the teardown", key)
+		}
+	}
+}
+
+// TestRegisterAfterTeardown: a task registered once the run is torn down
+// gets a teardown token, so its Begin returns instead of waiting forever.
+func TestRegisterAfterTeardown(t *testing.T) {
+	c := New(NewRandom(1), Options{})
+	k := c.Register()
+	c.Begin(k)
+	c.Abort()
+	if c.YieldPoint(k, PointCheck) {
+		t.Fatal("YieldPoint after Abort returned true")
+	}
+	late := c.Register()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		c.Begin(late)
+		if c.YieldPoint(late, PointCheck) {
+			t.Error("a task registered after teardown was scheduled")
+		}
+		c.Exit(late)
+	}()
+	waitAll(t, &wg)
+	c.Exit(k)
+}
+
+// TestAbortRacesDeadlock: an Abort landing while the holder finds a
+// deadlock ends the run one way or the other, never both.
+func TestAbortRacesDeadlock(t *testing.T) {
+	const a, b = 100, 200
+	for i := 0; i < 200; i++ {
+		spin := i % 20
+		mk := func(first, second int64) func(c *Controller, key int) {
+			return func(c *Controller, key int) {
+				if !c.Lock(key, first) {
+					return
+				}
+				for j := 0; j < spin; j++ {
+					if !c.YieldPoint(key, PointCheck) {
+						return
+					}
+				}
+				c.Lock(key, second)
+			}
+		}
+		c := New(NewRoundRobin(1), Options{})
+		keys := []int{c.Register(), c.Register()}
+		var wg sync.WaitGroup
+		for j, f := range []func(*Controller, int){mk(a, b), mk(b, a)} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c.Begin(keys[j])
+				f(c, keys[j])
+				c.Exit(keys[j])
+			}()
+		}
+		go c.Abort()
+		waitAll(t, &wg)
+		if c.Aborted() && c.Deadlocked() {
+			t.Fatalf("iteration %d: both Aborted and Deadlocked", i)
+		}
+		if !c.Aborted() && !c.Deadlocked() {
+			t.Fatalf("iteration %d: the run ended neither aborted nor deadlocked", i)
+		}
+	}
+}
+
+// TestAbortAfterRun: aborting a finished run touches nothing and reads
+// as Aborted, as it always has.
+func TestAbortAfterRun(t *testing.T) {
+	worker := func(c *Controller, key int) {
+		for i := 0; i < 10; i++ {
+			c.YieldPoint(key, PointCheck)
+		}
+	}
+	c := runTasks(t, NewRandom(4), true, worker, worker)
+	n, steps := c.Decisions(), c.Trace().Steps
+	c.Abort()
+	c.Abort()
+	if !c.Aborted() || c.Deadlocked() {
+		t.Fatalf("Aborted() = %t, Deadlocked() = %t; want true, false", c.Aborted(), c.Deadlocked())
+	}
+	if c.Decisions() != n || !reflect.DeepEqual(c.Trace().Steps, steps) {
+		t.Fatal("Abort after the run changed the recorded decisions")
+	}
+}
+
+// TestDecisionsDoNotAllocate: a yield that keeps the token allocates
+// nothing, under each strategy family, once the strategy has seen every
+// task.
+func TestDecisionsDoNotAllocate(t *testing.T) {
+	for _, s := range []Strategy{NewRandom(1), NewRoundRobin(1 << 40), NewPCT(1, 0, 100)} {
+		c := New(s, Options{})
+		key := c.Register()
+		c.Begin(key)
+		c.YieldPoint(key, PointCheck) // warms the strategy
+		if n := testing.AllocsPerRun(100, func() { c.YieldPoint(key, PointCheck) }); n != 0 {
+			t.Fatalf("%s: YieldPoint allocated %v times per decision", s.Name(), n)
+		}
+		c.Exit(key)
+	}
+}
+
+// TestSignalDoesNotAllocate: signaling a parked waiter, and the two
+// switches that let it park again, allocate nothing once warm.
+func TestSignalDoesNotAllocate(t *testing.T) {
+	const lock, cv = 100, 200
+	c := New(NewRoundRobin(1), Options{})
+	k1, k2 := c.Register(), c.Register()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		c.Begin(k2)
+		for c.Wait(k2, cv, lock) {
+		}
+		c.Exit(k2)
+	}()
+	c.Begin(k1)
+	c.YieldPoint(k1, PointCheck) // k2 parks on cv
+	c.Signal(k1, cv, false)      // warms the buffers
+	if n := testing.AllocsPerRun(100, func() { c.Signal(k1, cv, false) }); n != 0 {
+		t.Fatalf("Signal allocated %v times per call", n)
+	}
+	c.Abort()
+	c.YieldPoint(k1, PointCheck)
+	waitAll(t, &wg)
+	c.Exit(k1)
+}
+
+// BenchmarkYieldPoint measures one scheduling point among three tasks:
+// stay keeps the current task (no hand-off), switch hands the token on at
+// every point, and pct and random are the exploring strategies.
+func BenchmarkYieldPoint(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		s    func() Strategy
+	}{
+		{"stay", func() Strategy { return NewRoundRobin(1 << 40) }},
+		{"switch", func() Strategy { return NewRoundRobin(1) }},
+		{"pct", func() Strategy { return NewPCT(1, 3, 1<<20) }},
+		{"random", func() Strategy { return NewRandom(1) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			n := 0
+			worker := func(c *Controller, key int) {
+				for n < b.N {
+					n++
+					c.YieldPoint(key, PointCheck)
+				}
+			}
+			b.ReportAllocs()
+			runTasks(b, bc.s(), false, worker, worker, worker)
+		})
+	}
 }

@@ -1,13 +1,16 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Strategy makes interleaving decisions. Pick receives the ready task keys
 // in ascending order (never empty), the key of the yielding task, the
 // global decision index, and the point class, and returns the key to run
 // next (must be a member of ready; the Controller falls back to ready[0]
-// otherwise). Pick must not retain ready past its return: the Controller
-// reuses the slice for the next decision. Strategies are used
+// otherwise). Pick must neither modify ready nor retain it past its
+// return: it is one of the Controller's own buffers. Strategies are used
 // single-threaded: only the token holder decides.
 type Strategy interface {
 	Pick(ready []int, cur int, decision int64, p Point) int
@@ -92,8 +95,8 @@ func (r *RoundRobin) Seed() int64  { return r.quantum }
 type PCT struct {
 	seed    int64
 	x       uint64
-	prios   map[int]uint64
-	changes map[int64]bool
+	prios   []uint64 // by task key; 0 = not seen yet
+	changes []int64  // the change-point decisions
 	low     uint64
 }
 
@@ -101,30 +104,37 @@ type PCT struct {
 // sampled over the first horizon decisions.
 func NewPCT(seed int64, changePoints int, horizon int64) *PCT {
 	p := &PCT{
-		seed:    seed,
-		x:       uint64(seed)*0x9e3779b97f4a7c15 + 0x632be59bd9b4e019,
-		prios:   make(map[int]uint64),
-		changes: make(map[int64]bool),
-		low:     1 << 20,
+		seed: seed,
+		x:    uint64(seed)*0x9e3779b97f4a7c15 + 0x632be59bd9b4e019,
+		low:  1 << 20,
 	}
 	if horizon < 1 {
 		horizon = 1
 	}
 	for len(p.changes) < changePoints && int64(len(p.changes)) < horizon {
-		p.changes[int64(splitmix64(&p.x)%uint64(horizon))] = true
+		if d := int64(splitmix64(&p.x) % uint64(horizon)); !slices.Contains(p.changes, d) {
+			p.changes = append(p.changes, d)
+		}
 	}
 	return p
 }
 
+// slot returns task k's priority cell, growing prios to cover k.
+func (p *PCT) slot(k int) *uint64 {
+	if k >= len(p.prios) {
+		p.prios = append(p.prios, make([]uint64, k+1-len(p.prios))...)
+	}
+	return &p.prios[k]
+}
+
 func (p *PCT) prio(k int) uint64 {
-	pr, ok := p.prios[k]
-	if !ok {
+	pr := p.slot(k)
+	if *pr == 0 {
 		// Initial priorities live far above the demotion band; ties are
 		// broken by key, so uniqueness is not required.
-		pr = 1<<40 + splitmix64(&p.x)%(1<<30)
-		p.prios[k] = pr
+		*pr = 1<<40 + splitmix64(&p.x)%(1<<30)
 	}
-	return pr
+	return *pr
 }
 
 func (p *PCT) Pick(ready []int, cur int, decision int64, pt Point) int {
@@ -132,8 +142,11 @@ func (p *PCT) Pick(ready []int, cur int, decision int64, pt Point) int {
 	// does: a thread spinning on yield() while it waits for lower-priority
 	// workers would otherwise be picked again until a change point. A
 	// sleepMs point (PointSleep) is an ordinary preemption opportunity.
-	if p.changes[decision] || pt == PointYield {
-		p.prios[cur] = p.low
+	// Demoting a task not seen yet draws no initial priority for it.
+	// low counts down from 2^20, so a priority of 0 (unseen) is stored
+	// only by a run's 2^20th demotion.
+	if pt == PointYield || slices.Contains(p.changes, decision) {
+		*p.slot(cur) = p.low
 		p.low--
 	}
 	best := ready[0]

@@ -83,11 +83,41 @@ func TestPCTPrioritySchedule(t *testing.T) {
 
 func TestPCTDemotion(t *testing.T) {
 	// Force a change point at decision 0 by constructing directly.
-	p := &PCT{prios: make(map[int]uint64), changes: map[int64]bool{0: true}, low: 1 << 20, x: 1}
+	p := &PCT{changes: []int64{0}, low: 1 << 20, x: 1}
 	ready := []int{1, 2}
+	p.prio(1) // task 1 seen first, so the demotion replaces a drawn priority
 	// Decision 0 demotes task 1 (cur); task 2 must win from then on.
 	if got := p.Pick(ready, 1, 0, PointCheck); got != 2 {
 		t.Fatalf("demoted task still picked: got %d", got)
+	}
+	if p.prios[1] != 1<<20 || p.low != 1<<20-1 {
+		t.Fatalf("prios[1] = %d, low = %d; want %d, %d", p.prios[1], p.low, 1<<20, 1<<20-1)
+	}
+	if got := p.Pick(ready, 2, 1, PointCheck); got != 2 {
+		t.Fatalf("after the change point got %d, want 2", got)
+	}
+}
+
+// TestPCTDemoteUnseenDrawsNothing: demoting a task PCT has not seen yet
+// stores the demoted priority without drawing an initial one, so the
+// draws for the other tasks come out exactly as without the demotion.
+func TestPCTDemoteUnseenDrawsNothing(t *testing.T) {
+	p := &PCT{changes: []int64{0}, low: 1 << 20, x: 1}
+	q := &PCT{low: 1 << 20, x: 1}
+	ready := []int{1, 2}
+	if a, b := p.Pick(ready, 3, 0, PointCheck), q.Pick(ready, 3, 0, PointCheck); a != b {
+		t.Fatalf("picks differ: %d with the demotion, %d without", a, b)
+	}
+	if p.x != q.x {
+		t.Fatal("demoting an unseen task drew from the generator")
+	}
+	if p.prios[3] != 1<<20 {
+		t.Fatalf("prios[3] = %d, want the demotion band's top %d", p.prios[3], 1<<20)
+	}
+	// Once demoted the task counts as seen: looking it up draws nothing.
+	x := p.x
+	if p.prio(3) != 1<<20 || p.x != x {
+		t.Fatal("a demoted task drew an initial priority")
 	}
 }
 

@@ -58,11 +58,11 @@ func TestControllerTraceRLE(t *testing.T) {
 	// Decide 1, 1, 2, 2, 2, 1 over a ready set of both keys.
 	want := []Step{{Key: 1, N: 2}, {Key: 2, N: 3}, {Key: 1, N: 1}}
 	c := New(NewReplay(&Trace{Strategy: "random", Steps: want}), Options{Record: true})
-	c.mu.Lock()
+	c.Register()
+	c.Register()
 	for i := 0; i < 6; i++ {
-		c.decideLocked([]int{1, 2}, 1, PointCheck)
+		c.pick(1, PointCheck)
 	}
-	c.mu.Unlock()
 	tr := c.Trace()
 	if !reflect.DeepEqual(tr.Steps, want) {
 		t.Fatalf("RLE steps = %v, want %v", tr.Steps, want)
