@@ -34,13 +34,14 @@ test:
 	$(GO) test ./...
 
 # race also repeats the teardown tests ten times, the interpreter's
-# interrupts of scheduled runs included: the controller's state is owned
-# by the token holder, and only Abort, deadlock teardown and the tasks
-# they release run beside it.
+# interrupts of scheduled runs included: a scheduled run's threads are
+# coroutines its driver resumes one at a time, Abort is the one call from
+# another goroutine, and every coroutine must be finished when Run
+# returns.
 race:
 	$(GO) test -race ./internal/paged ./internal/shadow ./internal/interp ./internal/refcount ./internal/sched ./internal/telemetry ./internal/serve ./internal/obsrv ./internal/absint
-	$(GO) test -race -count=10 -run 'Abort|Deadlock|Teardown|TokenSerialization' ./internal/sched
-	$(GO) test -race -count=10 -run 'TestInterruptSeededRun|TestInterruptIdempotentAndLate|TestInterruptUnbegunSpawner' ./internal/interp
+	$(GO) test -race -count=10 -run 'Abort|Deadlock|Teardown|OneTaskAtATime|Panic' ./internal/sched
+	$(GO) test -race -count=10 -run 'TestInterruptSeededRun|TestInterruptIdempotentAndLate|TestInterruptUnbegunSpawner|TestScheduledRunsLeaveNoGoroutines' ./internal/interp
 
 # fuzz-smoke fuzzes for 10 seconds each the shadow runtime against its
 # reference model (the n-readers-xor-1-writer rule over plain maps), the
@@ -93,15 +94,19 @@ explore-smoke:
 # the merge. racy_fresh
 # reads memory before writing it, and its reports depend on reading 0, so
 # a cell leaking from one schedule's runtime into the next one set up on
-# its recycled memory shows as a diff.
+# its recycled memory shows as a diff. The quick stunnel model switches
+# threads more often than any other benchmark program, so the coroutine
+# switches of scheduled runs are covered where they are most frequent; it
+# runs 8 schedules to keep the target short.
 workers-smoke:
 	@$(GO) build -o /tmp/shc-pf-bin ./cmd/sharc
-	@for prog in racy_pair racy_fresh; do \
+	@for spec in internal/interp/testdata/racy_pair.shc:20 internal/interp/testdata/racy_fresh.shc:20 benchmark/programs/table1/stunnel.quick.shc:8; do \
+		prog=$${spec%:*}; n=$${spec##*:}; \
 		for strategy in mix rr pct random; do \
-			/tmp/shc-pf-bin explore -schedules 20 -seed 5 -strategy $$strategy -workers 1 -json /tmp/shc-pf-1.json internal/interp/testdata/$$prog.shc > /dev/null 2>&1; \
+			/tmp/shc-pf-bin explore -schedules $$n -seed 5 -strategy $$strategy -workers 1 -json /tmp/shc-pf-1.json $$prog > /dev/null 2>&1; \
 			[ -s /tmp/shc-pf-1.json ] || { echo "explore wrote no JSON for $$prog"; exit 1; }; \
 			for workers in 2 8; do \
-				/tmp/shc-pf-bin explore -schedules 20 -seed 5 -strategy $$strategy -workers $$workers -json /tmp/shc-pf-k.json internal/interp/testdata/$$prog.shc > /dev/null 2>&1; \
+				/tmp/shc-pf-bin explore -schedules $$n -seed 5 -strategy $$strategy -workers $$workers -json /tmp/shc-pf-k.json $$prog > /dev/null 2>&1; \
 				cmp /tmp/shc-pf-1.json /tmp/shc-pf-k.json || { echo "explore output diverges on $$prog at strategy=$$strategy workers=$$workers"; exit 1; }; \
 			done; \
 			rm -f /tmp/shc-pf-1.json /tmp/shc-pf-k.json; \

@@ -73,9 +73,9 @@ func (t *thread) doJoin(h int64, pos token.Pos) int64 {
 			t.schedDown(pos)
 		}
 	}
-	// Under the scheduler the target has already passed its Exit point;
-	// done closes momentarily after, so this wait is bounded and makes
-	// no scheduling decision.
+	// Under the scheduler the target's body has returned, and done was
+	// closed before the joiner resumed, so this wait never blocks and
+	// makes no scheduling decision.
 	<-th.done
 	if obs := rt.cfg.Observer; obs != nil {
 		obs.Join(t.tid, th.tid)
@@ -108,8 +108,8 @@ func (t *thread) doMutexLock(addr int64, pos token.Pos) int64 {
 	rt := t.rt
 	mu := t.mutexAt(addr, pos)
 	if rt.ctl != nil {
-		// Real mutexes would block the token holder in the Go runtime
-		// with no way to hand the token on; ownership is modeled in the
+		// A real mutex would block the running thread in the Go runtime
+		// with no way to switch to another; ownership is modeled in the
 		// controller instead, which also gives deadlock detection.
 		if !rt.ctl.Lock(t.skey, addr) {
 			t.schedDown(pos)
@@ -379,9 +379,9 @@ func (t *thread) doSpawn(fnVal, arg int64, pos token.Pos) int64 {
 	}
 	var tid int
 	if rt.ctl != nil {
-		// The token holder must not block in a channel receive: when the id
-		// pool is dry, hand the token away until some thread exits (exiting
-		// threads return their id before their Exit point).
+		// The running thread must not block in a channel receive: when the
+		// id pool is dry, switch away until some thread exits (an exiting
+		// thread returns its id before the controller retires it).
 		for {
 			var ok bool
 			if tid, ok = rt.tryTid(); ok {
@@ -396,31 +396,30 @@ func (t *thread) doSpawn(fnVal, arg int64, pos token.Pos) int64 {
 	}
 	handle := rt.nextHandle.Add(1)
 	th := &threadHandle{tid: tid, done: make(chan struct{})}
-	if rt.ctl != nil {
-		th.skey = rt.ctl.Register()
+	body := func(skey int) {
+		defer close(th.done)
+		nt := rt.newThread(tid, skey)
+		defer rt.threadEpilogue(nt)
+		nt.runFlat(idx, []int64{arg})
 	}
-	rt.handles.Store(handle, th)
 	if rt.ctl != nil {
+		th.skey = rt.ctl.Go(body)
 		rt.bindKey(th.skey, tid)
 	}
+	rt.handles.Store(handle, th)
 	rt.counters.Spawns.Add(1)
 	rt.tracer.Append(telemetry.KindSpawn, t.tid, -1, 0, int64(tid))
 	if obs := rt.cfg.Observer; obs != nil {
 		obs.Spawn(t.tid, tid)
 	}
 	rt.trackLive(1)
-	rt.wg.Add(1)
-	go func() {
-		defer rt.wg.Done()
-		defer close(th.done)
-		nt := rt.newThread(tid)
-		nt.skey = th.skey
-		if rt.ctl != nil {
-			rt.ctl.Begin(th.skey)
-		}
-		defer rt.threadEpilogue(nt)
-		nt.runFlat(idx, []int64{arg})
-	}()
+	if rt.ctl == nil {
+		rt.wg.Add(1)
+		go func() {
+			defer rt.wg.Done()
+			body(0)
+		}()
+	}
 	t.schedPoint(sched.PointSpawn)
 	return handle
 }

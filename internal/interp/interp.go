@@ -87,10 +87,10 @@ type Config struct {
 	// SeedRand seeds the deterministic per-thread generators.
 	SeedRand int64
 	// Sched, when non-nil, replaces free-running Go scheduling with the
-	// cooperative deterministic scheduler: threads hand off an execution
-	// token at every sync/check point and the controller's strategy picks
-	// who runs next. Report content for any fixed schedule is unchanged;
-	// only the interleaving is controlled.
+	// cooperative deterministic scheduler: threads run one at a time as
+	// the controller's tasks, and at every sync/check point its strategy
+	// picks who runs next. Report content for any fixed schedule is
+	// unchanged; only the interleaving is controlled.
 	Sched *sched.Controller
 
 	// Metrics enables the per-site telemetry collector (read via
@@ -570,26 +570,27 @@ func (rt *Runtime) addThreadStats(t *thread) {
 // Run executes the program's main function and waits for every spawned
 // thread to finish (the benchmark programs join their workers; waiting
 // keeps stray goroutines out of the host process). It returns main's exit
-// value.
+// value. Under a controller the threads are its tasks, driven on the
+// calling goroutine; free-running, each spawned thread is a goroutine.
 func (rt *Runtime) Run() (int64, error) {
 	if rt.mem.Len() == 0 {
 		panic("interp: Run of a released runtime")
 	}
-	mainIdx := rt.prog.Main
 	tid := rt.acquireTid()
-	t := rt.newThread(tid)
-	if rt.ctl != nil {
-		t.skey = rt.ctl.Register()
-		rt.bindKey(t.skey, t.tid)
-		rt.ctl.Begin(t.skey)
-	}
 	rt.trackLive(1)
 	ret := int64(0)
-	func() {
+	main := func(skey int) {
+		t := rt.newThread(tid, skey)
 		defer rt.threadEpilogue(t)
-		ret = t.runFlat(mainIdx, nil)
-	}()
-	rt.wg.Wait()
+		ret = t.runFlat(rt.prog.Main, nil)
+	}
+	if rt.ctl != nil {
+		rt.bindKey(rt.ctl.Go(main), tid)
+		rt.ctl.Run()
+	} else {
+		main(0)
+		rt.wg.Wait()
+	}
 	if rt.interrupted.Load() {
 		return ret, ErrInterrupted
 	}
@@ -643,10 +644,11 @@ var ErrInterrupted = errors.New("interrupted: the run was stopped before complet
 // Interrupt stops an in-flight Run from another goroutine: it raises the
 // Config.Interrupt flag (threads unwind silently at their next scheduling
 // point — a shared-memory access or a synchronization operation) and,
-// under the cooperative scheduler, aborts the controller: at the token
-// holder's next scheduling point, threads parked waiting for the token,
-// blocked on modeled locks, condition variables, and joins, or not yet
-// begun are all released, and so is any thread spawned after. The
+// under the cooperative scheduler, aborts the controller: at the running
+// thread's next scheduling point the run is torn down, and the driver
+// resumes every unfinished thread in turn — runnable ones, ones blocked
+// on modeled locks, condition variables and joins, ones not yet started,
+// and any spawned during the teardown — each of which unwinds. The
 // teardown is reliable for scheduled runs (Config.Sched non-nil, the serve
 // layer's default); for free-running programs it is best-effort — a thread
 // parked in a Go-level mutex or condition wait is only interrupted once it
@@ -687,7 +689,7 @@ func (rt *Runtime) threadEpilogue(t *thread) {
 			// program error. Free-running threads hold real Go mutexes, so
 			// release them here or siblings parked in mu.Lock() would never
 			// reach their own interrupt check (modeled locks under a
-			// controller are unwedged by Controller.Abort instead).
+			// controller are unwedged by the controller's teardown).
 			rt.interrupted.Store(true)
 			interrupted = true
 			if rt.ctl == nil {
@@ -714,12 +716,10 @@ func (rt *Runtime) threadEpilogue(t *thread) {
 	rt.addThreadStats(t)
 	rt.shadow.ClearThread(t.tid)
 	rt.trackLive(-1)
+	// The controller retires a scheduled thread once its body has
+	// returned, after the tid is back in the pool, so a spawner woken by
+	// this exit (AwaitExit) finds a free thread id.
 	rt.tidPool <- t.tid
-	if rt.ctl != nil {
-		// After the tid goes back to the pool, so a spawner woken by this
-		// exit (AwaitExit) finds a free thread id.
-		rt.ctl.Exit(t.skey)
-	}
 }
 
 // threadFailure aborts a thread (the formal semantics' "fail" state).

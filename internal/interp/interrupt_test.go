@@ -211,9 +211,9 @@ int main(void) {
 `
 
 // TestInterruptUnbegunSpawner pins the teardown of a thread that had not
-// begun when the run was interrupted: it is released, runs to its first
-// action, a spawn, and the thread it spawns must get a teardown token too,
-// or its first wait for the token never returns and neither does Run.
+// started when the run was interrupted: the teardown starts it, it runs
+// to its first action, a spawn, and the thread it spawns must be resumed
+// and unwind too, or Run never returns.
 func TestInterruptUnbegunSpawner(t *testing.T) {
 	for _, withFlag := range []bool{true, false} {
 		a, err := core.Analyze(parser.Source{Name: "spawnfirst.shc", Text: spawnFirst})

@@ -127,7 +127,7 @@ int main(void) {
 // 1..MaxThreads that exiting threads append to, so every report that
 // names a thread id reads the same. The model replays the observer's
 // spawn and exit events under controlled schedules (a thread returns its
-// id before passing the execution token on), and seed 1's sequence is
+// id before the controller picks the next thread), and seed 1's sequence is
 // pinned.
 func TestTidAssignmentOrder(t *testing.T) {
 	prog := buildProg(t, manyThreads)

@@ -21,8 +21,8 @@ func siteInfos(prog *ir.Program) []telemetry.SiteInfo {
 }
 
 // schedObs forwards scheduler decisions and blocking edges into the
-// tracer. Only the token holder calls it, and it must not call back into
-// the scheduler; it only stamps the tracer.
+// tracer. Only the running thread or the controller's driver calls it,
+// and it must not call back into the scheduler; it only stamps the tracer.
 type schedObs struct{ rt *Runtime }
 
 func (o schedObs) Decision(step int64, chosen int, p sched.Point) {

@@ -47,11 +47,12 @@ type thread struct {
 	cstrs []string
 }
 
-func (rt *Runtime) newThread(tid int) *thread {
+func (rt *Runtime) newThread(tid, skey int) *thread {
 	base := rt.stackBase + int64(tid-1)*int64(rt.cfg.StackCells)
 	return &thread{
 		rt:    rt,
 		tid:   tid,
+		skey:  skey,
 		base:  base,
 		sp:    base,
 		locks: locklog.New(),
@@ -86,9 +87,9 @@ func (t *thread) schedDown(pos token.Pos) {
 	t.fail(pos, "deadlock: all threads blocked")
 }
 
-// schedPoint offers the execution token to the cooperative scheduler (when
-// one is installed). A false return means the controller tore the run down
-// (deadlock or abort) and this thread must unwind.
+// schedPoint offers the running thread's turn to the cooperative scheduler
+// (when one is installed). A false return means the controller tore the
+// run down (deadlock or abort) and this thread must unwind.
 func (t *thread) schedPoint(p sched.Point) {
 	t.interruptCheck()
 	if t.rt.ctl == nil || t.noYield > 0 {

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -21,26 +20,18 @@ import (
 //	UPDATE_GOLDEN=1 go test -run TestTraceGolden ./internal/sched
 
 // world runs scripted tasks that may spawn more tasks mid-run, the way
-// the interpreter's spawn does: Register by the token holder, then a
-// goroutine that Begins, runs its script and Exits.
+// the interpreter's spawn does: the running task registers the new one
+// with Go, and the driver starts it when the strategy first picks it.
 type world struct {
-	c  *Controller
-	wg sync.WaitGroup
+	c *Controller
 }
 
 func (w *world) spawn(f func(w *world, key int)) int {
-	key := w.c.Register()
-	w.wg.Add(1)
-	go func() {
-		defer w.wg.Done()
-		w.c.Begin(key)
-		f(w, key)
-		w.c.Exit(key)
-	}()
-	return key
+	return w.c.Go(func(key int) { f(w, key) })
 }
 
-// obsLog records the observer stream; only the token holder calls it.
+// obsLog records the observer stream; only the running task or the
+// driver calls it.
 type obsLog struct{ b strings.Builder }
 
 func (o *obsLog) Decision(step int64, chosen int, p Point) {
@@ -50,7 +41,7 @@ func (o *obsLog) Decision(step int64, chosen int, p Point) {
 func (o *obsLog) Block(key int, p Point) { fmt.Fprintf(&o.b, "b%d:%s ", key, p) }
 
 // goldenWorkloads are the scripted programs, each a main task. Shared
-// state is touched only by the token holder, so the scripts are as
+// state is touched only by the running task, so the scripts are as
 // deterministic as the schedule.
 var goldenWorkloads = []struct {
 	name string
@@ -232,7 +223,7 @@ func runGolden(s Strategy, main func(w *world, key int)) goldenRun {
 	o := &obsLog{}
 	w.c.SetObserver(o)
 	w.spawn(main)
-	w.wg.Wait()
+	w.c.Run()
 	return goldenRun{tr: w.c.Trace(), obs: o.b.String(), deadlock: w.c.Deadlocked()}
 }
 

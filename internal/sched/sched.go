@@ -1,9 +1,9 @@
 // Package sched is a pluggable cooperative scheduling layer for the
 // concurrent interpreter. When a Controller is installed, ShC threads stop
-// free-running on the Go scheduler: exactly one thread holds the execution
-// token at a time, and at every scheduling point (spawn, lock/unlock,
-// cond wait/signal, join, checked memory access, sharing cast, thread
-// exit) the running thread hands the token back and a Strategy picks the
+// free-running on the Go scheduler: each thread's body runs on a coroutine,
+// the Controller's driver resumes exactly one of them at a time, and at
+// every scheduling point (spawn, lock/unlock, cond wait/signal, join,
+// checked memory access, sharing cast, thread exit) a Strategy picks the
 // next runnable thread. Because the interpreter is deterministic between
 // scheduling points, the sequence of chosen threads fully determines the
 // execution: a (program, seed) pair reproduces the identical trace,
@@ -15,21 +15,19 @@
 // Blocking operations (mutex acquire, condition wait, join, thread-id
 // starvation) are modeled inside the Controller rather than on real sync
 // primitives, so the scheduler always knows the runnable set and can
-// detect deadlocks: when every live thread is blocked, all of them are
-// released with a failure status and the run aborts with deadlock reports
-// instead of hanging.
+// detect deadlocks: when every live thread is blocked, the run is torn
+// down, every unfinished thread is resumed with a failure status, and the
+// run aborts with deadlock reports instead of hanging.
 //
-// The token holder owns the Controller's state. The scheduling methods
-// are called only by the thread holding the token, and each hand-off
-// through a resume channel orders one holder's writes before the next
-// holder's reads, so a decision takes no lock. Only Abort comes from
-// other goroutines, and it merely requests a teardown that the holder
+// The running task owns the Controller's state. Run drives the tasks on
+// its own goroutine, and a task runs only while the driver has resumed
+// it, so a decision takes no lock. Only Abort comes from other
+// goroutines, and it merely requests a teardown that the running task
 // carries out at its next scheduling method.
 package sched
 
 import (
 	"slices"
-	"sync"
 	"sync/atomic"
 )
 
@@ -84,7 +82,7 @@ func (p Point) String() string {
 type taskState int
 
 const (
-	stReady taskState = iota // in the ready set: running, runnable, or not yet begun
+	stReady taskState = iota // in the ready set: running, runnable, or not yet started
 	stBlocked
 	stExited
 )
@@ -99,26 +97,21 @@ const (
 	blkExit             // waiting for any task to exit (thread-id starvation)
 )
 
-// task is one schedulable thread. Every non-running, non-exited task's
-// goroutine is parked on its resume channel; state says whether the picker
-// may hand it the token.
+// task is one schedulable thread. Every unfinished task but the running
+// one is suspended: not yet started, or parked in a switch inside a
+// scheduling method. state says whether the picker may resume it.
 type task struct {
 	key      int
 	state    taskState
 	reason   blockReason
 	waitAddr int64
 	waitKey  int
-	resume   chan resumeMsg // buffered 1: the token can be deposited early
+	next     func() (int, bool) // resumes the task's coroutine (driver.go)
+	yield    func(int) bool     // from the body: switch to the driver, naming the next task
 }
 
-// resumeMsg is a token. down marks a teardown token: the run is over and
-// the receiver unwinds without touching the controller's state.
-type resumeMsg struct {
-	down bool
-}
-
-// Run states, in Controller.phase. Abort requests a teardown; the token
-// holder carries it out at its next controller call.
+// Run states, in Controller.phase. Abort requests a teardown; the running
+// task carries it out at its next controller call.
 const (
 	live int32 = iota
 	abortRequested
@@ -133,9 +126,9 @@ type Options struct {
 }
 
 // Observer taps the controller's scheduling decisions and blocking edges
-// (for telemetry tracing). Only the token holder invokes it, one call at
-// a time: implementations must be fast and must never call back into the
-// Controller.
+// (for telemetry tracing). Only the running task or the driver invokes it,
+// one call at a time: implementations must be fast and must never call
+// back into the Controller.
 type Observer interface {
 	// Decision reports that decision step picked task chosen at point p.
 	Decision(step int64, chosen int, p Point)
@@ -143,21 +136,19 @@ type Observer interface {
 	Block(key int, p Point)
 }
 
-// Controller serializes a set of tasks onto one execution token and makes
-// every interleaving decision through its Strategy.
+// Controller runs a set of tasks one at a time and makes every
+// interleaving decision through its Strategy.
 //
-// The token holder owns the controller: only the task holding the token
-// calls the scheduling methods (YieldPoint, Lock, Unlock, Wait, Signal,
-// Join, AwaitExit, Exit) and Register, and successive holders are ordered
-// by the resume channels, so those methods take no lock. Once the run is
-// torn down, the tasks the teardown released call them too; they find
-// the run down and touch no state. mu only orders the growth of tasks
-// against Begin, which runs on the new task's goroutine, and against the
-// one teardown pass. Abort, Aborted and Deadlocked are safe to call from
-// any goroutine at any time; Decisions, Trace and Diverged read the
-// finished run and are called after it.
+// Go registers the tasks and Run drives them on the calling goroutine.
+// Only the running task calls the scheduling methods (YieldPoint, Lock,
+// Unlock, Wait, Signal, Join, AwaitExit) and Go, and the driver resumes
+// one task at a time, so no method takes a lock. Once the run is torn
+// down, the driver resumes every unfinished task in key order; its
+// scheduling methods find the run down, return false and touch no state.
+// Abort, Aborted and Deadlocked are safe to call from any goroutine at any
+// time; Decisions, Trace and Diverged read the finished run and are called
+// after it.
 type Controller struct {
-	mu        sync.Mutex
 	strategy  Strategy
 	tasks     []*task // index key-1; registration order
 	ready     []int   // keys of the stReady tasks, ascending
@@ -179,62 +170,22 @@ func New(s Strategy, o Options) *Controller {
 	}
 }
 
-// Register adds a new task and returns its key (1, 2, ... in registration
-// order). The first registered task starts as the token holder; later ones
-// are runnable and start executing when first picked (see Begin). Keys are
-// deterministic: registration happens in scheduled-thread order. Once the
-// run is torn down the new task gets a teardown token at once, so its
-// Begin returns and it unwinds at its first scheduling point.
-func (c *Controller) Register() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := &task{
-		key:    len(c.tasks) + 1,
-		resume: make(chan resumeMsg, 1),
-	}
-	c.tasks = append(c.tasks, t)
-	if c.phase.Load() >= downAbort {
-		t.resume <- resumeMsg{down: true}
-		return t.key
-	}
-	c.ready = append(c.ready, t.key) // the largest key so far
-	if t.key == 1 {
-		t.resume <- resumeMsg{} // initial token; drained by Begin
-	}
-	return t.key
-}
-
-// Begin parks the calling task until it is first scheduled. Every task —
-// including one handed the token before it started — consumes exactly one
-// token from its resume channel here, so an early deposit is never left
-// stale in the buffer.
-func (c *Controller) Begin(key int) {
-	c.mu.Lock()
-	t := c.tasks[key-1]
-	c.mu.Unlock()
-	<-t.resume
-}
-
-// enter starts every scheduling method: it returns the calling holder's
-// task, or nil when the run is over or an abort is pending, in which case
-// it carries out the teardown (if no one has) and the caller unwinds.
+// enter starts every scheduling method: it returns the calling task, or
+// nil when the run is over or an abort is pending, in which case it
+// carries out the teardown (if no one has) and the caller unwinds.
 func (c *Controller) enter(key int) *task {
 	if c.phase.Load() != live {
-		c.teardown(key, downAbort)
+		c.teardown(downAbort)
 		return nil
 	}
 	return c.tasks[key-1]
 }
 
-// teardown ends the run once: the first call (a CAS under mu, made by the
-// token holder) records why and deposits a teardown token with every
-// non-exited task but the caller; later calls, from tasks that token
-// released, find the run down and return. A pending abort outranks a
-// deadlock found at the same time. It returns false, the scheduling
-// methods' answer to a task that must unwind.
-func (c *Controller) teardown(caller int, kind int32) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// teardown ends the run once, recording why; the driver then resumes the
+// unfinished tasks, which unwind. A pending abort outranks a deadlock
+// found at the same time. It returns false, the scheduling methods'
+// answer to a task that must unwind.
+func (c *Controller) teardown(kind int32) bool {
 	for {
 		s := c.phase.Load()
 		if s >= downAbort {
@@ -245,18 +196,9 @@ func (c *Controller) teardown(caller int, kind int32) bool {
 			k = downAbort
 		}
 		if c.phase.CompareAndSwap(s, k) {
-			break
+			return false
 		}
 	}
-	for _, u := range c.tasks {
-		if u.key != caller && u.state != stExited {
-			select {
-			case u.resume <- resumeMsg{down: true}:
-			default:
-			}
-		}
-	}
-	return false
 }
 
 // makeReady returns blocked task u to the ready set.
@@ -305,10 +247,11 @@ func (c *Controller) note(choice int, p Point) {
 // the program starts; the observer sees every subsequent decision.
 func (c *Controller) SetObserver(o Observer) { c.obs = o }
 
-// yield is the heart of the token machine: the holder t gives up the token
-// (blocking if blocked is set), the strategy picks the next task, and the
-// call returns when t is picked again. It returns false when the run was
-// torn down, in which case t must unwind.
+// yield is the heart of the controller: the running task t offers its
+// turn (blocking if blocked is set), the strategy picks the next task, and
+// when that is another task, t switches to the driver, which resumes the
+// pick; the call returns when t is resumed. It returns false when the run
+// was torn down, in which case t must unwind.
 func (c *Controller) yield(t *task, p Point, blocked bool) bool {
 	if blocked {
 		c.leave(t, stBlocked)
@@ -316,26 +259,25 @@ func (c *Controller) yield(t *task, p Point, blocked bool) bool {
 			c.obs.Block(t.key, p)
 		}
 		if len(c.ready) == 0 {
-			return c.teardown(t.key, downDeadlock)
+			return c.teardown(downDeadlock)
 		}
 	}
 	next := c.pick(t.key, p)
 	if next == t {
 		return true
 	}
-	next.resume <- resumeMsg{}
-	return !(<-t.resume).down
+	return t.yield(next.key) && c.phase.Load() < downAbort
 }
 
-// YieldPoint is a pure preemption opportunity: the running task offers the
-// token without blocking. False means the run was torn down.
+// YieldPoint is a pure preemption opportunity: the running task offers its
+// turn without blocking. False means the run was torn down.
 func (c *Controller) YieldPoint(key int, p Point) bool {
 	t := c.enter(key)
 	return t != nil && c.yield(t, p, false)
 }
 
-// Lock acquires the scheduler-modeled mutex at addr, blocking (by handing
-// the token away) while another task owns it. Lock is itself a scheduling
+// Lock acquires the scheduler-modeled mutex at addr, blocking (by
+// switching away) while another task owns it. Lock is itself a scheduling
 // point before the acquire. Returns false on teardown.
 func (c *Controller) Lock(key int, addr int64) bool {
 	t := c.enter(key)
@@ -448,13 +390,13 @@ func (c *Controller) AwaitExit(key int) bool {
 	return c.yield(t, PointSpawn, true)
 }
 
-// Exit retires the calling task, wakes its joiners and any spawners
-// starved for a thread id, and hands the token onward. Exiting is a
-// recorded scheduling decision like any other.
-func (c *Controller) Exit(key int) {
-	t := c.enter(key)
-	if t == nil {
-		return
+// exit retires task t, whose body has returned, wakes its joiners and any
+// spawners starved for a thread id, and returns the task to resume next,
+// or nil when the run is over or torn down. Exiting is a recorded
+// scheduling decision like any other.
+func (c *Controller) exit(t *task) *task {
+	if c.enter(t.key) == nil {
+		return nil
 	}
 	c.leave(t, stExited)
 	blocked := false
@@ -462,32 +404,29 @@ func (c *Controller) Exit(key int) {
 		if u.state != stBlocked {
 			continue
 		}
-		if (u.reason == blkJoin && u.waitKey == key) || u.reason == blkExit {
+		if (u.reason == blkJoin && u.waitKey == t.key) || u.reason == blkExit {
 			c.makeReady(u)
 		} else {
 			blocked = true
 		}
 	}
-	if len(c.ready) == 0 {
-		if blocked {
-			c.teardown(key, downDeadlock)
-		}
-		return // program over
+	if len(c.ready) > 0 {
+		return c.pick(t.key, PointExit)
 	}
-	c.pick(key, PointExit).resume <- resumeMsg{}
+	if blocked {
+		c.teardown(downDeadlock)
+	}
+	return nil
 }
 
 // Abort tears the schedule down from outside the program: it requests a
-// teardown, which the token holder carries out at its next controller
-// call. Every parked task — ready tasks waiting for the token as well as
-// blocked ones, and tasks not yet begun — is then released with a
-// teardown token, and every later controller call returns false, so all
-// threads unwind at their next scheduling point. Unlike deadlock
-// detection, which only fires when no task can run, Abort is called from
-// another goroutine (a request timeout, a server drain) while the program
-// is healthy; Deadlocked stays false and the interpreter unwinds without
-// emitting deadlock reports. Idempotent, and a no-op after deadlock
-// teardown has already begun.
+// teardown, which the running task carries out at its next controller
+// call; every controller call then returns false, and Run resumes every
+// unfinished task so that all of them unwind. Unlike deadlock detection,
+// Abort comes from another goroutine (a request timeout, a server drain)
+// while the program is healthy; Deadlocked stays false and the
+// interpreter unwinds without deadlock reports. Idempotent, and a no-op
+// after deadlock teardown has already begun.
 func (c *Controller) Abort() { c.phase.CompareAndSwap(live, abortRequested) }
 
 // Aborted reports whether Abort was called before any deadlock teardown.

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,34 +10,23 @@ import (
 )
 
 // runTasks drives n scripted tasks under a fresh controller: task i runs
-// script[i](c, key) after Begin and exits afterwards. The first script is
-// the "main" task (registered first, so it starts running); the others are
+// script[i](c, key) and exits when it returns. The first script is the
+// "main" task (registered first, so it starts running); the others are
 // registered by the harness before main starts, which is deterministic.
 func runTasks(t testing.TB, s Strategy, rec bool, scripts ...func(c *Controller, key int)) *Controller {
 	t.Helper()
 	c := New(s, Options{Record: rec})
-	keys := make([]int, len(scripts))
-	for i := range scripts {
-		keys[i] = c.Register()
+	for _, f := range scripts {
+		c.Go(func(key int) { f(c, key) })
 	}
-	var wg sync.WaitGroup
-	for i, f := range scripts {
-		wg.Add(1)
-		go func(i int, f func(*Controller, int)) {
-			defer wg.Done()
-			c.Begin(keys[i])
-			f(c, keys[i])
-			c.Exit(keys[i])
-		}(i, f)
-	}
-	wg.Wait()
+	c.Run()
 	return c
 }
 
-// TestTokenSerialization: concurrent unsynchronized writes to a shared
-// slice are safe because only the token holder runs (this test is part of
-// the -race subset).
-func TestTokenSerialization(t *testing.T) {
+// TestOneTaskAtATime: unsynchronized writes to a shared slice from every
+// task are safe because the driver resumes one task at a time (this test
+// is part of the -race subset).
+func TestOneTaskAtATime(t *testing.T) {
 	var log []int
 	worker := func(c *Controller, key int) {
 		for i := 0; i < 50; i++ {
@@ -168,35 +158,30 @@ func TestJoinBlocksUntilExit(t *testing.T) {
 		}
 	}
 	c := New(NewRandom(3), Options{})
-	pk := c.Register()
-	childKey = c.Register()
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); c.Begin(pk); parent(c, pk); c.Exit(pk) }()
-	go func() { defer wg.Done(); c.Begin(childKey); child(c, childKey); c.Exit(childKey) }()
-	wg.Wait()
+	c.Go(func(key int) { parent(c, key) })
+	childKey = c.Go(func(key int) { child(c, key) })
+	c.Run()
 }
 
 // TestDeadlockDetection: a classic ABBA lock cycle is detected and both
-// tasks are released with a failure status instead of hanging. The
-// released tasks run concurrently, so failures is atomic.
+// tasks are resumed with a failure status instead of hanging.
 func TestDeadlockDetection(t *testing.T) {
 	const a, b = 100, 200
-	var failures atomic.Int32
+	failures := 0
 	mk := func(first, second int64) func(c *Controller, key int) {
 		return func(c *Controller, key int) {
 			if !c.Lock(key, first) {
-				failures.Add(1)
+				failures++
 				return
 			}
 			for i := 0; i < 5; i++ { // give the sibling time to take its first lock
 				if !c.YieldPoint(key, PointCheck) {
-					failures.Add(1)
+					failures++
 					return
 				}
 			}
 			if !c.Lock(key, second) {
-				failures.Add(1)
+				failures++
 				return
 			}
 			c.Unlock(key, second)
@@ -207,7 +192,7 @@ func TestDeadlockDetection(t *testing.T) {
 	if !c.Deadlocked() {
 		t.Fatal("ABBA cycle not detected")
 	}
-	if failures.Load() == 0 {
+	if failures == 0 {
 		t.Fatal("no task observed the deadlock")
 	}
 	c.Abort() // a no-op after deadlock teardown
@@ -300,7 +285,6 @@ func TestReplayDivergenceFallback(t *testing.T) {
 // TestAwaitExit: a task blocked in AwaitExit resumes when another exits.
 func TestAwaitExit(t *testing.T) {
 	resumed := false
-	var shortKey int
 	short := func(c *Controller, key int) {
 		for i := 0; i < 3; i++ {
 			c.YieldPoint(key, PointCheck)
@@ -313,17 +297,31 @@ func TestAwaitExit(t *testing.T) {
 		}
 		resumed = true
 	}
-	c := New(NewRoundRobin(1), Options{})
-	wk := c.Register()
-	shortKey = c.Register()
-	_ = shortKey
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); c.Begin(wk); waiter(c, wk); c.Exit(wk) }()
-	go func() { defer wg.Done(); c.Begin(shortKey); short(c, shortKey); c.Exit(shortKey) }()
-	wg.Wait()
+	runTasks(t, NewRoundRobin(1), false, waiter, short)
 	if !resumed {
 		t.Fatal("AwaitExit never resumed")
+	}
+}
+
+// runAsync starts c.Run on another goroutine, for tests that Abort from
+// outside the run; the returned channel closes when Run returns.
+func runAsync(c *Controller) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Run()
+	}()
+	return done
+}
+
+// waitRun waits for a run started by runAsync, failing the test if that
+// takes longer than 10s.
+func waitRun(t *testing.T, done <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("tasks still running 10s after teardown")
 	}
 }
 
@@ -354,23 +352,13 @@ func TestAbort(t *testing.T) {
 		}
 	}
 	c := New(NewRoundRobin(1), Options{})
-	keys := []int{c.Register(), c.Register(), c.Register()}
-	var wg sync.WaitGroup
-	run := func(i int, f func(*Controller, int, int)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.Begin(keys[i])
-			f(c, keys[i], i)
-			c.Exit(keys[i])
-		}()
+	for i, f := range []func(*Controller, int, int){spin, spin, blocked} {
+		c.Go(func(key int) { f(c, key, i) })
 	}
-	run(0, spin)
-	run(1, spin)
-	run(2, blocked)
+	done := runAsync(c)
 	started.Wait()
 	c.Abort()
-	wg.Wait()
+	waitRun(t, done)
 	if !c.Aborted() {
 		t.Fatal("Aborted() = false after Abort")
 	}
@@ -385,113 +373,91 @@ func TestAbort(t *testing.T) {
 	c.Abort() // idempotent
 }
 
-// waitAll waits for wg, failing the test if that takes longer than 10s.
-func waitAll(t *testing.T, wg *sync.WaitGroup) {
-	t.Helper()
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("tasks still running 10s after teardown")
-	}
-}
-
-// TestAbortReleasesParkedTasks: Abort is carried out by the token holder
-// and releases tasks parked on a lock, a condition, a join and AwaitExit,
-// a task that had not begun, and a task registered after the teardown by
-// one the teardown released.
+// TestAbortReleasesParkedTasks: Abort is carried out by the running task,
+// and the driver then resumes tasks parked on a lock, a condition, a join
+// and AwaitExit, a task registered but not yet started, and a task
+// registered after the teardown by one the teardown resumed.
 func TestAbortReleasesParkedTasks(t *testing.T) {
 	const lock, cvLock, cv = 100, 200, 300
 	c := New(NewRoundRobin(1), Options{})
-	var wg sync.WaitGroup
-	var parked atomic.Int32
-	denied := make([]atomic.Bool, 8)
-	start := func(key int, gate <-chan struct{}, f func(key int) bool) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if gate != nil {
-				<-gate
-			}
-			c.Begin(key)
+	parked := 0
+	denied := make([]bool, 8)
+	var allParked atomic.Bool
+	start := func(f func(key int) bool) int {
+		return c.Go(func(key int) {
 			if !f(key) {
-				denied[key].Store(true)
+				denied[key] = true
 			}
-			c.Exit(key)
-		}()
+		})
 	}
 	park := func(f func(key int) bool) func(key int) bool {
 		return func(key int) bool {
-			parked.Add(1)
+			parked++
 			return f(key)
 		}
 	}
-	allParked, gate := make(chan struct{}), make(chan struct{})
-	keys := []int{c.Register(), c.Register(), c.Register(), c.Register(), c.Register()}
-	condKey := keys[2]
-	spawned := false
-	start(keys[0], nil, func(key int) bool {
-		for {
-			if parked.Load() == 4 && !spawned {
-				// Everyone else is parked, since only the holder runs:
-				// spawn a task whose goroutine waits for the test to
-				// abort before it begins.
-				start(c.Register(), gate, func(key int) bool { return c.YieldPoint(key, PointCheck) })
-				close(allParked)
-				spawned = true
-			}
+	var condKey int
+	start(func(key int) bool {
+		for parked < 4 {
 			if !c.YieldPoint(key, PointCheck) {
-				// Released by the teardown: a spawn now must not wedge.
-				start(c.Register(), nil, func(key int) bool { return c.YieldPoint(key, PointSpawn) })
+				t.Error("the run was torn down before the tasks parked")
 				return false
 			}
 		}
+		// Everyone else is parked, and only this task runs until it
+		// calls the controller: let the test abort, then register a
+		// task the teardown finds not yet started.
+		allParked.Store(true)
+		for !c.Aborted() {
+			runtime.Gosched()
+		}
+		start(func(key int) bool { return c.YieldPoint(key, PointCheck) })
+		if c.YieldPoint(key, PointCheck) {
+			return true
+		}
+		// Resumed by the teardown: a spawn now must not wedge.
+		start(func(key int) bool { return c.YieldPoint(key, PointSpawn) })
+		return false
 	})
-	start(keys[1], nil, park(func(key int) bool { return c.Lock(key, lock) && c.Lock(key, lock) }))
-	start(keys[2], nil, park(func(key int) bool { return c.Lock(key, cvLock) && c.Wait(key, cv, cvLock) }))
-	start(keys[3], nil, park(func(key int) bool { return c.Join(key, condKey) }))
-	start(keys[4], nil, park(c.AwaitExit))
-	<-allParked
+	start(park(func(key int) bool { return c.Lock(key, lock) && c.Lock(key, lock) }))
+	condKey = start(park(func(key int) bool { return c.Lock(key, cvLock) && c.Wait(key, cv, cvLock) }))
+	start(park(func(key int) bool { return c.Join(key, condKey) }))
+	start(park(c.AwaitExit))
+	done := runAsync(c)
+	for !allParked.Load() {
+		runtime.Gosched()
+	}
 	c.Abort()
-	close(gate)
-	waitAll(t, &wg)
+	waitRun(t, done)
 	if !c.Aborted() || c.Deadlocked() {
 		t.Fatalf("Aborted() = %t, Deadlocked() = %t; want true, false", c.Aborted(), c.Deadlocked())
 	}
 	for key := 1; key <= 7; key++ {
-		if !denied[key].Load() {
+		if !denied[key] {
 			t.Errorf("task %d was not released by the teardown", key)
 		}
 	}
 }
 
-// TestRegisterAfterTeardown: a task registered once the run is torn down
-// gets a teardown token, so its Begin returns instead of waiting forever.
-func TestRegisterAfterTeardown(t *testing.T) {
+// TestGoAfterTeardown: a task registered once the run is torn down still
+// starts, and its first scheduling method reports the teardown.
+func TestGoAfterTeardown(t *testing.T) {
 	c := New(NewRandom(1), Options{})
-	k := c.Register()
-	c.Begin(k)
-	c.Abort()
-	if c.YieldPoint(k, PointCheck) {
-		t.Fatal("YieldPoint after Abort returned true")
-	}
-	late := c.Register()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c.Begin(late)
-		if c.YieldPoint(late, PointCheck) {
-			t.Error("a task registered after teardown was scheduled")
+	lateDenied := false
+	c.Go(func(key int) {
+		c.Abort()
+		if c.YieldPoint(key, PointCheck) {
+			t.Error("YieldPoint after Abort returned true")
 		}
-		c.Exit(late)
-	}()
-	waitAll(t, &wg)
-	c.Exit(k)
+		c.Go(func(late int) { lateDenied = !c.YieldPoint(late, PointCheck) })
+	})
+	c.Run()
+	if !lateDenied {
+		t.Fatal("a task registered after teardown was scheduled")
+	}
 }
 
-// TestAbortRacesDeadlock: an Abort landing while the holder finds a
+// TestAbortRacesDeadlock: an Abort landing while the running task finds a
 // deadlock ends the run one way or the other, never both.
 func TestAbortRacesDeadlock(t *testing.T) {
 	const a, b = 100, 200
@@ -511,19 +477,11 @@ func TestAbortRacesDeadlock(t *testing.T) {
 			}
 		}
 		c := New(NewRoundRobin(1), Options{})
-		keys := []int{c.Register(), c.Register()}
-		var wg sync.WaitGroup
-		for j, f := range []func(*Controller, int){mk(a, b), mk(b, a)} {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				c.Begin(keys[j])
-				f(c, keys[j])
-				c.Exit(keys[j])
-			}()
+		for _, f := range []func(*Controller, int){mk(a, b), mk(b, a)} {
+			c.Go(func(key int) { f(c, key) })
 		}
 		go c.Abort()
-		waitAll(t, &wg)
+		waitRun(t, runAsync(c))
 		if c.Aborted() && c.Deadlocked() {
 			t.Fatalf("iteration %d: both Aborted and Deadlocked", i)
 		}
@@ -553,19 +511,87 @@ func TestAbortAfterRun(t *testing.T) {
 	}
 }
 
-// TestDecisionsDoNotAllocate: a yield that keeps the token allocates
-// nothing, under each strategy family, once the strategy has seen every
-// task.
+// TestPanicUnwindsTheRun: a panic escaping one task's body leaves Run
+// with that panic, after every other started task has unwound, and leaves
+// no coroutine behind.
+func TestPanicUnwindsTheRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	unwound := 0
+	c := New(NewRoundRobin(1), Options{})
+	parker := func(key int) {
+		if !c.Lock(key, 100) || !c.Lock(key, 100) {
+			unwound++
+		}
+	}
+	c.Go(func(key int) {
+		for i := 0; i < 5; i++ {
+			c.YieldPoint(key, PointCheck)
+		}
+		panic("task fault")
+	})
+	c.Go(parker)
+	c.Go(func(key int) {
+		for c.YieldPoint(key, PointCheck) {
+		}
+		unwound++
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "task fault" {
+				t.Fatalf("Run panicked with %v, want the task's panic", r)
+			}
+		}()
+		c.Run()
+	}()
+	if unwound != 2 {
+		t.Fatalf("%d tasks unwound, want 2", unwound)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the run, %d before", n, base)
+	}
+}
+
+// TestDecisionsDoNotAllocate: a yield that keeps the current task
+// allocates nothing, under each strategy family, once the strategy has
+// seen every task.
 func TestDecisionsDoNotAllocate(t *testing.T) {
 	for _, s := range []Strategy{NewRandom(1), NewRoundRobin(1 << 40), NewPCT(1, 0, 100)} {
 		c := New(s, Options{})
-		key := c.Register()
-		c.Begin(key)
-		c.YieldPoint(key, PointCheck) // warms the strategy
-		if n := testing.AllocsPerRun(100, func() { c.YieldPoint(key, PointCheck) }); n != 0 {
-			t.Fatalf("%s: YieldPoint allocated %v times per decision", s.Name(), n)
+		var allocs float64
+		c.Go(func(key int) {
+			c.YieldPoint(key, PointCheck) // warms the strategy
+			allocs = testing.AllocsPerRun(100, func() { c.YieldPoint(key, PointCheck) })
+		})
+		c.Run()
+		if allocs != 0 {
+			t.Fatalf("%s: YieldPoint allocated %v times per decision", s.Name(), allocs)
 		}
-		c.Exit(key)
+	}
+}
+
+// TestSwitchDoesNotAllocate: a decision that switches to another task and
+// the one that switches back allocate nothing once both tasks have
+// started.
+func TestSwitchDoesNotAllocate(t *testing.T) {
+	c := New(NewRoundRobin(1), Options{})
+	var allocs float64
+	done := false
+	c.Go(func(key int) {
+		c.YieldPoint(key, PointCheck) // starts the other task
+		allocs = testing.AllocsPerRun(100, func() { c.YieldPoint(key, PointCheck) })
+		done = true
+	})
+	c.Go(func(key int) {
+		for !done {
+			c.YieldPoint(key, PointCheck)
+		}
+	})
+	c.Run()
+	if c.Decisions() < 200 {
+		t.Fatalf("%d decisions: the tasks did not alternate", c.Decisions())
+	}
+	if allocs != 0 {
+		t.Fatalf("a switch allocated %v times per round trip", allocs)
 	}
 }
 
@@ -574,30 +600,26 @@ func TestDecisionsDoNotAllocate(t *testing.T) {
 func TestSignalDoesNotAllocate(t *testing.T) {
 	const lock, cv = 100, 200
 	c := New(NewRoundRobin(1), Options{})
-	k1, k2 := c.Register(), c.Register()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c.Begin(k2)
+	var allocs float64
+	c.Go(func(k1 int) {
+		c.YieldPoint(k1, PointCheck) // k2 parks on cv
+		c.Signal(k1, cv, false)      // warms the buffers
+		allocs = testing.AllocsPerRun(100, func() { c.Signal(k1, cv, false) })
+		c.Abort()
+		c.YieldPoint(k1, PointCheck)
+	})
+	c.Go(func(k2 int) {
 		for c.Wait(k2, cv, lock) {
 		}
-		c.Exit(k2)
-	}()
-	c.Begin(k1)
-	c.YieldPoint(k1, PointCheck) // k2 parks on cv
-	c.Signal(k1, cv, false)      // warms the buffers
-	if n := testing.AllocsPerRun(100, func() { c.Signal(k1, cv, false) }); n != 0 {
-		t.Fatalf("Signal allocated %v times per call", n)
+	})
+	c.Run()
+	if allocs != 0 {
+		t.Fatalf("Signal allocated %v times per call", allocs)
 	}
-	c.Abort()
-	c.YieldPoint(k1, PointCheck)
-	waitAll(t, &wg)
-	c.Exit(k1)
 }
 
 // BenchmarkYieldPoint measures one scheduling point among three tasks:
-// stay keeps the current task (no hand-off), switch hands the token on at
+// stay keeps the current task (no switch), switch resumes another task at
 // every point, and pct and random are the exploring strategies.
 func BenchmarkYieldPoint(b *testing.B) {
 	for _, bc := range []struct {

@@ -11,7 +11,7 @@ import (
 // next (must be a member of ready; the Controller falls back to ready[0]
 // otherwise). Pick must neither modify ready nor retain it past its
 // return: it is one of the Controller's own buffers. Strategies are used
-// single-threaded: only the token holder decides.
+// single-threaded: only the running task or the driver decides.
 type Strategy interface {
 	Pick(ready []int, cur int, decision int64, p Point) int
 	Name() string

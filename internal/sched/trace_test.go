@@ -58,8 +58,8 @@ func TestControllerTraceRLE(t *testing.T) {
 	// Decide 1, 1, 2, 2, 2, 1 over a ready set of both keys.
 	want := []Step{{Key: 1, N: 2}, {Key: 2, N: 3}, {Key: 1, N: 1}}
 	c := New(NewReplay(&Trace{Strategy: "random", Steps: want}), Options{Record: true})
-	c.Register()
-	c.Register()
+	c.Go(func(int) {})
+	c.Go(func(int) {})
 	for i := 0; i < 6; i++ {
 		c.pick(1, PointCheck)
 	}
@@ -70,4 +70,5 @@ func TestControllerTraceRLE(t *testing.T) {
 	if tr.Decisions != 6 {
 		t.Fatalf("Decisions = %d, want 6", tr.Decisions)
 	}
+	c.Run() // finishes the two tasks' coroutines
 }
